@@ -16,20 +16,31 @@ The two pair-built orders carry a boundary element where the halves
 meet: m = (000..., ...111) is its own dual and has no immediate
 neighbors, while m' = (...000, 111...) is its own dual with immediate
 neighbors on both sides.
+
+The halves, the string ranks, the boundaries and the ambient positions
+are all read off the catalogue's table; nothing here restates an order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from . import strings as st
-from .catalog import CpoName, NamedCpo, named_cpo
+from .catalog import (  # the *_HALF names are re-exported for callers
+    OMEGA_HALF,
+    OMEGA_OPP_HALF,
+    OMEGA_PRIME_HALF,
+    OMEGA_PRIME_OPP_HALF,
+    XI_HALF,
+    XI_OPP_HALF,
+    CpoName,
+    Half,
+    NamedCpo,
+    named_cpo,
+    stack_position,
+)
 from .errors import UnknownCpo
-from .words import Elem, extremes, neighbors
-
-BOUNDARY_M = st.PairString(st.ALL_ZEROS_L, st.ALL_ONES_R)
-BOUNDARY_M_PRIME = st.PairString(st.ALL_ZEROS_R, st.ALL_ONES_L)
+from .words import check_window, neighbors
 
 
 def opp_element(x):
@@ -39,148 +50,25 @@ def opp_element(x):
     return st.opp(x)
 
 
-def global_string_rank(x: st.MonotypicString):
-    """Position in the widest composite order of all four families."""
-    c = st.classify(x)
-    if c.family is st.SpecKind.III:
-        return (0, c.index)
-    if c.family is st.SpecKind.IV:
-        return (1, 0)
-    if c.family is st.SpecKind.I:
-        return (2, 0)
-    return (3, -c.index)
+global_string_rank = stack_position  # position in the whole stack of four families
 
 
-@dataclass(frozen=True)
-class Half:
-    """One half of a composite order, enumerable on windows."""
-
-    name: str
-    contains: Callable[[object], bool]
-    window: Callable[[int], list]   # ascending, including extreme strings
-    rank: Callable[[object], tuple]
-
-
-def _omega_half() -> Half:
-    def contains(x) -> bool:
-        return isinstance(x, st.MonotypicString) and st.classify(x).family is st.SpecKind.III
-
-    return Half(
-        "omega",
-        contains,
-        lambda n: [st.MonotypicString(st.Orientation.R, st.OMEGA_MANY, v) for v in range(n + 1)],
-        global_string_rank,
-    )
-
-
-def _omega_opp_half() -> Half:
-    def contains(x) -> bool:
-        return isinstance(x, st.MonotypicString) and st.classify(x).family is st.SpecKind.II
-
-    return Half(
-        "omega_opp",
-        contains,
-        lambda n: [st.MonotypicString(st.Orientation.L, u, st.OMEGA_MANY) for u in range(n, -1, -1)],
-        global_string_rank,
-    )
-
-
-def _omega_prime_half() -> Half:
-    def contains(x) -> bool:
-        if not isinstance(x, st.MonotypicString):
-            return False
-        return st.classify(x).family in (st.SpecKind.III, st.SpecKind.IV)
-
-    def window(n: int) -> list:
-        return _omega_half().window(n) + [st.ALL_ONES_R]
-
-    return Half("omega_prime", contains, window, global_string_rank)
-
-
-def _omega_prime_opp_half() -> Half:
-    def contains(x) -> bool:
-        if not isinstance(x, st.MonotypicString):
-            return False
-        return st.classify(x).family in (st.SpecKind.I, st.SpecKind.II)
-
-    def window(n: int) -> list:
-        return [st.ALL_ZEROS_L] + _omega_opp_half().window(n)
-
-    return Half("omega_prime_opp", contains, window, global_string_rank)
-
-
-def _paired(name: str, fixed_left: st.MonotypicString | None,
-            fixed_right: st.MonotypicString | None, varying: Half) -> Half:
-    """Half of a pair order: one component pinned, the other ranging."""
-
-    def contains(x) -> bool:
-        if not isinstance(x, st.PairString):
-            return False
-        if fixed_left is not None:
-            return x.left == fixed_left and varying.contains(x.right)
-        return x.right == fixed_right and varying.contains(x.left)
-
-    def window(n: int) -> list:
-        if fixed_left is not None:
-            return [st.PairString(fixed_left, y) for y in varying.window(n)]
-        return [st.PairString(x, fixed_right) for x in varying.window(n)]
-
-    def rank(x) -> tuple:
-        return varying.rank(x.right if fixed_left is not None else x.left)
-
-    return Half(name, contains, window, rank)
-
-
-OMEGA_HALF = _omega_half()
-OMEGA_OPP_HALF = _omega_opp_half()
-OMEGA_PRIME_HALF = _omega_prime_half()
-OMEGA_PRIME_OPP_HALF = _omega_prime_opp_half()
-OMEGA_HAT_PRIME_HALF = _paired("omega_hat_prime", st.ALL_ZEROS_L, None, OMEGA_PRIME_HALF)
-OMEGA_HAT_PRIME_OPP_HALF = _paired("omega_hat_prime_opp", None, st.ALL_ONES_R, OMEGA_PRIME_OPP_HALF)
-XI_HALF = _paired("xi", st.ALL_ZEROS_R, None, OMEGA_PRIME_OPP_HALF)
-XI_OPP_HALF = _paired("xi_opp", None, st.ALL_ONES_L, OMEGA_PRIME_HALF)
-
-# Canonical pairing of halves for each composite order.
+# Canonical pairing of halves for each composite order: its two halves.
 PAIRINGS: dict[CpoName, tuple[Half, Half]] = {
-    CpoName.LAMBDA: (OMEGA_PRIME_HALF, OMEGA_OPP_HALF),
-    CpoName.LAMBDA_PRIME: (OMEGA_PRIME_HALF, OMEGA_PRIME_OPP_HALF),
-    CpoName.LAMBDA_HAT_PRIME: (OMEGA_HAT_PRIME_HALF, OMEGA_HAT_PRIME_OPP_HALF),
-    CpoName.V: (XI_HALF, XI_OPP_HALF),
+    c.name: c.halves for c in map(named_cpo, CpoName) if len(c.halves) == 2 and not c.bare
 }
 
 
-@dataclass(frozen=True)
-class PairCpo:
-    name: CpoName
-    lower: Half
-    upper: Half
-    boundary: st.PairString
-    cpo: NamedCpo
-    glue: str
-
-
-def build_pair_cpo(name: str | CpoName) -> PairCpo:
+def build_pair_cpo(name: str | CpoName) -> NamedCpo:
+    """A glued order: its lower and upper halves share the boundary."""
     cpo = named_cpo(name)
-    if cpo.name is CpoName.LAMBDA_HAT_PRIME:
-        return PairCpo(cpo.name, OMEGA_HAT_PRIME_HALF, OMEGA_HAT_PRIME_OPP_HALF,
-                       BOUNDARY_M, cpo, "top of the lower half equals bottom of the upper half")
-    if cpo.name is CpoName.V:
-        return PairCpo(cpo.name, XI_HALF, XI_OPP_HALF,
-                       BOUNDARY_M_PRIME, cpo, "top of the lower half equals bottom of the upper half")
-    raise UnknownCpo(f"{cpo.name.value} is not built from two glued halves")
+    if cpo.boundary is None:
+        raise UnknownCpo(f"{cpo.name.value} is not built from two glued halves")
+    return cpo
 
 
-def _ambient_le(which: CpoName, a, b) -> bool:
-    lower, upper = PAIRINGS[which]
-    if isinstance(a, st.PairString):
-        def pos(p):
-            if lower.contains(p):
-                return (0, lower.rank(p))
-            if upper.contains(p):
-                return (1, upper.rank(p))
-            raise ValueError(f"{p} outside the ambient order")
-        return pos(a) <= pos(b)
-    return global_string_rank(a) <= global_string_rank(b)
+BOUNDARY_M = build_pair_cpo(CpoName.LAMBDA_HAT_PRIME).boundary
+BOUNDARY_M_PRIME = build_pair_cpo(CpoName.V).boundary
 
 
 @dataclass(frozen=True)
@@ -205,25 +93,25 @@ class AdjunctionReport:
 
 def check_adjunction(which: str | CpoName, window: int = 20) -> AdjunctionReport:
     """Run the three adjunction conditions for the order's half pairing."""
+    check_window(window)
     cpo = named_cpo(which)
     if cpo.name not in PAIRINGS:
         raise UnknownCpo(f"no half pairing attached to {cpo.name.value}")
     a_half, b_half = PAIRINGS[cpo.name]
     xs = a_half.window(window)
     ys = b_half.window(window)
+    oxs = [opp_element(x) for x in xs]
+    oys = [opp_element(y) for y in ys]
 
-    c1 = next((x for x in xs if not b_half.contains(opp_element(x))), None)
-    c2 = next((y for y in ys if not a_half.contains(opp_element(y))), None)
-    c3 = None
-    for x in xs:
-        for y in ys:
-            lhs = _ambient_le(cpo.name, x, opp_element(y))
-            rhs = _ambient_le(cpo.name, y, opp_element(x))
-            if lhs != rhs:
-                c3 = f"{x}, {y}"
-                break
-        if c3:
-            break
+    c1 = next((x for x, ox in zip(xs, oxs) if not b_half.contains(ox)), None)
+    c2 = next((y for y, oy in zip(ys, oys) if not a_half.contains(oy)), None)
+    # compared in the order itself, or for strings in the whole stack,
+    # which also holds the duals that fall outside lambda
+    position = cpo.position if a_half.pinned else stack_position
+    px = [(position(x), position(ox)) for x, ox in zip(xs, oxs)]
+    py = [(position(y), position(oy)) for y, oy in zip(ys, oys)]
+    c3 = next((f"{x}, {y}" for x, (x_at, ox_at) in zip(xs, px) for y, (y_at, oy_at) in zip(ys, py)
+               if (x_at <= oy_at) != (y_at <= ox_at)), None)
     conds = (
         ConditionReport(1, c1 is None, str(c1) if c1 is not None else None),
         ConditionReport(2, c2 is None, str(c2) if c2 is not None else None),
@@ -248,26 +136,26 @@ class BoundaryReport:
 
 
 def boundary_report(which: str | CpoName, window: int = 20) -> BoundaryReport:
-    pc = build_pair_cpo(which)
-    cpo = pc.cpo
-    b = pc.boundary
-    belem = cpo.to_elem(str(b))
+    check_window(window)
+    cpo = build_pair_cpo(which)
+    lower, upper = cpo.halves
+    b = cpo.boundary
+    belem = cpo.element(b)
     pred, succ = neighbors(cpo.word, belem)
-    lower_win = pc.lower.window(window)
-    upper_win = pc.upper.window(window)
-    join = (lower_win[-1] == b
-            and all(pc.lower.rank(x) <= pc.lower.rank(b) for x in lower_win))
-    meet = (upper_win[0] == b
-            and all(pc.upper.rank(b) <= pc.upper.rank(y) for y in upper_win))
+    lower_win = lower.window(window)
+    upper_win = upper.window(window)
+    b_low, b_up = lower.rank(b), upper.rank(b)
+    join = lower_win[-1] == b and all(lower.rank(x) <= b_low for x in lower_win)
+    meet = upper_win[0] == b and all(b_up <= upper.rank(y) for y in upper_win)
     return BoundaryReport(
-        pc.name,
+        cpo.name,
         b,
         cpo.to_label(belem),
         opp_element(b) == b,
         cpo.to_label(pred) if pred is not None else None,
         cpo.to_label(succ) if succ is not None else None,
-        pc.lower.contains(b),
-        pc.upper.contains(b),
+        lower.contains(b),
+        upper.contains(b),
         join,
         meet,
         window,

@@ -1,24 +1,46 @@
 """Catalogue of the named countable orders and their element labels.
 
-Each entry carries the normalized word used for computation, the word
-in its conventional display shape, and a labeler translating between
-element coordinates and the labels used in output: numerals, primed
-numerals, "inf", "m", signed forms, string literals such as "...0011",
-and pair literals such as "(000..., ...111)".  Labelers accept every
-alias that unambiguously names an element; they render one canonical
-label per element.
+The string-populated orders are slices of one stack of four monotypic
+string families, listed from the bottom up:
+
+  R_STRINGS   ...0 1^v    an omega layer, ascending with v
+  ALL_ONES    ...111      a single element
+  ALL_ZEROS   000...      a single element
+  L_STRINGS   0^u 11...   an omega* layer, descending with u
+
+The whole stack is lambda_prime.  A Half is a run of consecutive
+layers, each block carrying a numeral label style; a pair half pins
+one end of every pair and lets the other end range over its layers.
+The table at the end of this module gives each order once, as one half
+or as a lower half stacked under an upper half.  In a glued order the
+top of the lower half is the bottom of the upper half (the boundary)
+and is counted once.  The orders two, phi and theta borrow a shape and
+its numerals but carry no strings.
+
+Everything else is derived from the table: the word, the display word,
+the label parser and renderer, and the element and position of each
+string or pair.  Label styles, with c a string's finite letter count:
+
+  n     numerals c            n'    primed numerals c'
+  +n    +c, or c; 0 reads m'  -n    -c; 0 reads m'
+  any other style names the block's single element: inf, inf', m, -inf, +inf
+
+Parsers accept every alias that unambiguously names an element (also
+string literals such as "...0011" and pair literals such as
+"(000..., ...111)"); renderers give one canonical label per element,
+the literal itself in orders that print literals.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 from . import strings as st
 from .errors import BadElement, UnknownCpo
-from .words import OMEGA, OMEGA_STAR, AtomKind, Elem, OrderWord, fin, normalize, word_of
+from .words import OMEGA, OMEGA_STAR, AtomKind, Elem, OrderAtom, check_window, fin, normalize, word_of
 
 
 class CpoName(Enum):
@@ -37,10 +59,12 @@ class CpoName(Enum):
     V = "v"
 
 
-_NAT = re.compile(r"^\d+$")
-_PRIMED = re.compile(r"^(\d+)'$")
-_POS = re.compile(r"^\+(\d+)$")
-_NEG = re.compile(r"^-(\d+)$")
+_NUMERALS = {
+    "n": re.compile(r"^(\d+)$"),
+    "n'": re.compile(r"^(\d+)'$"),
+    "+n": re.compile(r"^\+?(\d+)$"),
+    "-n": re.compile(r"^-(\d+)$"),
+}
 
 
 def canonical_label_text(label: str) -> str:
@@ -52,386 +76,237 @@ def canonical_label_text(label: str) -> str:
     return t
 
 
+def _parse_count(style: str, t: str) -> int | None:
+    """The count a label names in a block of this style, if any."""
+    if style not in _NUMERALS:
+        return 0 if t == style else None
+    if style in ("+n", "-n") and t in ("m'", "0"):
+        return 0
+    m = _NUMERALS[style].match(t)
+    if m is None:
+        return None
+    c = int(m.group(1))
+    return c if style in ("n", "n'") or c >= 1 else None  # a signed 0 is spelled m' or 0
+
+
+def _render_count(style: str, c: int) -> str:
+    if style not in _NUMERALS:
+        return style
+    if style in ("+n", "-n") and c == 0:
+        return "m'"
+    return style.replace("n", str(c))
+
+
+@dataclass(frozen=True, eq=False)
+class Layer:
+    """One block of the string stack: its atom and its string at each count."""
+
+    atom: OrderAtom
+    string: Callable[[int], st.MonotypicString] | None
+
+    def counts(self, n: int) -> range:
+        """Counts in ascending order, up to n in an infinite layer."""
+        if self.atom.kind is AtomKind.FIN:
+            return range(self.atom.size)
+        if self.atom.kind is AtomKind.OMEGA:
+            return range(n + 1)
+        return range(n, -1, -1)
+
+
+R_STRINGS = Layer(OMEGA, lambda v: st.MonotypicString(st.Orientation.R, st.OMEGA_MANY, v))
+ALL_ONES = Layer(fin(1), lambda _: st.ALL_ONES_R)
+ALL_ZEROS = Layer(fin(1), lambda _: st.ALL_ZEROS_L)
+L_STRINGS = Layer(OMEGA_STAR, lambda u: st.MonotypicString(st.Orientation.L, u, st.OMEGA_MANY))
+CHAIN_2 = Layer(fin(2), None)  # the two-point chain, outside the stack
+
+_LAYER_OF = {st.SpecKind.III: R_STRINGS, st.SpecKind.IV: ALL_ONES,
+             st.SpecKind.I: ALL_ZEROS, st.SpecKind.II: L_STRINGS}
+
+
+def _layer_count(s: st.MonotypicString) -> tuple[Layer, int]:
+    c = st.classify(s)
+    return _LAYER_OF[c.family], (0 if c.index is None else c.index - 1)
+
+
+def stack_position(s: st.MonotypicString) -> tuple[int, int]:
+    """Sort key of a string in the whole stack, which is the order lambda_prime."""
+    layer, c = _layer_count(s)
+    return STACK.index(layer), (-c if layer.atom.kind is AtomKind.OMEGA_STAR else c)
+
+
 @dataclass(frozen=True)
-class Labeler:
-    """Coordinate/label translation for one named order.
+class Half:
+    """Consecutive stack layers; a pair half pins the left or right end."""
 
-    consts: exact label -> element, tried first when parsing.
-    nat/pos/neg/primed: (block, start offset) for the numeral layers.
-    strings: parsed monotypic literal -> element, None if foreign.
-    pairs: parsed pair literal -> element, None if foreign.
-    render: element -> canonical label.
-    """
+    name: str
+    blocks: tuple[tuple[Layer, str], ...]  # (layer, label style), bottom to top
+    left: st.MonotypicString | None = None
+    right: st.MonotypicString | None = None
 
-    consts: dict[str, Elem] = field(default_factory=dict)
-    nat: tuple[int, int] | None = None
-    primed: tuple[int, int] | None = None
-    pos: tuple[int, int] | None = None
-    neg: tuple[int, int] | None = None
-    strings: Callable[[st.MonotypicString], Elem | None] | None = None
-    pairs: Callable[[st.PairString], Elem | None] | None = None
-    render: Callable[[Elem], str] = str
+    @property
+    def pinned(self) -> bool:
+        return self.left is not None or self.right is not None
+
+    def carry(self, s: st.MonotypicString):
+        """The element that holds the string s."""
+        if self.left is not None:
+            return st.PairString(self.left, s)
+        if self.right is not None:
+            return st.PairString(s, self.right)
+        return s
+
+    def free(self, x) -> st.MonotypicString | None:
+        """The string x holds, or None if x is not shaped as this half's elements."""
+        if not self.pinned:
+            return x if isinstance(x, st.MonotypicString) else None
+        if not isinstance(x, st.PairString):
+            return None
+        if self.left is not None:
+            return x.right if x.left == self.left else None
+        return x.left if x.right == self.right else None
+
+    def carries(self, s: st.MonotypicString) -> bool:
+        layer = _layer_count(s)[0]
+        return any(layer is b for b, _ in self.blocks)
+
+    def contains(self, x) -> bool:
+        s = self.free(x)
+        return s is not None and self.carries(s)
+
+    def window(self, n: int) -> list:
+        """Ascending, including the extreme strings."""
+        return [self.carry(layer.string(c)) for layer, _ in self.blocks for c in layer.counts(n)]
+
+    def rank(self, x) -> tuple[int, int]:
+        """Position of the held string in the whole stack."""
+        return stack_position(self.free(x))
+
+
+@dataclass(frozen=True)
+class _Run:
+    """A block of a catalogue order, read off one half's layer."""
+
+    half: int
+    layer: Layer
+    style: str
+    start: int   # least count present; 1 where gluing took the top away
+    block: int   # block of the normalized word
+    base: int    # offset of count `start` within that block
+
+
+class NamedCpo:
+    """A catalogued order: one half, or a lower half under an upper half."""
+
+    def __init__(self, name: CpoName, halves: tuple[Half, ...], *,
+                 glued: bool = False, literal: bool = False, bare: bool = False):
+        self.name = name
+        self.halves = halves
+        self.literal = literal  # elements print as string or pair literals
+        self.bare = bare        # elements are numerals only, not strings
+        blocks = [(i, layer, style, 0) for i, h in enumerate(halves) for layer, style in h.blocks]
+        self.boundary = None
+        if glued:
+            # the lower half gives up its top; the upper half's bottom is the boundary
+            top = len(halves[0].blocks) - 1
+            i, layer, style, _ = blocks[top]
+            if layer.atom.kind is AtomKind.FIN:
+                del blocks[top]
+            else:
+                blocks[top] = (i, layer, style, 1)
+            upper = halves[1]
+            self.boundary = upper.carry(upper.blocks[0][0].string(0))
+        self.display_word = word_of(*(layer.atom for _, layer, _, _ in blocks))
+        self.word = normalize(self.display_word)
+        self._runs: list[_Run] = []
+        block, base, prev = -1, 0, None
+        for i, layer, style, start in blocks:
+            if prev is not None and prev.kind is AtomKind.FIN and layer.atom.kind is AtomKind.FIN:
+                base += prev.size  # adjacent finite blocks merge under normalize
+            else:
+                block, base = block + 1, 0
+            prev = layer.atom
+            self._runs.append(_Run(i, layer, style, start, block, base))
+        self._run_of = {(r.half, r.layer): r for r in self._runs}
+
+    def _elem(self, run: _Run, c: int) -> Elem:
+        return Elem(run.block, run.base + c - run.start)
+
+    def _find(self, x) -> tuple[_Run, int]:
+        """The run holding a string or pair x, and x's count in it."""
+        if not self.bare:
+            for i, h in enumerate(self.halves):
+                s = h.free(x)
+                if s is None:
+                    continue
+                layer, c = _layer_count(s)
+                run = self._run_of.get((i, layer))
+                if run is not None and c >= run.start:
+                    return run, c
+        raise BadElement(f"{x} is not an element of {self.name.value}")
+
+    def element(self, x) -> Elem:
+        """The element holding a string or pair x."""
+        return self._elem(*self._find(x))
+
+    def position(self, x) -> tuple[int, int]:
+        """Sort key of x's element, ascending in this order."""
+        run, c = self._find(x)
+        offset = run.base + c - run.start
+        return run.block, (-offset if run.layer.atom.kind is AtomKind.OMEGA_STAR else offset)
 
     def to_elem(self, label: str) -> Elem:
         t = canonical_label_text(label)
-        if t in self.consts:
-            return self.consts[t]
-        m = _NAT.match(t)
-        if m and self.nat is not None:
-            block, start = self.nat
-            if int(t) >= start:
-                return Elem(block, int(t))
-        if m and self.pos is not None:
-            block, start = self.pos
-            if int(t) >= start:
-                return Elem(block, int(t))
-        m = _PRIMED.match(t)
-        if m and self.primed is not None:
-            block, start = self.primed
-            if int(m.group(1)) >= start:
-                return Elem(block, int(m.group(1)))
-        m = _POS.match(t)
-        if m and self.pos is not None:
-            block, start = self.pos
-            if int(m.group(1)) >= start:
-                return Elem(block, int(m.group(1)))
-        m = _NEG.match(t)
-        if m and self.neg is not None:
-            block, start = self.neg
-            n = int(m.group(1))
-            if n >= 1:
-                return Elem(block, n - 1 + start)
-        if t.startswith("(") and self.pairs is not None:
-            got = self.pairs(st.parse_pair_literal(t))
-            if got is not None:
-                return got
-        if "..." in t and self.strings is not None:
-            got = self.strings(st.parse_literal(t))
-            if got is not None:
-                return got
+        for run in self._runs:
+            c = _parse_count(run.style, t)
+            if c is not None and c >= run.start:
+                return self._elem(run, c)
+        if not self.bare:
+            if self.halves[0].pinned and t.startswith("("):
+                return self.element(st.parse_pair_literal(t))
+            if not self.halves[0].pinned and "..." in t:
+                return self.element(st.parse_literal(t))
         raise BadElement(f"no element labelled {label!r} here")
 
     def to_label(self, x: Elem) -> str:
-        return self.render(x)
+        run = next(r for r in reversed(self._runs) if r.block == x.block and r.base <= x.offset)
+        c = x.offset - run.base + run.start
+        if self.literal:
+            held = self.halves[run.half].carry(run.layer.string(c))
+            if held != self.boundary:  # the boundary is named, not spelled
+                return str(held)
+        return _render_count(run.style, c)
 
 
-@dataclass(frozen=True)
-class NamedCpo:
-    name: CpoName
-    word: OrderWord          # normalized
-    display_word: OrderWord  # conventional shape, same order up to iso
-    labeler: Labeler
+OMEGA_HALF = Half("omega", ((R_STRINGS, "n"),))
+OMEGA_OPP_HALF = Half("omega_opp", ((L_STRINGS, "n'"),))
+OMEGA_PRIME_HALF = Half("omega_prime", ((R_STRINGS, "n"), (ALL_ONES, "inf")))
+OMEGA_PRIME_OPP_HALF = Half("omega_prime_opp", ((ALL_ZEROS, "inf'"), (L_STRINGS, "n'")))
+OMEGA_HAT_PRIME_HALF = Half("omega_hat_prime", ((R_STRINGS, "n"), (ALL_ONES, "m")),
+                            left=st.ALL_ZEROS_L)
+OMEGA_HAT_PRIME_OPP_HALF = Half("omega_hat_prime_opp", ((ALL_ZEROS, "m"), (L_STRINGS, "n'")),
+                                right=st.ALL_ONES_R)
+XI_HALF = Half("xi", ((ALL_ZEROS, "-inf"), (L_STRINGS, "-n")), left=st.ALL_ZEROS_R)
+XI_OPP_HALF = Half("xi_opp", ((R_STRINGS, "+n"), (ALL_ONES, "+inf")), right=st.ALL_ONES_L)
 
-    def to_elem(self, label: str) -> Elem:
-        return self.labeler.to_elem(label)
+# the whole stack, bottom to top: the layers of lambda_prime's two halves
+STACK = tuple(layer for h in (OMEGA_PRIME_HALF, OMEGA_PRIME_OPP_HALF) for layer, _ in h.blocks)
 
-    def to_label(self, x: Elem) -> str:
-        return self.labeler.to_label(x)
-
-
-def _string_label(s: st.MonotypicString) -> str:
-    return st.render_literal(s)
-
-
-# -- string layer helpers -------------------------------------------------
-#
-# The string-populated orders are assembled from four layers:
-#   R-strings ...0 1^v   ascending with v        (an omega layer)
-#   ...111               a single top of that layer
-#   000...               a single bottom of the dual layer
-#   L-strings 0^u 11...  descending with u       (an omega* layer)
-
-
-def _phi_like(name: CpoName, primed: bool) -> NamedCpo:
-    atoms = [OMEGA, fin(1)] + ([OMEGA_STAR] if primed else [])
-    w = word_of(*atoms)
-    consts = {"inf": Elem(1, 0)}
-    lab = Labeler(
-        consts=consts,
-        nat=(0, 0),
-        primed=(2, 0) if primed else None,
-        render=(lambda x: "inf" if x.block == 1 else (f"{x.offset}'" if x.block == 2 else str(x.offset))),
-    )
-    return NamedCpo(name, normalize(w), w, lab)
-
-
-def _omega_set() -> NamedCpo:
-    w = word_of(OMEGA)
-
-    def from_string(s: st.MonotypicString) -> Elem | None:
-        c = st.classify(s)
-        if c.family is st.SpecKind.III:
-            return Elem(0, c.index - 1)
-        return None
-
-    lab = Labeler(
-        nat=(0, 0),
-        strings=from_string,
-        render=(lambda x: _string_label(st.MonotypicString(st.Orientation.R, st.OMEGA_MANY, x.offset))),
-    )
-    return NamedCpo(CpoName.OMEGA_SET, w, w, lab)
-
-
-def _omega_opp() -> NamedCpo:
-    w = word_of(OMEGA_STAR)
-
-    def from_string(s: st.MonotypicString) -> Elem | None:
-        c = st.classify(s)
-        if c.family is st.SpecKind.II:
-            return Elem(0, c.index - 1)
-        return None
-
-    lab = Labeler(
-        primed=(0, 0),
-        strings=from_string,
-        render=(lambda x: _string_label(st.MonotypicString(st.Orientation.L, x.offset, st.OMEGA_MANY))),
-    )
-    return NamedCpo(CpoName.OMEGA_OPP, w, w, lab)
-
-
-def _omega_prime() -> NamedCpo:
-    w = word_of(OMEGA, fin(1))
-
-    def from_string(s: st.MonotypicString) -> Elem | None:
-        c = st.classify(s)
-        if c.family is st.SpecKind.III:
-            return Elem(0, c.index - 1)
-        if c.family is st.SpecKind.IV:
-            return Elem(1, 0)
-        return None
-
-    lab = Labeler(
-        consts={"inf": Elem(1, 0)},
-        nat=(0, 0),
-        strings=from_string,
-        render=(lambda x: "...111" if x.block == 1
-                    else _string_label(st.MonotypicString(st.Orientation.R, st.OMEGA_MANY, x.offset))),
-    )
-    return NamedCpo(CpoName.OMEGA_PRIME, w, w, lab)
-
-
-def _omega_prime_opp() -> NamedCpo:
-    w = word_of(fin(1), OMEGA_STAR)
-
-    def from_string(s: st.MonotypicString) -> Elem | None:
-        c = st.classify(s)
-        if c.family is st.SpecKind.I:
-            return Elem(0, 0)
-        if c.family is st.SpecKind.II:
-            return Elem(1, c.index - 1)
-        return None
-
-    lab = Labeler(
-        consts={"inf'": Elem(0, 0)},
-        primed=(1, 0),
-        strings=from_string,
-        render=(lambda x: "000..." if x.block == 0
-                    else _string_label(st.MonotypicString(st.Orientation.L, x.offset, st.OMEGA_MANY))),
-    )
-    return NamedCpo(CpoName.OMEGA_PRIME_OPP, w, w, lab)
-
-
-def _lambda() -> NamedCpo:
-    w = word_of(OMEGA, fin(1), OMEGA_STAR)
-
-    def from_string(s: st.MonotypicString) -> Elem | None:
-        c = st.classify(s)
-        if c.family is st.SpecKind.III:
-            return Elem(0, c.index - 1)
-        if c.family is st.SpecKind.IV:
-            return Elem(1, 0)
-        if c.family is st.SpecKind.II:
-            return Elem(2, c.index - 1)
-        return None  # 000... does not occur here
-
-    lab = Labeler(
-        consts={"inf": Elem(1, 0)},
-        nat=(0, 0),
-        primed=(2, 0),
-        strings=from_string,
-        render=(lambda x: "inf" if x.block == 1 else (f"{x.offset}'" if x.block == 2 else str(x.offset))),
-    )
-    return NamedCpo(CpoName.LAMBDA, w, w, lab)
-
-
-def _lambda_prime() -> NamedCpo:
-    display = word_of(OMEGA, fin(1), fin(1), OMEGA_STAR)
-    w = normalize(display)  # omega + 2 + omega*
-
-    def from_string(s: st.MonotypicString) -> Elem | None:
-        c = st.classify(s)
-        if c.family is st.SpecKind.III:
-            return Elem(0, c.index - 1)
-        if c.family is st.SpecKind.IV:
-            return Elem(1, 0)
-        if c.family is st.SpecKind.I:
-            return Elem(1, 1)
-        return Elem(2, c.index - 1)
-
-    def render(x: Elem) -> str:
-        if x.block == 1:
-            return "inf" if x.offset == 0 else "inf'"
-        return f"{x.offset}'" if x.block == 2 else str(x.offset)
-
-    lab = Labeler(
-        consts={"inf": Elem(1, 0), "inf'": Elem(1, 1)},
-        nat=(0, 0),
-        primed=(2, 0),
-        strings=from_string,
-        render=render,
-    )
-    return NamedCpo(CpoName.LAMBDA_PRIME, w, display, lab)
-
-
-def _lambda_hat_prime() -> NamedCpo:
-    w = word_of(OMEGA, fin(1), OMEGA_STAR)
-
-    def from_pair(p: st.PairString) -> Elem | None:
-        if p.left == st.ALL_ZEROS_L:
-            c = st.classify(p.right)
-            if c.family is st.SpecKind.III:
-                return Elem(0, c.index - 1)
-            if c.family is st.SpecKind.IV:
-                return Elem(1, 0)
-        if p.right == st.ALL_ONES_R:
-            c = st.classify(p.left)
-            if c.family is st.SpecKind.II:
-                return Elem(2, c.index - 1)
-            if c.family is st.SpecKind.I:
-                return Elem(1, 0)
-        return None
-
-    def render(x: Elem) -> str:
-        if x.block == 1:
-            return "m"
-        if x.block == 0:
-            inner = st.MonotypicString(st.Orientation.R, st.OMEGA_MANY, x.offset)
-            return f"(000..., {_string_label(inner)})"
-        inner = st.MonotypicString(st.Orientation.L, x.offset, st.OMEGA_MANY)
-        return f"({_string_label(inner)}, ...111)"
-
-    lab = Labeler(
-        consts={"m": Elem(1, 0)},
-        nat=(0, 0),
-        primed=(2, 0),
-        pairs=from_pair,
-        render=render,
-    )
-    return NamedCpo(CpoName.LAMBDA_HAT_PRIME, w, w, lab)
-
-
-def _xi() -> NamedCpo:
-    w = word_of(fin(1), OMEGA_STAR)
-
-    def from_pair(p: st.PairString) -> Elem | None:
-        if p.left == st.ALL_ZEROS_R:
-            c = st.classify(p.right)
-            if c.family is st.SpecKind.I:
-                return Elem(0, 0)
-            if c.family is st.SpecKind.II:
-                return Elem(1, c.index - 1)
-        return None
-
-    def render(x: Elem) -> str:
-        if x.block == 0:
-            return "-inf"
-        return "m'" if x.offset == 0 else f"-{x.offset}"
-
-    lab = Labeler(
-        consts={"-inf": Elem(0, 0), "m'": Elem(1, 0), "0": Elem(1, 0)},
-        neg=(1, 1),
-        pairs=from_pair,
-        render=render,
-    )
-    return NamedCpo(CpoName.XI, w, w, lab)
-
-
-def _xi_opp() -> NamedCpo:
-    w = word_of(OMEGA, fin(1))
-
-    def from_pair(p: st.PairString) -> Elem | None:
-        if p.right == st.ALL_ONES_L:
-            c = st.classify(p.left)
-            if c.family is st.SpecKind.III:
-                return Elem(0, c.index - 1)
-            if c.family is st.SpecKind.IV:
-                return Elem(1, 0)
-        return None
-
-    def render(x: Elem) -> str:
-        if x.block == 1:
-            return "+inf"
-        return "m'" if x.offset == 0 else f"+{x.offset}"
-
-    lab = Labeler(
-        consts={"m'": Elem(0, 0), "0": Elem(0, 0), "+inf": Elem(1, 0)},
-        pos=(0, 1),
-        pairs=from_pair,
-        render=render,
-    )
-    return NamedCpo(CpoName.XI_OPP, w, w, lab)
-
-
-def _v() -> NamedCpo:
-    w = word_of(fin(1), OMEGA_STAR, OMEGA, fin(1))
-
-    def from_pair(p: st.PairString) -> Elem | None:
-        if p.left == st.ALL_ZEROS_R:
-            c = st.classify(p.right)
-            if c.family is st.SpecKind.I:
-                return Elem(0, 0)
-            if c.family is st.SpecKind.II:
-                return Elem(2, 0) if c.index == 1 else Elem(1, c.index - 2)
-        if p.right == st.ALL_ONES_L:
-            c = st.classify(p.left)
-            if c.family is st.SpecKind.III:
-                return Elem(2, c.index - 1)
-            if c.family is st.SpecKind.IV:
-                return Elem(3, 0)
-        return None
-
-    def render(x: Elem) -> str:
-        if x.block == 0:
-            return "-inf"
-        if x.block == 1:
-            return f"-{x.offset + 1}"
-        if x.block == 3:
-            return "+inf"
-        return "m'" if x.offset == 0 else f"+{x.offset}"
-
-    lab = Labeler(
-        consts={"-inf": Elem(0, 0), "m'": Elem(2, 0), "0": Elem(2, 0), "+inf": Elem(3, 0)},
-        pos=(2, 1),
-        neg=(1, 0),
-        pairs=from_pair,
-        render=render,
-    )
-    return NamedCpo(CpoName.V, w, w, lab)
-
-
-def _two() -> NamedCpo:
-    w = word_of(fin(2))
-    lab = Labeler(nat=(0, 0), render=(lambda x: str(x.offset)))
-    return NamedCpo(CpoName.TWO, w, w, lab)
-
-
-_CATALOG: dict[CpoName, NamedCpo] = {}
-for _c in (
-    _two(),
-    _phi_like(CpoName.PHI, primed=True),
-    _phi_like(CpoName.THETA, primed=False),
-    _omega_set(),
-    _omega_opp(),
-    _omega_prime(),
-    _omega_prime_opp(),
-    _lambda(),
-    _lambda_prime(),
-    _lambda_hat_prime(),
-    _xi(),
-    _xi_opp(),
-    _v(),
-):
-    _CATALOG[_c.name] = _c
+_CATALOG: dict[CpoName, NamedCpo] = {c.name: c for c in (
+    NamedCpo(CpoName.TWO, (Half("two", ((CHAIN_2, "n"),)),), bare=True),
+    NamedCpo(CpoName.PHI, (OMEGA_PRIME_HALF, OMEGA_OPP_HALF), bare=True),
+    NamedCpo(CpoName.THETA, (OMEGA_PRIME_HALF,), bare=True),
+    NamedCpo(CpoName.OMEGA_SET, (OMEGA_HALF,), literal=True),
+    NamedCpo(CpoName.OMEGA_OPP, (OMEGA_OPP_HALF,), literal=True),
+    NamedCpo(CpoName.OMEGA_PRIME, (OMEGA_PRIME_HALF,), literal=True),
+    NamedCpo(CpoName.OMEGA_PRIME_OPP, (OMEGA_PRIME_OPP_HALF,), literal=True),
+    NamedCpo(CpoName.LAMBDA, (OMEGA_PRIME_HALF, OMEGA_OPP_HALF)),
+    NamedCpo(CpoName.LAMBDA_PRIME, (OMEGA_PRIME_HALF, OMEGA_PRIME_OPP_HALF)),
+    NamedCpo(CpoName.LAMBDA_HAT_PRIME, (OMEGA_HAT_PRIME_HALF, OMEGA_HAT_PRIME_OPP_HALF),
+             glued=True, literal=True),
+    NamedCpo(CpoName.XI, (XI_HALF,)),
+    NamedCpo(CpoName.XI_OPP, (XI_OPP_HALF,)),
+    NamedCpo(CpoName.V, (XI_HALF, XI_OPP_HALF), glued=True),
+)}
 
 _ALIASES = {"omega_set": CpoName.OMEGA_SET, "lam": CpoName.LAMBDA}
 
@@ -454,6 +329,7 @@ def all_names() -> list[str]:
 
 def chain_display(cpo: NamedCpo, depth: int) -> str:
     """Ascending window rendered as a chain with ellipses inside infinite blocks."""
+    check_window(depth)
     parts: list[str] = []
     for j, atom in enumerate(cpo.word.atoms):
         if atom.kind is AtomKind.FIN:

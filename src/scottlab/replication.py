@@ -10,8 +10,9 @@ claimants.
 lcr_forward folds the four string families into the valley order: the
 lower families keep their string on the right against a pinned left
 end, the upper families keep it on the left against a pinned right
-end.  The fold is injective except exactly at m', hit by both ...000
-and 111....  lcr_backward inverts it, taking an endpoint choice (which
+end; each string goes to the valley half whose layers hold it.  The
+fold is injective except exactly at m', hit by both ...000 and 111....
+lcr_backward inverts it, taking an endpoint choice (which
 end of the pair to read) to break the tie at the boundary.
 
 replicate() splits the self-dual boundary m into an adjacent intent /
@@ -32,7 +33,7 @@ from .adjunction import BOUNDARY_M, BOUNDARY_M_PRIME, build_pair_cpo, check_adju
 from .catalog import CpoName, named_cpo
 from .errors import BadElement, NotBoundary, UnknownCpo
 from .funcspace import self_iso
-from .words import iso, neighbors
+from .words import check_window, iso, neighbors
 
 
 @dataclass(frozen=True)
@@ -57,12 +58,17 @@ class Decomposition:
             if p == BOUNDARY_M:
                 assert self.boundary_image is not None
                 return self.boundary_image
-            if p.left == st.ALL_ZEROS_L:
-                return p.right
-            if p.right == st.ALL_ONES_R:
-                return p.left
-            raise BadElement(f"{p} is not in the hat order")
+            return _unpin(named_cpo(CpoName.LAMBDA_HAT_PRIME), p)
         raise NotBoundary("the valley order has no natural splitting to project along")
+
+
+def _unpin(cpo, p: st.PairString) -> st.MonotypicString:
+    """The string a pair holds against the pinned end of either half."""
+    for half in cpo.halves:
+        s = half.free(p)
+        if s is not None:
+            return s
+    raise BadElement(f"{p} is not in the {cpo.name.value} order")
 
 
 def decompositions(which: str | CpoName) -> tuple[Decomposition, ...]:
@@ -93,19 +99,14 @@ def lcr_forward(x: st.MonotypicString) -> LcrImage:
     """Fold a string into the valley order."""
     lam_prime = named_cpo(CpoName.LAMBDA_PRIME)
     v = named_cpo(CpoName.V)
-    family = st.classify(x).family
-    if family in (st.SpecKind.III, st.SpecKind.IV):
-        image = st.PairString(x, st.ALL_ONES_L)
-        half = "xi_opp"
-    else:
-        image = st.PairString(st.ALL_ZEROS_R, x)
-        half = "xi"
+    half = next(h for h in v.halves if h.carries(x))
+    image = half.carry(x)
     return LcrImage(
         x,
-        lam_prime.to_label(lam_prime.to_elem(str(x))),
+        lam_prime.to_label(lam_prime.element(x)),
         image,
-        half,
-        v.to_label(v.to_elem(str(image))),
+        half.name,
+        v.to_label(v.element(image)),
         image == BOUNDARY_M_PRIME,
     )
 
@@ -122,11 +123,7 @@ def lcr_backward(p: st.PairString, endpoint: st.Orientation | None = None) -> st
         if endpoint is None:
             raise BadElement("the boundary has two preimages; pick endpoint L or R")
         return st.ALL_ZEROS_R if endpoint is st.Orientation.R else st.ALL_ONES_L
-    if p.right == st.ALL_ONES_L:
-        return p.left
-    if p.left == st.ALL_ZEROS_R:
-        return p.right
-    raise BadElement(f"{p} is not in the valley order")
+    return _unpin(named_cpo(CpoName.V), p)
 
 
 @dataclass(frozen=True)
@@ -145,8 +142,8 @@ def replicate(p: st.PairString) -> ReplicationResult:
         raise NotBoundary(f"replication applies only to {BOUNDARY_M}, got {p}")
     lam_prime = named_cpo(CpoName.LAMBDA_PRIME)
     intent, extent = p.left, p.right
-    ie = lam_prime.to_elem(str(intent))
-    ee = lam_prime.to_elem(str(extent))
+    ie = lam_prime.element(intent)
+    ee = lam_prime.element(extent)
     mutual = (neighbors(lam_prime.word, ee)[1] == ie
               and neighbors(lam_prime.word, ie)[0] == ee)
     return ReplicationResult(
@@ -167,14 +164,15 @@ class Table8Row:
 
 def table8(window: int = 20) -> tuple[Table8Row, ...]:
     """Summary matrix, every cell computed from the operations."""
+    check_window(window)
     rows = []
     for name in (CpoName.LAMBDA, CpoName.LAMBDA_PRIME, CpoName.LAMBDA_HAT_PRIME, CpoName.V):
         cpo = named_cpo(name)
         adj = "yes" if check_adjunction(name, window).passed else "no"
         fp = "applicable" if self_iso(cpo.word).is_iso else "not applicable"
         try:
-            boundary = build_pair_cpo(name).cpo.to_label(
-                build_pair_cpo(name).cpo.to_elem(str(build_pair_cpo(name).boundary)))
+            glued = build_pair_cpo(name)
+            boundary = glued.to_label(glued.element(glued.boundary))
         except UnknownCpo:
             boundary = "n/a"
         rows.append(Table8Row(name.value, adj, fp, boundary, str(cpo.display_word)))
@@ -219,6 +217,7 @@ class PipelineReport:
 
 
 def pipeline(window: int = 20) -> PipelineReport:
+    check_window(window)
     lam = named_cpo(CpoName.LAMBDA)
     hat = named_cpo(CpoName.LAMBDA_HAT_PRIME)
     lam_prime = named_cpo(CpoName.LAMBDA_PRIME)
@@ -237,9 +236,7 @@ def pipeline(window: int = 20) -> PipelineReport:
         rep.mutual_neighbors,
     )
 
-    probe = [st.MonotypicString(st.Orientation.R, st.OMEGA_MANY, k) for k in range(window + 1)]
-    probe += [st.ALL_ONES_R, st.ALL_ZEROS_L]
-    probe += [st.MonotypicString(st.Orientation.L, k, st.OMEGA_MANY) for k in range(window, -1, -1)]
+    probe = [x for half in lam_prime.halves for x in half.window(window)]
     ok = True
     collisions = []
     for x in probe:
@@ -249,11 +246,10 @@ def pipeline(window: int = 20) -> PipelineReport:
             ok = False
         if img.collision:
             collisions.append(x)
-    vm = named_cpo(CpoName.V)
     lcr_edge = LcrEdge(
         lam_prime.name.value, v.name.value,
         ok and len(collisions) == 2,
-        vm.to_label(vm.to_elem(str(BOUNDARY_M_PRIME))),
+        v.to_label(v.element(BOUNDARY_M_PRIME)),
         tuple(str(c) for c in collisions),
         iso(lam_prime.word, v.word),
     )

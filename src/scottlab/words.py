@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BadElement, BadLiteral
+from .errors import BadDepth, BadElement, BadLiteral
 
 
 class AtomKind(Enum):
@@ -230,8 +230,15 @@ def iso(a: OrderWord, b: OrderWord) -> bool:
     return verdict
 
 
+def check_window(depth: int) -> None:
+    """Reject a negative window: it would drop whole blocks and make scans vacuous."""
+    if depth < 0:
+        raise BadDepth(f"window must be >= 0, got {depth}")
+
+
 def window_elems(w: OrderWord, depth: int) -> list[Elem]:
     """Ascending finite window: offsets up to depth within infinite blocks."""
+    check_window(depth)
     out: list[Elem] = []
     for j, atom in enumerate(w.atoms):
         if atom.kind is AtomKind.FIN:

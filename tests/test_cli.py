@@ -155,6 +155,12 @@ USAGE_ERRORS = [
     ["mu", "--map", "012"],
     ["lcr", "backward", "--pair", "(...000, 111...)"],
     ["paths", "--depth", "1"],
+    ["pipeline", "--window", "-1"],
+    ["adjunction", "--cpo", "lambda_prime", "--window", "-1"],
+    ["boundary", "--cpo", "v", "--window", "-1"],
+    ["table8", "--window", "-1"],
+    ["cpo", "--cpo", "omega", "--window", "-2"],
+    ["funcspace", "--cpo", "phi", "--table", "--window", "-1"],
 ]
 
 

@@ -1,0 +1,90 @@
+"""Byte-exact CLI output of the catalogue's labels, halves and folds.
+
+Each case runs once as text and once with --format json, and both
+outputs must equal the bytes recorded in golden/cli_outputs.json.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from scottlab.catalog import all_names
+from scottlab.cli import run
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_outputs.json").read_text())
+
+_ALIASES = [
+    # numerals and primed numerals
+    ("compare", "two", "0", "1"),
+    ("compare", "phi", "3", "2'"),
+    ("neighbors", "phi", "0'"),
+    ("compare", "theta", "inf", "5"),
+    ("neighbors", "theta", "∞"),
+    # string literals next to numerals, inf and inf'
+    ("compare", "omega", "...0011", "4"),
+    ("neighbors", "omega", "3"),
+    ("compare", "omega_opp", "0011...", "1'"),
+    ("neighbors", "omega_opp", "111..."),
+    ("compare", "omega_prime", "inf", "...111"),
+    ("neighbors", "omega_prime", "...01"),
+    ("compare", "omega_prime_opp", "inf'", "000..."),
+    ("neighbors", "omega_prime_opp", "2'"),
+    ("compare", "lambda", "...0011", "0011..."),
+    ("compare", "lambda", "2'", "∞"),
+    ("neighbors", "lambda", "inf"),
+    ("compare", "lambda_prime", "inf", "inf'"),
+    ("compare", "lambda_prime", "3′", "⋯0011"),
+    ("neighbors", "lambda_prime", "000..."),
+    ("neighbors", "lambda_prime", "...111"),
+    # m, m', signed numerals and pair literals
+    ("compare", "lambda_hat_prime", "m", "(000..., ...111)"),
+    ("compare", "lambda_hat_prime", "(0011..., ...111)", "3"),
+    ("neighbors", "lambda_hat_prime", "m"),
+    ("neighbors", "lambda_hat_prime", "(000..., ...0001)"),
+    ("neighbors", "lambda_hat_prime", "2'"),
+    ("compare", "xi", "-inf", "m'"),
+    ("compare", "xi", "(...000, 0111...)", "0"),
+    ("neighbors", "xi", "-2"),
+    ("neighbors", "xi", "(...000, 000...)"),
+    ("compare", "xi_opp", "+inf", "3"),
+    ("compare", "xi_opp", "(...0001, 111...)", "+2"),
+    ("neighbors", "xi_opp", "m'"),
+    ("neighbors", "xi_opp", "0"),
+    ("compare", "v", "-inf", "+inf"),
+    ("compare", "v", "-∞", "+∞"),
+    ("compare", "v", "(...000, 111...)", "0"),
+    ("compare", "v", "(...000, 0111...)", "-1"),
+    ("compare", "v", "(...0011, 111...)", "+2"),
+    ("neighbors", "v", "m'"),
+    ("neighbors", "v", "-1"),
+    ("neighbors", "v", "+1"),
+    ("neighbors", "v", "(...000, 000...)"),
+]
+
+
+def _alias_argv(verb, cpo, x, y=None):
+    # "--x=-1" rather than "--x -1": argparse reads a bare "-1" as an option
+    return [verb, "--cpo", cpo, f"--x={x}"] + ([] if y is None else [f"--y={y}"])
+
+
+CASES = (
+    [["cpo", "--cpo", name, "--window", "6"] for name in all_names()]
+    + [["adjunction", "--cpo", name, "--window", "12"]
+       for name in ("lambda", "lambda_prime", "lambda_hat_prime", "v")]
+    + [["boundary", "--cpo", name] for name in ("lambda_hat_prime", "v")]
+    + [_alias_argv(*case) for case in _ALIASES]
+    + [["lcr", "forward", "--x", x]
+       for x in ("...111", "000...", "...000", "111...", "...0011", "0011...")]
+    + [["decompose", "--cpo", name] for name in ("lambda_hat_prime", "v")]
+    + [["replicate"], ["replicate", "--pair", "(...000, 111...)"]]
+)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", CASES, ids=[" ".join(a) for a in CASES])
+def test_output_matches_golden(capsys, argv, fmt):
+    code = run(argv + ["--format", fmt])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == GOLDEN[" ".join(argv)][fmt]
