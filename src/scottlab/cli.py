@@ -82,7 +82,7 @@ def _cmd_cpo(args) -> int:
     }
     text = (f"{c.name.value}: {c.display_word}"
             + (f" (normal form {c.word})" if c.word != c.display_word else "")
-            + f"\nbottom: {obj['bottom']}  top: {obj['top']}\n{obj['chain']}")
+            + f"\nbottom: {obj['bottom'] or 'none'}  top: {obj['top'] or 'none'}\n{obj['chain']}")
     return _emit(args, text, obj)
 
 

@@ -123,7 +123,9 @@ def lcr_backward(p: st.PairString, endpoint: st.Orientation | None = None) -> st
         if endpoint is None:
             raise BadElement("the boundary has two preimages; pick endpoint L or R")
         return st.ALL_ZEROS_R if endpoint is st.Orientation.R else st.ALL_ONES_L
-    return _unpin(named_cpo(CpoName.V), p)
+    v = named_cpo(CpoName.V)
+    v.element(p)  # raises BadElement for a pair outside the valley order
+    return _unpin(v, p)
 
 
 @dataclass(frozen=True)

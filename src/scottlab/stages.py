@@ -146,9 +146,8 @@ class LimitPath:
         return f"{self.index}'" if self.kind is PathClass.PRIMED else str(self.index)
 
 
-def _classify(scheme: Scheme, entries: tuple[int, ...]) -> tuple[PathClass, int | None]:
-    depth = len(entries)
-    last = entries[-1]
+def _classify(scheme: Scheme, depth: int, last: int) -> tuple[PathClass, int | None]:
+    """Kind and index of the path that ends at label `last` of stage `depth`."""
     diagonal = (depth - 1) // 2 if scheme is Scheme.STANDARD else depth - 1
     if last == diagonal:
         return PathClass.INFINITY, None
@@ -158,30 +157,33 @@ def _classify(scheme: Scheme, entries: tuple[int, ...]) -> tuple[PathClass, int 
 
 
 def limit_paths(scheme: Scheme, depth: int) -> tuple[LimitPath, ...]:
-    """Every projection-consistent label path through stages 1..depth."""
+    """Every projection-consistent label path through stages 1..depth.
+
+    Every projection is onto, so a path is the chain of projections of
+    its final label: there is exactly one path per label of stage
+    `depth`, and walking each of them down costs O(depth^2) in all.
+    """
     if depth < 2:
         raise BadDepth(f"depth must be >= 2, got {depth}")
-    pairs = [ep_pair(scheme, n) for n in range(1, depth)]
-    paths: list[tuple[int, ...]] = []
-
-    def grow(prefix: tuple[int, ...]) -> None:
-        n = len(prefix)
-        if n == depth:
-            paths.append(prefix)
-            return
-        p = pairs[n - 1].p
-        for j in range(n + 1):
-            if p(j) == prefix[-1]:
-                grow(prefix + (j,))
-
-    grow((0,))
-    paths.sort()
-    return tuple(LimitPath(e, *_classify(scheme, e)) for e in paths)
+    labels = list(range(depth))
+    columns = [labels]  # labels of stage depth, depth-1, ..., 1
+    for n in range(depth - 1, 0, -1):
+        p = ep_pair(scheme, n).p.mapping
+        labels = [p[k] for k in labels]
+        columns.append(labels)
+    paths = sorted(zip(*reversed(columns)))
+    return tuple(LimitPath(e, *_classify(scheme, depth, e[-1])) for e in paths)
 
 
 def limit_cpo(scheme: Scheme, depth: int = 12) -> OrderWord:
-    """Order type of the limit, read off the path families present."""
-    kinds = {p.kind for p in limit_paths(scheme, depth)}
+    """Order type of the limit, read off the path families present.
+
+    A path's kind depends only on its final label, so this reads the
+    kinds off the labels of stage `depth` without building any path.
+    """
+    if depth < 2:
+        raise BadDepth(f"depth must be >= 2, got {depth}")
+    kinds = {_classify(scheme, depth, last)[0] for last in range(depth)}
     atoms = [OMEGA]
     if PathClass.INFINITY in kinds:
         atoms.append(fin(1))
@@ -199,29 +201,31 @@ def diagram_dot(scheme: Scheme, depth: int) -> str:
 
     A label fixed by both maps gets a single two-headed edge; a shifted
     embedding or collapsing projection gets its own labelled arrow.
+    Following the p arrows down from a label of the last stage traces
+    that label's limit path, the chain of its projections.  Each stage's
+    node names are built once, so the O(depth^2) nodes and edges cost
+    one `stage` call per stage.
     """
     if depth < 2:
         raise BadDepth(f"depth must be >= 2, got {depth}")
     lines = [f"digraph stages_{scheme.value} {{", "  rankdir=LR;", "  node [shape=plaintext];"]
-
-    def node(n: int, k: int) -> str:
-        text = stage(n).elements[k] or "λ"
-        return _gvquote(f"s{n}_{text}")
-
-    for n in range(1, depth + 1):
-        members = " ".join(node(n, k) for k in range(n))
-        lines.append(f"  {{ rank=same; {members} }}")
+    nodes = [[_gvquote(f"s{n}_{text or 'λ'}") for text in stage(n).elements]
+             for n in range(1, depth + 1)]
+    for members in nodes:
+        lines.append(f"  {{ rank=same; {' '.join(members)} }}")
     for n in range(1, depth):
         pair = ep_pair(scheme, n)
+        e, p = pair.e.mapping, pair.p.mapping
+        lower, upper = nodes[n - 1], nodes[n]
         for j in range(n + 1):
-            k = pair.p(j)
-            if pair.e(k) == j:
+            k = p[j]
+            if e[k] == j:
                 if k == j:
-                    lines.append(f"  {node(n, k)} -> {node(n + 1, j)} [dir=both];")
+                    lines.append(f"  {lower[k]} -> {upper[j]} [dir=both];")
                 else:
-                    lines.append(f"  {node(n, k)} -> {node(n + 1, j)} [label=\"e\"];")
-                    lines.append(f"  {node(n + 1, j)} -> {node(n, k)} [label=\"p\"];")
+                    lines.append(f"  {lower[k]} -> {upper[j]} [label=\"e\"];")
+                    lines.append(f"  {upper[j]} -> {lower[k]} [label=\"p\"];")
             else:
-                lines.append(f"  {node(n + 1, j)} -> {node(n, k)} [label=\"p\"];")
+                lines.append(f"  {upper[j]} -> {lower[k]} [label=\"p\"];")
     lines.append("}")
     return "\n".join(lines) + "\n"

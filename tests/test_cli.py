@@ -154,6 +154,8 @@ USAGE_ERRORS = [
     ["string", "realize", "--recipe", "II-3"],
     ["mu", "--map", "012"],
     ["lcr", "backward", "--pair", "(...000, 111...)"],
+    ["lcr", "backward", "--pair", "(000..., 111...)"],
+    ["lcr", "backward", "--pair", "(...000, ...111)"],
     ["paths", "--depth", "1"],
     ["pipeline", "--window", "-1"],
     ["adjunction", "--cpo", "lambda_prime", "--window", "-1"],
@@ -170,6 +172,28 @@ def test_usage_errors_exit_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+DEEP = 1100  # past Python's default recursion limit of 1000
+
+
+@pytest.mark.parametrize(("scheme", "inf_path"), [
+    ("standard", [s // 2 for s in range(DEEP)]),
+    ("alternative", list(range(DEEP))),
+])
+def test_paths_beyond_the_recursion_limit(capsys, scheme, inf_path):
+    code, out, err = _run(capsys, ["paths", "--scheme", scheme, "--depth", str(DEEP)])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == DEEP
+    assert ",".join(map(str, inf_path)) + " <-> inf" in lines
+
+
+@pytest.mark.parametrize(("scheme", "order_type"), [("standard", "ω+1+ω*"), ("alternative", "ω+1")])
+def test_limit_beyond_the_recursion_limit(capsys, scheme, order_type):
+    code, out, err = _run(capsys, ["limit", "--scheme", scheme, "--depth", str(DEEP)])
+    assert (code, err) == (0, "")
+    assert out == f"{scheme}: {order_type}\n"
 
 
 def test_argparse_failures_exit_two(capsys):

@@ -6,6 +6,7 @@ from scottlab.stages import (
     LabelMap,
     PathClass,
     Scheme,
+    _classify,
     check_ep_laws,
     diagram_dot,
     enumerate_monotone,
@@ -14,7 +15,7 @@ from scottlab.stages import (
     limit_paths,
     stage,
 )
-from scottlab.words import parse_word
+from scottlab.words import OMEGA, OMEGA_STAR, fin, parse_word, word_of
 
 
 def test_stage_words_are_the_monotone_maps():
@@ -148,3 +149,88 @@ def test_diagram_shape():
     assert '"s2_0" -> "s3_00" [dir=both]' in dot
     with pytest.raises(BadDepth):
         diagram_dot(Scheme.STANDARD, 1)
+
+
+# -- oracles: the recursive path search and the per-node diagram -------------
+
+def grow_paths(scheme, depth):
+    """Every projection-consistent path, grown up from stage 1 by search."""
+    pairs = [ep_pair(scheme, n) for n in range(1, depth)]
+    paths = []
+
+    def grow(prefix):
+        n = len(prefix)
+        if n == depth:
+            paths.append(prefix)
+            return
+        p = pairs[n - 1].p
+        for j in range(n + 1):
+            if p(j) == prefix[-1]:
+                grow(prefix + (j,))
+
+    grow((0,))
+    return sorted(paths)
+
+
+def per_node_diagram(scheme, depth):
+    """The stage diagram with each node name rebuilt from its stage."""
+    lines = [f"digraph stages_{scheme.value} {{", "  rankdir=LR;", "  node [shape=plaintext];"]
+
+    def node(n, k):
+        text = stage(n).elements[k] or "λ"
+        return '"' + f"s{n}_{text}".replace('"', '\\"') + '"'
+
+    for n in range(1, depth + 1):
+        members = " ".join(node(n, k) for k in range(n))
+        lines.append(f"  {{ rank=same; {members} }}")
+    for n in range(1, depth):
+        pair = ep_pair(scheme, n)
+        for j in range(n + 1):
+            k = pair.p(j)
+            if pair.e(k) == j:
+                if k == j:
+                    lines.append(f"  {node(n, k)} -> {node(n + 1, j)} [dir=both];")
+                else:
+                    lines.append(f"  {node(n, k)} -> {node(n + 1, j)} [label=\"e\"];")
+                    lines.append(f"  {node(n + 1, j)} -> {node(n, k)} [label=\"p\"];")
+            else:
+                lines.append(f"  {node(n + 1, j)} -> {node(n, k)} [label=\"p\"];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+ORACLE_DEPTHS = range(2, 31)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_limit_paths_match_the_recursive_search(scheme):
+    for depth in ORACLE_DEPTHS:
+        paths = limit_paths(scheme, depth)
+        assert [p.entries for p in paths] == grow_paths(scheme, depth), depth
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_limit_cpo_matches_the_kinds_of_the_searched_paths(scheme):
+    for depth in ORACLE_DEPTHS:
+        kinds = {_classify(scheme, depth, e[-1])[0] for e in grow_paths(scheme, depth)}
+        atoms = [OMEGA]
+        if PathClass.INFINITY in kinds:
+            atoms.append(fin(1))
+        if PathClass.PRIMED in kinds:
+            atoms.append(OMEGA_STAR)
+        assert limit_cpo(scheme, depth) == word_of(*atoms), depth
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_diagram_matches_the_per_node_build(scheme):
+    for depth in ORACLE_DEPTHS:
+        assert diagram_dot(scheme, depth) == per_node_diagram(scheme, depth), depth
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_limit_paths_reject_depth_below_two(scheme):
+    for depth in (1, 0, -3):
+        with pytest.raises(BadDepth):
+            limit_paths(scheme, depth)
+        with pytest.raises(BadDepth):
+            limit_cpo(scheme, depth)
