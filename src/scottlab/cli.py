@@ -14,6 +14,7 @@ unusable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -21,7 +22,7 @@ from . import strings as st
 from .adjunction import BOUNDARY_M, boundary_report, check_adjunction
 from .catalog import chain_display, named_cpo
 from .errors import BadLiteral, NotBoundary, NotIsomorphic, UnknownCpo
-from .funcspace import Mu, eval_segment, fpt, mu_continuous, scott_opens, self_iso
+from .funcspace import Mu, fpt, indicator_row, mu_continuous, scott_opens, self_iso
 from .replication import decompositions, lcr_backward, lcr_forward, pipeline, replicate, table8
 from .stages import Scheme, check_ep_laws, diagram_dot, enumerate_monotone, ep_pair, limit_cpo, limit_paths, stage
 from .words import compare, extremes, iso as word_iso, neighbors, normalize, parse_word, window_elems
@@ -201,8 +202,7 @@ def _funcspace_table(c, space, window: int):
     for r in rows:
         seg = space.segment_at(r)
         label = f"psi_{c.to_label(r)}" if aligned else str(seg)
-        bits = "".join(str(eval_segment(c.word, seg, x)) for x in cols)
-        out.append({"row": label, "bits": bits})
+        out.append({"row": label, "bits": indicator_row(c.word, seg, cols)})
     return [c.to_label(x) for x in cols], out
 
 
@@ -454,7 +454,15 @@ def _cmd_pipeline(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser for every verb, built once per process.
+
+    Building it is most of the cost of a cheap in-process `run()`, so
+    the first call's parser is kept and reused.  Callers must not
+    modify it: `parse_args` returns a fresh namespace on every call, so
+    nothing carries over from one parse to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="scottlab",
         description="countable chain-complete orders, their map spaces, and the fixed point construction",

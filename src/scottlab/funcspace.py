@@ -29,6 +29,8 @@ map g whose canonical preimage is the fixed point.
 
 from __future__ import annotations
 
+import bisect
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -110,6 +112,19 @@ def eval_segment(w: OrderWord, s: OpenSegment, x: Elem) -> int:
         return 1 if x.block >= s.block else 0
     assert s.at is not None
     return 1 if compare(w, x, s.at) is not Ordering.LT else 0
+
+
+def indicator_row(w: OrderWord, s: OpenSegment, xs: Sequence[Elem]) -> str:
+    """The indicator map of s on the ascending elements xs, as a bit string.
+
+    An open segment is a final segment (a Scott-open set is an up-set),
+    so over ascending xs the row reads 0...01...1 and the position of
+    its first 1 decides it.  That cut is found by bisection, in
+    O(log len(xs)) calls of the validating eval_segment instead of one
+    per element.  xs must ascend in w, as window_elems returns them.
+    """
+    k = bisect.bisect_left(xs, 1, key=lambda x: eval_segment(w, s, x))
+    return "0" * k + "1" * (len(xs) - k)
 
 
 # -- positional enumeration ------------------------------------------------

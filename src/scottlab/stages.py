@@ -27,6 +27,13 @@ from enum import Enum
 from .errors import BadDepth
 from .words import OMEGA, OMEGA_STAR, OrderWord, fin, word_of
 
+# enumerate_monotone walks all 2^m assignments: about 2 s at m = 20,
+# doubling with each step
+MAX_MONOTONE_CHAIN = 20
+# diagram_dot's text grows as depth^3 bytes: about 38 MB at depth 300,
+# while depth 1100 would be 1.36 GB held in memory before it is written
+MAX_DIAGRAM_DEPTH = 300
+
 
 @dataclass(frozen=True)
 class Stage:
@@ -44,10 +51,13 @@ def enumerate_monotone(m: int) -> tuple[str, ...]:
     """All monotone maps from an m-chain into the two-point chain.
 
     Brute force over all 2^m assignments; serves as the oracle that the
-    direct stage construction must match.
+    direct stage construction must match.  Its time doubles with each
+    step of m, so m is bounded by MAX_MONOTONE_CHAIN.
     """
     if m < 1:
         raise BadDepth(f"chain length must be >= 1, got {m}")
+    if m > MAX_MONOTONE_CHAIN:
+        raise BadDepth(f"chain length must be <= {MAX_MONOTONE_CHAIN}, got {m}")
     out = []
     for bits in itertools.product("01", repeat=m):
         if all(a <= b for a, b in zip(bits, bits[1:])):
@@ -162,6 +172,8 @@ def limit_paths(scheme: Scheme, depth: int) -> tuple[LimitPath, ...]:
     Every projection is onto, so a path is the chain of projections of
     its final label: there is exactly one path per label of stage
     `depth`, and walking each of them down costs O(depth^2) in all.
+    The p maps are monotone, so walks from increasing final labels are
+    pointwise increasing and come out already sorted.
     """
     if depth < 2:
         raise BadDepth(f"depth must be >= 2, got {depth}")
@@ -171,8 +183,7 @@ def limit_paths(scheme: Scheme, depth: int) -> tuple[LimitPath, ...]:
         p = ep_pair(scheme, n).p.mapping
         labels = [p[k] for k in labels]
         columns.append(labels)
-    paths = sorted(zip(*reversed(columns)))
-    return tuple(LimitPath(e, *_classify(scheme, depth, e[-1])) for e in paths)
+    return tuple(LimitPath(e, *_classify(scheme, depth, e[-1])) for e in zip(*reversed(columns)))
 
 
 def limit_cpo(scheme: Scheme, depth: int = 12) -> OrderWord:
@@ -204,10 +215,13 @@ def diagram_dot(scheme: Scheme, depth: int) -> str:
     Following the p arrows down from a label of the last stage traces
     that label's limit path, the chain of its projections.  Each stage's
     node names are built once, so the O(depth^2) nodes and edges cost
-    one `stage` call per stage.
+    one `stage` call per stage.  The text itself grows as depth^3 bytes,
+    so depth is bounded by MAX_DIAGRAM_DEPTH.
     """
     if depth < 2:
         raise BadDepth(f"depth must be >= 2, got {depth}")
+    if depth > MAX_DIAGRAM_DEPTH:
+        raise BadDepth(f"depth must be <= {MAX_DIAGRAM_DEPTH}, got {depth}")
     lines = [f"digraph stages_{scheme.value} {{", "  rankdir=LR;", "  node [shape=plaintext];"]
     nodes = [[_gvquote(f"s{n}_{text or 'λ'}") for text in stage(n).elements]
              for n in range(1, depth + 1)]

@@ -1,7 +1,7 @@
-"""Smoke run of the benchmark harness, so perfbench/ cannot rot unseen.
+"""Smoke runs of the benchmark harness, so perfbench/ cannot rot unseen.
 
-Runs one tiny stage_tower block through perfbench/run.py and checks
-that every response was correct.  Select it alone with `pytest -m bench`.
+Runs one tiny block of a workload through perfbench/run.py and checks
+that every response was correct.  Select them alone with `pytest -m bench`.
 """
 
 import json
@@ -14,14 +14,26 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.bench
-def test_stage_tower_smoke_run_is_correct():
+def _smoke_run(workload: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "stage_tower", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0", "--trace", "0", "--smoke"],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.bench
+def test_stage_tower_smoke_run_is_correct():
+    result = _smoke_run("stage_tower")
+    assert result["correct"] is True
+    assert result["failed"] == 0
+
+
+@pytest.mark.bench
+def test_window_sweep_smoke_run_is_correct():
+    # checks the funcspace table shape and the boundary reports
+    result = _smoke_run("window_sweep")
     assert result["correct"] is True
     assert result["failed"] == 0

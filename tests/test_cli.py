@@ -7,7 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from scottlab.cli import run
+from scottlab.cli import build_parser, run
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -163,6 +163,9 @@ USAGE_ERRORS = [
     ["table8", "--window", "-1"],
     ["cpo", "--cpo", "omega", "--window", "-2"],
     ["funcspace", "--cpo", "phi", "--table", "--window", "-1"],
+    ["diagram", "--scheme", "standard", "--depth", "1100"],
+    ["diagram", "--scheme", "alternative", "--depth", "1100"],
+    ["funcs", "--m", "21"],
 ]
 
 
@@ -194,6 +197,35 @@ def test_limit_beyond_the_recursion_limit(capsys, scheme, order_type):
     code, out, err = _run(capsys, ["limit", "--scheme", scheme, "--depth", str(DEEP)])
     assert (code, err) == (0, "")
     assert out == f"{scheme}: {order_type}\n"
+
+
+GOLDEN_OUTPUTS = json.loads((GOLDEN / "cli_outputs.json").read_text())
+REUSED = [
+    ["cpo", "--cpo", "lambda_hat_prime", "--window", "6"],
+    ["adjunction", "--cpo", "v", "--window", "12"],
+    ["neighbors", "--cpo", "v", "--x=m'"],
+    ["lcr", "forward", "--x", "...0011"],
+    ["replicate"],
+]
+
+
+def test_one_parser_serves_interleaved_calls(capsys):
+    """The parser is built once; no parse leaks into the next one."""
+    assert build_parser() is build_parser()
+    for argv in REUSED:
+        golden = GOLDEN_OUTPUTS[" ".join(argv)]
+        for call, fmt in ((argv + ["--format", "json"], "json"), (argv, "text"),
+                          (["cpo", "--cpo", "nope"], None), (["no-such-verb"], None),
+                          (argv, "text"), (argv + ["--format", "text"], "text")):
+            code, out, err = _run(capsys, call)
+            if fmt is None:
+                assert (code, out) == (2, "")
+            else:
+                assert (code, out, err) == (0, golden[fmt], ""), (call, fmt)
+    code, out, _ = _run(capsys, ["funcspace", "--cpo", "phi", "--table", "--window", "3"])
+    assert code == 0 and "columns:" in out
+    code, out, _ = _run(capsys, ["funcspace", "--cpo", "phi"])
+    assert code == 0 and "columns:" not in out
 
 
 def test_argparse_failures_exit_two(capsys):

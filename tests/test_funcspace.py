@@ -10,6 +10,7 @@ from scottlab.funcspace import (
     canonical_iso,
     eval_segment,
     fpt,
+    indicator_row,
     mu_apply,
     mu_continuous,
     scott_opens,
@@ -73,6 +74,26 @@ def test_finite_chain_space_matches_brute_force(k):
         seg = space.segment_at(pos)
         rows.append("".join(str(eval_segment(w, seg, x)) for x in xs))
     assert rows == list(enumerate_monotone(k))
+
+
+@pytest.mark.parametrize("name", all_names())
+def test_indicator_row_matches_the_per_cell_row(name):
+    """The bisected row against the brute-force one eval_segment per cell."""
+    w = named_cpo(name).word
+    space = scott_opens(w)
+    for window in range(31):
+        cols = window_elems(w, window)
+        for pos in window_elems(space.word, window):
+            seg = space.segment_at(pos)
+            per_cell = "".join(str(eval_segment(w, seg, x)) for x in cols)
+            assert indicator_row(w, seg, cols) == per_cell, (window, str(seg))
+
+
+def test_indicator_row_validates_the_segment():
+    theta = named_cpo("theta").word  # ω+1
+    for seg in (up_from(Elem(1, 0)), block_tail(0)):
+        with pytest.raises(InvalidSegment):
+            indicator_row(theta, seg, window_elems(theta, 3))
 
 
 @pytest.mark.parametrize("name", ["phi", "lambda_prime", "v", "xi", "theta"])

@@ -2,6 +2,8 @@ import pytest
 
 from scottlab.errors import BadDepth
 from scottlab.stages import (
+    MAX_DIAGRAM_DEPTH,
+    MAX_MONOTONE_CHAIN,
     EpPair,
     LabelMap,
     PathClass,
@@ -210,6 +212,13 @@ def test_limit_paths_match_the_recursive_search(scheme):
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
+def test_limit_paths_come_out_sorted(scheme):
+    for depth in ORACLE_DEPTHS:
+        paths = limit_paths(scheme, depth)
+        assert paths == tuple(sorted(paths, key=lambda p: p.entries)), depth
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
 def test_limit_cpo_matches_the_kinds_of_the_searched_paths(scheme):
     for depth in ORACLE_DEPTHS:
         kinds = {_classify(scheme, depth, e[-1])[0] for e in grow_paths(scheme, depth)}
@@ -234,3 +243,13 @@ def test_limit_paths_reject_depth_below_two(scheme):
             limit_paths(scheme, depth)
         with pytest.raises(BadDepth):
             limit_cpo(scheme, depth)
+
+
+def test_exponential_oracle_and_diagram_are_bounded():
+    with pytest.raises(BadDepth):
+        enumerate_monotone(MAX_MONOTONE_CHAIN + 1)
+    # perfbench's scaling series draws the diagram at depths up to 200
+    assert MAX_DIAGRAM_DEPTH >= 200
+    for scheme in Scheme:
+        with pytest.raises(BadDepth):
+            diagram_dot(scheme, MAX_DIAGRAM_DEPTH + 1)
