@@ -33,6 +33,24 @@ MAX_MONOTONE_CHAIN = 20
 # diagram_dot's text grows as depth^3 bytes: about 38 MB at depth 300,
 # while depth 1100 would be 1.36 GB held in memory before it is written
 MAX_DIAGRAM_DEPTH = 300
+# a stage's text grows as n^2 bytes: about 25 MB at n = 5000, while
+# n = 100000 would be about 10 GB held in memory before it is written
+MAX_STAGE = 5000
+# an ep pair and its law check are linear in n: at n = 100000 the
+# checked pair prints about 2.6 MB of text in 0.2-0.5 s
+MAX_EP_STAGE = 100_000
+# limit_paths holds depth^2 labels: about 38 MB of text, 340 MB of
+# memory and 4 s at depth 3000
+MAX_PATHS_DEPTH = 3000
+# limit_cpo reads the depth final labels: 0.5-1 s at depth 1000000
+MAX_LIMIT_DEPTH = 1_000_000
+
+
+def _check_range(what: str, value: int, low: int, high: int) -> None:
+    if value < low:
+        raise BadDepth(f"{what} must be >= {low}, got {value}")
+    if value > high:
+        raise BadDepth(f"{what} must be <= {high}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +60,7 @@ class Stage:
 
 
 def stage(n: int) -> Stage:
-    if n < 1:
-        raise BadDepth(f"stage must be >= 1, got {n}")
+    _check_range("stage", n, 1, MAX_STAGE)
     return Stage(n, tuple("0" * (n - 1 - k) + "1" * k for k in range(n)))
 
 
@@ -54,10 +71,7 @@ def enumerate_monotone(m: int) -> tuple[str, ...]:
     direct stage construction must match.  Its time doubles with each
     step of m, so m is bounded by MAX_MONOTONE_CHAIN.
     """
-    if m < 1:
-        raise BadDepth(f"chain length must be >= 1, got {m}")
-    if m > MAX_MONOTONE_CHAIN:
-        raise BadDepth(f"chain length must be <= {MAX_MONOTONE_CHAIN}, got {m}")
+    _check_range("chain length", m, 1, MAX_MONOTONE_CHAIN)
     out = []
     for bits in itertools.product("01", repeat=m):
         if all(a <= b for a, b in zip(bits, bits[1:])):
@@ -89,8 +103,7 @@ class EpPair:
 
 
 def ep_pair(scheme: Scheme, n: int) -> EpPair:
-    if n < 1:
-        raise BadDepth(f"stage must be >= 1, got {n}")
+    _check_range("stage", n, 1, MAX_EP_STAGE)
     if scheme is Scheme.STANDARD:
         t = (n - 1) // 2
         e = tuple(k if k <= t else k + 1 for k in range(n))
@@ -133,10 +146,6 @@ def check_ep_laws(pair: EpPair) -> EpLawReport:
     return EpLawReport(pair, p_after_e, e_after_p, e_mono, p_mono, witness)
 
 
-def verify_ep(scheme: Scheme, n: int) -> EpLawReport:
-    return check_ep_laws(ep_pair(scheme, n))
-
-
 class PathClass(Enum):
     FINITE = "finite"
     INFINITY = "infinity"
@@ -173,10 +182,10 @@ def limit_paths(scheme: Scheme, depth: int) -> tuple[LimitPath, ...]:
     its final label: there is exactly one path per label of stage
     `depth`, and walking each of them down costs O(depth^2) in all.
     The p maps are monotone, so walks from increasing final labels are
-    pointwise increasing and come out already sorted.
+    pointwise increasing and come out already sorted.  The labels
+    number depth^2, so depth is bounded by MAX_PATHS_DEPTH.
     """
-    if depth < 2:
-        raise BadDepth(f"depth must be >= 2, got {depth}")
+    _check_range("depth", depth, 2, MAX_PATHS_DEPTH)
     labels = list(range(depth))
     columns = [labels]  # labels of stage depth, depth-1, ..., 1
     for n in range(depth - 1, 0, -1):
@@ -190,10 +199,10 @@ def limit_cpo(scheme: Scheme, depth: int = 12) -> OrderWord:
     """Order type of the limit, read off the path families present.
 
     A path's kind depends only on its final label, so this reads the
-    kinds off the labels of stage `depth` without building any path.
+    kinds off the labels of stage `depth` without building any path,
+    in time linear in depth, which is bounded by MAX_LIMIT_DEPTH.
     """
-    if depth < 2:
-        raise BadDepth(f"depth must be >= 2, got {depth}")
+    _check_range("depth", depth, 2, MAX_LIMIT_DEPTH)
     kinds = {_classify(scheme, depth, last)[0] for last in range(depth)}
     atoms = [OMEGA]
     if PathClass.INFINITY in kinds:
@@ -218,10 +227,7 @@ def diagram_dot(scheme: Scheme, depth: int) -> str:
     one `stage` call per stage.  The text itself grows as depth^3 bytes,
     so depth is bounded by MAX_DIAGRAM_DEPTH.
     """
-    if depth < 2:
-        raise BadDepth(f"depth must be >= 2, got {depth}")
-    if depth > MAX_DIAGRAM_DEPTH:
-        raise BadDepth(f"depth must be <= {MAX_DIAGRAM_DEPTH}, got {depth}")
+    _check_range("depth", depth, 2, MAX_DIAGRAM_DEPTH)
     lines = [f"digraph stages_{scheme.value} {{", "  rankdir=LR;", "  node [shape=plaintext];"]
     nodes = [[_gvquote(f"s{n}_{text or 'λ'}") for text in stage(n).elements]
              for n in range(1, depth + 1)]

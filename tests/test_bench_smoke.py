@@ -37,3 +37,11 @@ def test_window_sweep_smoke_run_is_correct():
     result = _smoke_run("window_sweep")
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+@pytest.mark.bench
+def test_cold_cli_smoke_run_is_correct():
+    # every verb in both formats, each through its own `python -m scottlab` process
+    result = _smoke_run("cold_cli")
+    assert result["correct"] is True
+    assert result["failed"] == 0

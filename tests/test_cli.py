@@ -166,6 +166,11 @@ USAGE_ERRORS = [
     ["diagram", "--scheme", "standard", "--depth", "1100"],
     ["diagram", "--scheme", "alternative", "--depth", "1100"],
     ["funcs", "--m", "21"],
+    # one step past each stage-tower bound in scottlab.stages
+    ["stage", "--n", "5001"],
+    ["ep", "--n", "100001", "--check"],
+    ["paths", "--depth", "3001"],
+    ["limit", "--scheme", "alternative", "--depth", "1000001"],
 ]
 
 

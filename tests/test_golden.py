@@ -1,7 +1,9 @@
-"""Byte-exact CLI output of the catalogue's labels, halves and folds.
+"""Byte-exact CLI output of the catalogue's labels, halves and folds, and of every verb.
 
-Each case runs once as text and once with --format json, and both
-outputs must equal the bytes recorded in golden/cli_outputs.json.
+Each case of golden/cli_outputs.json runs once as text and once with
+--format json.  Each case of golden/cli_verbs.json names its argv and
+runs once per format it records (text, json, and dot for two verbs).
+Every output must equal the recorded bytes.
 """
 
 import json
@@ -12,7 +14,9 @@ import pytest
 from scottlab.catalog import all_names
 from scottlab.cli import run
 
-GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_outputs.json").read_text())
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = json.loads((GOLDEN_DIR / "cli_outputs.json").read_text())
+VERBS = json.loads((GOLDEN_DIR / "cli_verbs.json").read_text())
 
 _ALIASES = [
     # numerals and primed numerals
@@ -81,10 +85,18 @@ CASES = (
 )
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("argv", CASES, ids=[" ".join(a) for a in CASES])
-def test_output_matches_golden(capsys, argv, fmt):
+# (argv, format, expected stdout)
+RUNS = (
+    [(argv, fmt, GOLDEN[" ".join(argv)][fmt]) for argv in CASES for fmt in ("text", "json")]
+    + [(entry["argv"], fmt, out) for entry in VERBS.values()
+       for fmt, out in entry.items() if fmt != "argv"]
+)
+
+
+@pytest.mark.parametrize(("argv", "fmt", "expected"), RUNS,
+                         ids=[f"{' '.join(argv)}-{fmt}" for argv, fmt, _ in RUNS])
+def test_output_matches_golden(capsys, argv, fmt, expected):
     code = run(argv + ["--format", fmt])
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
-    assert captured.out == GOLDEN[" ".join(argv)][fmt]
+    assert captured.out == expected

@@ -3,7 +3,11 @@ import pytest
 from scottlab.errors import BadDepth
 from scottlab.stages import (
     MAX_DIAGRAM_DEPTH,
+    MAX_EP_STAGE,
+    MAX_LIMIT_DEPTH,
     MAX_MONOTONE_CHAIN,
+    MAX_PATHS_DEPTH,
+    MAX_STAGE,
     EpPair,
     LabelMap,
     PathClass,
@@ -253,3 +257,13 @@ def test_exponential_oracle_and_diagram_are_bounded():
     for scheme in Scheme:
         with pytest.raises(BadDepth):
             diagram_dot(scheme, MAX_DIAGRAM_DEPTH + 1)
+
+
+def test_stage_tower_bounds_admit_the_sizes_in_use():
+    # tests/test_cli.py runs paths and limit at depth 1100, past the recursion limit
+    assert min(MAX_PATHS_DEPTH, MAX_LIMIT_DEPTH) >= 1100
+    # perfbench sends stages, ep pairs and depths of at most 200
+    assert min(MAX_STAGE, MAX_EP_STAGE) >= 200
+    assert len(stage(MAX_STAGE).elements) == MAX_STAGE
+    assert ep_pair(Scheme.STANDARD, MAX_EP_STAGE).n == MAX_EP_STAGE
+    # one step past each bound exits 2: see USAGE_ERRORS in tests/test_cli.py
