@@ -73,6 +73,8 @@ BOUNDARY_M_PRIME = build_pair_cpo(CpoName.V).boundary
 
 @dataclass(frozen=True)
 class ConditionReport:
+    """One adjunction condition; the fields are the keys of the schema's condition."""
+
     index: int
     passed: bool
     witness: str | None
@@ -80,15 +82,14 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class AdjunctionReport:
-    which: CpoName
+    """The three conditions for one order; the fields are adjunction.schema.json's keys."""
+
+    cpo: CpoName
     lower: str
     upper: str
     window: int
     conditions: tuple[ConditionReport, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.conditions)
+    passed: bool  # all three conditions hold
 
 
 def check_adjunction(which: str | CpoName, window: int = 20) -> AdjunctionReport:
@@ -117,14 +118,17 @@ def check_adjunction(which: str | CpoName, window: int = 20) -> AdjunctionReport
         ConditionReport(2, c2 is None, str(c2) if c2 is not None else None),
         ConditionReport(3, c3 is None, c3),
     )
-    return AdjunctionReport(cpo.name, a_half.name, b_half.name, window, conds)
+    return AdjunctionReport(cpo.name, a_half.name, b_half.name, window, conds,
+                            all(c.passed for c in conds))
 
 
 @dataclass(frozen=True)
 class BoundaryReport:
-    which: CpoName
+    """The boundary of a glued order; the fields are boundary.schema.json's keys."""
+
+    cpo: CpoName
     boundary: st.PairString
-    boundary_label: str
+    label: str
     self_dual: bool
     predecessor: str | None
     successor: str | None
@@ -148,15 +152,8 @@ def boundary_report(which: str | CpoName, window: int = 20) -> BoundaryReport:
     join = lower_win[-1] == b and all(lower.rank(x) <= b_low for x in lower_win)
     meet = upper_win[0] == b and all(b_up <= upper.rank(y) for y in upper_win)
     return BoundaryReport(
-        cpo.name,
-        b,
-        cpo.to_label(belem),
-        opp_element(b) == b,
+        cpo.name, b, cpo.to_label(belem), opp_element(b) == b,
         cpo.to_label(pred) if pred is not None else None,
         cpo.to_label(succ) if succ is not None else None,
-        lower.contains(b),
-        upper.contains(b),
-        join,
-        meet,
-        window,
+        lower.contains(b), upper.contains(b), join, meet, window,
     )

@@ -10,11 +10,16 @@ Each verb and subverb is a pair of functions that `add()` attaches to
 its parser: compute(args) returns the verb's JSON object, exactly as
 its schema describes it, and render(obj, args) builds the text from
 that object alone.  `run()` prints one or the other, so the text is
-built only when it is printed.
+built only when it is printed.  A layer's report (an adjunction or
+boundary report, a decomposition, a fold, a replication, a Table 8 row,
+the pipeline, the e/p laws) has its schema's keys as its fields, in
+order, and `_json` is the only function that turns a report into JSON.
+`--format` may be given to a group (`string`, `lcr`) or to its subverb;
+the later one wins.
 
 Exit codes: 0 for success, including negative mathematical verdicts
-(a failed isomorphism or adjunction is a result, not an error); 2 for
-unusable input.
+(a failed isomorphism or adjunction is a result, not an error); 1 when
+stdout cannot encode the output; 2 for unusable input (a UsageError).
 """
 
 from __future__ import annotations
@@ -23,18 +28,17 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import fields
+from enum import Enum
 
 from . import strings as st
 from .adjunction import BOUNDARY_M, boundary_report, check_adjunction
 from .catalog import chain_display, named_cpo
-from .errors import BadLiteral, NotBoundary, NotIsomorphic, UnknownCpo
+from .errors import BadLiteral, NotBoundary, NotIsomorphic, UnknownCpo, UsageError
 from .funcspace import Mu, fpt, indicator_row, mu_continuous, scott_opens, self_iso
 from .replication import decompositions, lcr_backward, lcr_forward, pipeline, replicate, table8
 from .stages import Scheme, check_ep_laws, diagram_dot, enumerate_monotone, ep_pair, limit_cpo, limit_paths, stage
 from .words import compare, extremes, iso as word_iso, neighbors, normalize, parse_word, window_elems
-
-# every input-shaped failure descends from ValueError; negative verdicts do not
-USAGE_ERRORS = (ValueError,)
 
 
 def _yes_no(flag: bool) -> str:
@@ -60,13 +64,29 @@ def _parse_recipe(text: str) -> st.SpecifiedString:
         k = st.SpecKind[kind]
     except KeyError:
         raise BadLiteral(f"unknown recipe family {parts[0]!r}") from None
-    if not parts[1].strip().isdigit():
+    if not parts[1].strip().isdecimal():
         raise BadLiteral(f"recipe index must be a number, got {parts[1]!r}")
     return st.SpecifiedString(k, int(parts[1]))
 
 
 def _recipe_str(s: st.SpecifiedString) -> str:
     return f"{s.kind.value}:{s.index}"
+
+
+def _json(report):
+    """A report as its schema's JSON value: its fields are the schema's keys, in order.
+
+    A dataclass becomes an object, a tuple a list, an enum its value, a string or pair its literal.
+    """
+    if report is None or isinstance(report, (str, int)):
+        return report
+    if isinstance(report, tuple):
+        return [_json(x) for x in report]
+    if isinstance(report, Enum):
+        return report.value
+    if isinstance(report, (st.MonotypicString, st.PairString)):
+        return str(report)
+    return {f.name: _json(getattr(report, f.name)) for f in fields(report)}
 
 
 # -- verbs: compute(args) -> object, render(object, args) -> text -----------
@@ -167,19 +187,8 @@ def _mu_text(obj, args) -> str:
 
 def _ep(args) -> dict:
     pair = ep_pair(Scheme(args.scheme), args.n)
-    report = check_ep_laws(pair)
-    return {
-        "scheme": pair.scheme.value, "n": pair.n,
-        "e": list(pair.e.mapping), "p": list(pair.p.mapping),
-        "laws": {
-            "p_after_e_is_id": report.p_after_e_is_id,
-            "e_after_p_below_id": report.e_after_p_below_id,
-            "e_monotone": report.e_monotone,
-            "p_monotone": report.p_monotone,
-            "ok": report.ok,
-            "witness": report.witness,
-        },
-    }
+    return {"scheme": pair.scheme.value, "n": pair.n, "e": list(pair.e.mapping),
+            "p": list(pair.p.mapping), "laws": _json(check_ep_laws(pair))}
 
 
 def _ep_text(obj, args) -> str:
@@ -358,13 +367,7 @@ def _string_classify_text(obj, args) -> str:
 
 
 def _adjunction(args) -> dict:
-    r = check_adjunction(args.cpo, args.window)
-    return {
-        "cpo": r.which.value, "lower": r.lower, "upper": r.upper, "window": r.window,
-        "conditions": [{"index": c.index, "passed": c.passed, "witness": c.witness}
-                       for c in r.conditions],
-        "passed": r.passed,
-    }
+    return _json(check_adjunction(args.cpo, args.window))
 
 
 def _adjunction_text(obj, args) -> str:
@@ -376,14 +379,7 @@ def _adjunction_text(obj, args) -> str:
 
 
 def _boundary(args) -> dict:
-    b = boundary_report(args.cpo, args.window)
-    return {
-        "cpo": b.which.value, "boundary": str(b.boundary), "label": b.boundary_label,
-        "self_dual": b.self_dual, "predecessor": b.predecessor, "successor": b.successor,
-        "in_lower": b.in_lower, "in_upper": b.in_upper,
-        "join_of_lower": b.join_of_lower, "meet_of_upper": b.meet_of_upper,
-        "window": b.window,
-    }
+    return _json(boundary_report(args.cpo, args.window))
 
 
 def _boundary_text(obj, args) -> str:
@@ -398,19 +394,7 @@ def _boundary_text(obj, args) -> str:
 
 
 def _decompose(args) -> dict:
-    ds = decompositions(args.cpo)
-    items = [{
-        "parts": [k.value for k in d.parts],
-        "natural": d.natural,
-        "name": d.name,
-        "boundary_image": str(d.boundary_image) if d.boundary_image else None,
-        "witness": None if d.witness is None else {
-            "element": str(d.witness.element),
-            "lower_claim": str(d.witness.lower_claim),
-            "upper_claim": str(d.witness.upper_claim),
-        },
-    } for d in ds]
-    return {"cpo": named_cpo(args.cpo).name.value, "decompositions": items}
+    return {"cpo": named_cpo(args.cpo).name.value, "decompositions": _json(decompositions(args.cpo))}
 
 
 def _decompose_text(obj, args) -> str:
@@ -427,12 +411,7 @@ def _decompose_text(obj, args) -> str:
 
 
 def _lcr_forward(args) -> dict:
-    img = lcr_forward(st.parse_literal(args.x))
-    return {
-        "source": str(img.source), "source_label": img.source_label,
-        "image": str(img.image), "half": img.half, "label": img.label,
-        "collision": img.collision,
-    }
+    return _json(lcr_forward(st.parse_literal(args.x)))
 
 
 def _lcr_forward_text(obj, args) -> str:
@@ -454,15 +433,9 @@ def _lcr_backward_text(obj, args) -> str:
 def _replicate(args) -> dict:
     pair = st.parse_pair_literal(args.pair) if args.pair else BOUNDARY_M
     try:
-        r = replicate(pair)
+        return _json(replicate(pair))
     except NotBoundary as e:
         return {"source": str(pair), "replicable": False, "reason": str(e)}
-    return {
-        "source": str(r.source),
-        "intent": str(r.intent), "intent_label": r.intent_label,
-        "extent": str(r.extent), "extent_label": r.extent_label,
-        "mutual_neighbors": r.mutual_neighbors,
-    }
 
 
 def _replicate_text(obj, args) -> str:
@@ -473,26 +446,20 @@ def _replicate_text(obj, args) -> str:
             f"mutual immediate neighbors: {_yes_no(obj['mutual_neighbors'])}")
 
 
-# the columns of Table 8, each a Table8Row field; the text headers drop the underscores
-_TABLE8_KEYS = ("cpo", "adjunction", "fixed_point", "boundary", "order_type")
-
-
-def _table8_rows(rows):
-    return [{k: getattr(r, k) for k in _TABLE8_KEYS} for r in rows]
-
-
 def _matrix_text(rows) -> str:
-    headers = [k.replace("_", " ") for k in _TABLE8_KEYS]
-    widths = [max(len(h), *(len(r[k]) for r in rows)) for h, k in zip(headers, _TABLE8_KEYS)]
+    # one column per key of the rows; the headers drop the underscores
+    keys = list(rows[0])
+    headers = [k.replace("_", " ") for k in keys]
+    widths = [max(len(h), *(len(r[k]) for r in rows)) for h, k in zip(headers, keys)]
     def fmt(cells):
         return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
     lines = [fmt(headers)]
-    lines.extend(fmt([r[k] for k in _TABLE8_KEYS]) for r in rows)
+    lines.extend(fmt(r.values()) for r in rows)
     return "\n".join(lines)
 
 
 def _table8(args) -> dict:
-    return {"window": args.window, "rows": _table8_rows(table8(args.window))}
+    return {"window": args.window, "rows": _json(table8(args.window))}
 
 
 def _table8_text(obj, args) -> str:
@@ -500,21 +467,7 @@ def _table8_text(obj, args) -> str:
 
 
 def _pipeline(args) -> dict:
-    p = pipeline(args.window)
-    d, rep, l = p.dualization, p.replication, p.lcr
-    return {
-        "dualization": {"source": d.source, "target": d.target,
-                        "isomorphic": d.isomorphic, "order_type": d.order_type},
-        "replication": {"source": rep.source, "target": rep.target,
-                        "intent_label": rep.intent_label, "extent_label": rep.extent_label,
-                        "source_type": rep.source_type, "target_type": rep.target_type,
-                        "mutual_neighbors": rep.mutual_neighbors},
-        "lcr": {"source": l.source, "target": l.target, "round_trip_ok": l.round_trip_ok,
-                "collision_label": l.collision_label,
-                "collision_preimages": list(l.collision_preimages),
-                "isomorphic": l.isomorphic},
-        "table8": _table8_rows(p.matrix),
-    }
+    return _json(pipeline(args.window))
 
 
 def _pipeline_text(obj, args) -> str:
@@ -549,6 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="scottlab",
         description="countable chain-complete orders, their map spaces, and the fixed point construction",
     )
+    parser.set_defaults(format="text")
     subs = parser.add_subparsers(dest="verb", required=True)
     schemes = [s.value for s in Scheme]
 
@@ -558,7 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
         A verb or subverb also gets its compute and render functions.
         """
         p = group.add_parser(name, **kwargs)
-        p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+        # given at a group and at its subverb, the later one wins
+        p.add_argument("--format", choices=("text", "json", "dot"), default=argparse.SUPPRESS)
         for option in required:
             p.add_argument(option, required=True)
         if compute:
@@ -654,12 +609,17 @@ def run(argv: list[str] | None = None) -> int:
     try:
         obj = args.compute(args)
         if args.format == "json":
-            print(json.dumps(obj, ensure_ascii=False, separators=(",", ":")))
+            text = json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
         else:
-            print(args.render(obj, args))
-    except USAGE_ERRORS as e:
+            text = args.render(obj, args)
+    except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    try:
+        print(text)
+    except UnicodeEncodeError as e:
+        print(f"error: stdout cannot encode the output: {e}", file=sys.stderr)
+        return 1
     return 0
 
 

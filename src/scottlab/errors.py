@@ -1,32 +1,36 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: malformed input is a usage error
+The CLI maps these onto exit codes: malformed input is a UsageError
 (exit 2), while NotIsomorphic and NotBoundary are mathematical verdicts
 that the CLI reports normally (exit 0).
 """
 
 
-class UnknownCpo(ValueError):
+class UsageError(ValueError):
+    """Input the operation cannot use; the base of every input error below."""
+
+
+class UnknownCpo(UsageError):
     """Name does not denote a catalogued order."""
 
 
-class BadElement(ValueError):
+class BadElement(UsageError):
     """Element coordinates or label do not belong to the given order."""
 
 
-class BadLiteral(ValueError):
+class BadLiteral(UsageError):
     """Text cannot be parsed as a word, string, or pair."""
 
 
-class BadIndex(ValueError):
+class BadIndex(UsageError):
     """Approximation index outside its admissible range."""
 
 
-class BadDepth(ValueError):
+class BadDepth(UsageError):
     """Stage or path depth outside its admissible range."""
 
 
-class InvalidSegment(ValueError):
+class InvalidSegment(UsageError):
     """Final segment is not open in the given order."""
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .catalog import NamedCpo
-from .errors import InvalidSegment, NotIsomorphic
+from .errors import BadLiteral, InvalidSegment, NotIsomorphic
 from .words import (
     OMEGA,
     OMEGA_STAR,
@@ -378,7 +378,7 @@ def mu_continuous(candidate: tuple[int, int]) -> bool:
     """Monotone (hence continuous) maps 2 -> 2 exclude only the swap."""
     f0, f1 = candidate
     if {f0, f1} - {0, 1}:
-        raise ValueError(f"not a map into the two-point chain: {candidate}")
+        raise BadLiteral(f"not a map into the two-point chain: {candidate}")
     return not (f0 == 1 and f1 == 0)
 
 

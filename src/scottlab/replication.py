@@ -33,19 +33,22 @@ from .adjunction import BOUNDARY_M, BOUNDARY_M_PRIME, build_pair_cpo, check_adju
 from .catalog import CpoName, named_cpo
 from .errors import BadElement, NotBoundary, UnknownCpo
 from .funcspace import self_iso
-from .words import check_window, iso, neighbors
+from .words import AtomKind, check_window, iso, neighbors
 
 
 @dataclass(frozen=True)
 class CollisionWitness:
+    """The boundary and the two strings that claim it; the keys of decompose's `witness`."""
+
     element: st.PairString
-    lower_claim: st.MonotypicString  # folds in via (. , 111...)
-    upper_claim: st.MonotypicString  # folds in via (...000, .)
+    lower_claim: st.MonotypicString  # the string the boundary holds in the upper half
+    upper_claim: st.MonotypicString  # and in the lower half
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    which: CpoName
+    """One splitting into string families; the keys of a decompose.schema.json item."""
+
     parts: tuple[st.SpecKind, ...]
     natural: bool
     name: str | None                          # which natural pairing, if any
@@ -54,12 +57,9 @@ class Decomposition:
 
     def project(self, p: st.PairString) -> st.MonotypicString:
         """The string a pair element corresponds to under this splitting."""
-        if self.which is CpoName.LAMBDA_HAT_PRIME:
-            if p == BOUNDARY_M:
-                assert self.boundary_image is not None
-                return self.boundary_image
-            return _unpin(named_cpo(CpoName.LAMBDA_HAT_PRIME), p)
-        raise NotBoundary("the valley order has no natural splitting to project along")
+        if not self.natural:
+            raise NotBoundary("the valley order has no natural splitting to project along")
+        return self.boundary_image if p == BOUNDARY_M else _unpin(named_cpo(CpoName.LAMBDA_HAT_PRIME), p)
 
 
 def _unpin(cpo, p: st.PairString) -> st.MonotypicString:
@@ -72,21 +72,31 @@ def _unpin(cpo, p: st.PairString) -> st.MonotypicString:
 
 
 def decompositions(which: str | CpoName) -> tuple[Decomposition, ...]:
+    """Split a glued order into the families of its halves' layers.
+
+    A finite top of the lower half holds the boundary alone, so the seam
+    is one family: either half's, a natural splitting each.  Otherwise
+    both halves claim the boundary and no splitting is natural.
+    """
     cpo = named_cpo(which)
-    K = st.SpecKind
-    if cpo.name is CpoName.LAMBDA_HAT_PRIME:
-        return (
-            Decomposition(cpo.name, (K.III, K.I, K.II), True, "phi1", st.ALL_ZEROS_L, None),
-            Decomposition(cpo.name, (K.III, K.IV, K.II), True, "phi2", st.ALL_ONES_R, None),
-        )
-    if cpo.name is CpoName.V:
-        witness = CollisionWitness(BOUNDARY_M_PRIME, st.ALL_ZEROS_R, st.ALL_ONES_L)
-        return (Decomposition(cpo.name, (K.I, K.II, K.III, K.IV), False, None, None, witness),)
-    raise UnknownCpo(f"{cpo.name.value} has no catalogued decomposition")
+    if cpo.boundary is None:
+        raise UnknownCpo(f"{cpo.name.value} has no catalogued decomposition")
+    lower, upper = cpo.halves
+    b = cpo.boundary
+    low, up = ([st.classify(layer.string(0)).family for layer, _ in h.blocks] for h in cpo.halves)
+    if lower.blocks[-1][0].atom.kind is not AtomKind.FIN:
+        witness = CollisionWitness(b, upper.free(b), lower.free(b))
+        return (Decomposition(tuple(low + up), False, None, None, witness),)
+    return (
+        Decomposition(tuple(low[:-1] + up), True, "phi1", upper.free(b), None),
+        Decomposition(tuple(low + up[1:]), True, "phi2", lower.free(b), None),
+    )
 
 
 @dataclass(frozen=True)
 class LcrImage:
+    """A string and its fold; the fields are lcr_forward.schema.json's keys."""
+
     source: st.MonotypicString
     source_label: str           # label in the primed composite order
     image: st.PairString
@@ -101,14 +111,8 @@ def lcr_forward(x: st.MonotypicString) -> LcrImage:
     v = named_cpo(CpoName.V)
     half = next(h for h in v.halves if h.carries(x))
     image = half.carry(x)
-    return LcrImage(
-        x,
-        lam_prime.to_label(lam_prime.element(x)),
-        image,
-        half.name,
-        v.to_label(v.element(image)),
-        image == BOUNDARY_M_PRIME,
-    )
+    return LcrImage(x, lam_prime.to_label(lam_prime.element(x)), image, half.name,
+                    v.to_label(v.element(image)), image == BOUNDARY_M_PRIME)
 
 
 def lcr_backward(p: st.PairString, endpoint: st.Orientation | None = None) -> st.MonotypicString:
@@ -130,10 +134,12 @@ def lcr_backward(p: st.PairString, endpoint: st.Orientation | None = None) -> st
 
 @dataclass(frozen=True)
 class ReplicationResult:
+    """The split of m; the fields are the keys of replicate.schema.json's positive verdict."""
+
     source: st.PairString
     intent: st.MonotypicString
-    extent: st.MonotypicString
     intent_label: str
+    extent: st.MonotypicString
     extent_label: str
     mutual_neighbors: bool
 
@@ -148,15 +154,13 @@ def replicate(p: st.PairString) -> ReplicationResult:
     ee = lam_prime.element(extent)
     mutual = (neighbors(lam_prime.word, ee)[1] == ie
               and neighbors(lam_prime.word, ie)[0] == ee)
-    return ReplicationResult(
-        p, intent, extent,
-        lam_prime.to_label(ie), lam_prime.to_label(ee),
-        mutual,
-    )
+    return ReplicationResult(p, intent, lam_prime.to_label(ie), extent, lam_prime.to_label(ee), mutual)
 
 
 @dataclass(frozen=True)
 class Table8Row:
+    """One row of Table 8; the fields are its columns, in order."""
+
     cpo: str
     adjunction: str    # "yes" / "no"
     fixed_point: str   # "applicable" / "not applicable"
@@ -212,10 +216,12 @@ class LcrEdge:
 
 @dataclass(frozen=True)
 class PipelineReport:
+    """The three edges and Table 8; the fields are pipeline.schema.json's keys."""
+
     dualization: DualizationEdge
     replication: ReplicationEdge
     lcr: LcrEdge
-    matrix: tuple[Table8Row, ...]
+    table8: tuple[Table8Row, ...]
 
 
 def pipeline(window: int = 20) -> PipelineReport:
@@ -225,17 +231,12 @@ def pipeline(window: int = 20) -> PipelineReport:
     lam_prime = named_cpo(CpoName.LAMBDA_PRIME)
     v = named_cpo(CpoName.V)
 
-    dual = DualizationEdge(
-        lam.name.value, hat.name.value,
-        iso(lam.word, hat.word), str(hat.display_word),
-    )
+    dual = DualizationEdge(lam.name.value, hat.name.value, iso(lam.word, hat.word), str(hat.display_word))
 
     rep = replicate(BOUNDARY_M)
     rep_edge = ReplicationEdge(
-        hat.name.value, lam_prime.name.value,
-        rep.intent_label, rep.extent_label,
-        str(hat.display_word), str(lam_prime.display_word),
-        rep.mutual_neighbors,
+        hat.name.value, lam_prime.name.value, rep.intent_label, rep.extent_label,
+        str(hat.display_word), str(lam_prime.display_word), rep.mutual_neighbors,
     )
 
     probe = [x for half in lam_prime.halves for x in half.window(window)]
@@ -249,10 +250,8 @@ def pipeline(window: int = 20) -> PipelineReport:
         if img.collision:
             collisions.append(x)
     lcr_edge = LcrEdge(
-        lam_prime.name.value, v.name.value,
-        ok and len(collisions) == 2,
-        v.to_label(v.element(BOUNDARY_M_PRIME)),
-        tuple(str(c) for c in collisions),
+        lam_prime.name.value, v.name.value, ok and len(collisions) == 2,
+        v.to_label(v.element(BOUNDARY_M_PRIME)), tuple(str(c) for c in collisions),
         iso(lam_prime.word, v.word),
     )
 

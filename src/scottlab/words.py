@@ -90,7 +90,7 @@ def parse_word(text: str) -> OrderWord:
             atoms.append(OMEGA)
         elif tok == "w*":
             atoms.append(OMEGA_STAR)
-        elif tok.isdigit() and tok != "0" and int(tok) > 0:
+        elif tok.isdecimal() and tok != "0" and int(tok) > 0:
             atoms.append(fin(int(tok)))
         else:
             raise BadLiteral(f"bad order-word atom: {raw!r}")

@@ -282,6 +282,6 @@ def test_criterion_12_summary_matrix():
     with criterion(12, "the pipeline's summary matrix matches in all 16 cells"):
         got = [
             (r.cpo, r.adjunction, r.fixed_point, r.boundary, r.order_type)
-            for r in pipeline().matrix
+            for r in pipeline().table8
         ]
         assert got == TABLE8_EXPECTED

@@ -98,7 +98,7 @@ def test_build_pair_cpo_only_for_glued_orders():
 def test_boundary_report_m():
     b = boundary_report("lambda_hat_prime")
     assert b.boundary == BOUNDARY_M
-    assert b.boundary_label == "m"
+    assert b.label == "m"
     assert b.self_dual
     assert b.predecessor is None and b.successor is None
     assert b.in_lower and b.in_upper
@@ -108,7 +108,7 @@ def test_boundary_report_m():
 def test_boundary_report_m_prime():
     b = boundary_report("v")
     assert b.boundary == BOUNDARY_M_PRIME
-    assert b.boundary_label == "m'"
+    assert b.label == "m'"
     assert b.self_dual
     assert (b.predecessor, b.successor) == ("-1", "+1")
     assert b.in_lower and b.in_upper

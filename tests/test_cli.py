@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
 
+import hypothesis.strategies as hs
 import jsonschema
 import pytest
+from hypothesis import given, settings
 
 from scottlab.cli import build_parser, run
 
@@ -171,6 +176,9 @@ USAGE_ERRORS = [
     ["ep", "--n", "100001", "--check"],
     ["paths", "--depth", "3001"],
     ["limit", "--scheme", "alternative", "--depth", "1000001"],
+    # a superscript digit passes str.isdigit but not int()
+    ["normalize", "--word", "²"],
+    ["string", "realize", "--recipe", "II:²"],
 ]
 
 
@@ -233,6 +241,27 @@ def test_one_parser_serves_interleaved_calls(capsys):
     assert code == 0 and "columns:" not in out
 
 
+@pytest.mark.parametrize(("argv", "golden"), [
+    (["string", "--format", "json", "realize", "--recipe", "II:3"], "string realize --recipe II:3"),
+    (["lcr", "--format", "json", "forward", "--x", "...0011"], "lcr forward --x ...0011"),
+])
+def test_group_format_is_honoured(capsys, argv, golden):
+    expected = {**GOLDEN_OUTPUTS, **json.loads((GOLDEN / "cli_verbs.json").read_text())}[golden]
+    assert _run(capsys, argv) == (0, expected["json"], "")
+    # the subverb's own --format comes later and wins
+    assert _run(capsys, argv + ["--format", "text"]) == (0, expected["text"], "")
+
+
+def test_unencodable_output_exits_one():
+    env = {**os.environ, "PYTHONIOENCODING": "ascii"}
+    proc = subprocess.run([sys.executable, "-m", "scottlab", "cpo", "--cpo", "phi"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: stdout cannot encode the output: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_argparse_failures_exit_two(capsys):
     assert run(["no-such-verb"]) == 2
     assert run([]) == 2
@@ -258,3 +287,85 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "00 01 11\n"
+
+
+# -- fuzzing the argparse tree ----------------------------------------------
+
+HOSTILE = ["", " ", "(", ")", "...", "-0", "0", "1", "-1", "+1", "²", "٣", "w", "w*", "ω+1+ω*",
+           "w+²", "inf", "inf'", "m", "m'", "-inf", "psi_0", "...0011", "0011...", "111...",
+           "000...", "...000", "...111", "(000..., ...111)", "(...000, 111...)", "(...0011, 111...)",
+           "II:3", "II:²", "V:1", "I:0", "III:-1", "phi", "lambda"]
+CPOS = ["two", "phi", "theta", "omega", "omega_opp", "omega_prime", "omega_prime_opp", "lambda",
+        "lambda_prime", "lambda_hat_prime", "xi", "xi_opp", "v", "lam", "omega_set"]
+texts = hs.one_of(hs.sampled_from(HOSTILE + CPOS), hs.text(max_size=6))
+OPTION = {"text": texts, "cpo": hs.one_of(hs.sampled_from(CPOS), texts), "int": hs.integers(-3, 40),
+          "scheme": hs.sampled_from(["standard", "alternative"]),
+          "mu": hs.sampled_from(["const0", "const1", "id"]), "endpoint": hs.sampled_from(["L", "R"])}
+
+
+def _option(kind):
+    """The values of an option; a number kind is one step past a documented bound.
+
+    The bound itself is left out: it is valid but slow (funcs --m 20 takes seconds).
+    """
+    if isinstance(kind, int):
+        return hs.one_of(OPTION["int"], hs.just(kind))
+    return OPTION[kind]
+
+
+# every verb and subverb: (argv prefix, required options, optional options)
+TREE = [
+    (["cpo"], {"--cpo": "cpo"}, {"--window": "int"}),
+    (["normalize"], {"--word": "text"}, {}),
+    (["iso"], {"--a": "cpo", "--b": "cpo"}, {}),
+    (["compare"], {"--cpo": "cpo", "--x": "text", "--y": "text"}, {}),
+    (["neighbors"], {"--cpo": "cpo", "--x": "text"}, {}),
+    (["stage"], {"--n": 5001}, {}),
+    (["funcs"], {"--m": 21}, {}),
+    (["mu"], {"--map": "text"}, {}),
+    (["ep"], {"--n": 100_001}, {"--scheme": "scheme", "--check": None}),
+    (["paths"], {}, {"--scheme": "scheme", "--depth": 3001}),
+    (["limit"], {}, {"--scheme": "scheme", "--depth": 1_000_001}),
+    (["diagram"], {}, {"--scheme": "scheme", "--depth": 301}),
+    (["funcspace"], {}, {"--cpo": "cpo", "--word": "text", "--window": "int", "--table": None}),
+    (["fpt"], {"--cpo": "cpo", "--mu": "mu"}, {}),
+    (["string", "realize"], {"--recipe": "text"}, {}),
+    (["string", "approx"], {"--recipe": "text", "--n": "int"}, {}),
+    (["string", "limit"], {"--recipe": "text", "--pos": "int"}, {"--depth": "int"}),
+    (["string", "opp"], {"--x": "text"}, {}),
+    (["string", "opp-pair"], {"--pair": "text"}, {}),
+    (["string", "lr"], {"--recipe": "text"}, {}),
+    (["string", "lr-pair"], {"--a": "text", "--b": "text"}, {}),
+    (["string", "classify"], {"--x": "text"}, {}),
+    (["adjunction"], {"--cpo": "cpo"}, {"--window": "int"}),
+    (["boundary"], {"--cpo": "cpo"}, {"--window": "int"}),
+    (["decompose"], {"--cpo": "cpo"}, {}),
+    (["lcr", "forward"], {"--x": "text"}, {}),
+    (["lcr", "backward"], {"--pair": "text"}, {"--endpoint": "endpoint"}),
+    (["replicate"], {}, {"--pair": "text"}),
+    (["table8"], {}, {"--window": "int"}),
+    (["pipeline"], {}, {"--window": "int"}),
+]
+
+
+@hs.composite
+def argvs(draw):
+    prefix, required, optional = draw(hs.sampled_from(TREE))
+    argv = list(prefix)
+    chosen = list(required.items()) + [o for o in optional.items() if draw(hs.booleans())]
+    for flag, kind in chosen:
+        # --opt=value, so that a value starting with "-" is not read as an option
+        argv.append(flag if kind is None else f"{flag}={draw(_option(kind))}")
+    return argv + draw(hs.sampled_from([[], ["--format", "json"], ["--format", "text"]]))
+
+
+@settings(max_examples=1500)
+@given(argvs())
+def test_every_argv_exits_zero_or_two_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)  # an uncaught exception fails the test with its argv
+    assert code in (0, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == "", argv

@@ -147,4 +147,4 @@ def test_pipeline_edges():
     assert p.lcr.collision_label == "m'"
     assert p.lcr.collision_preimages == ("...000", "111...")
     assert not p.lcr.isomorphic
-    assert len(p.matrix) == 4
+    assert len(p.table8) == 4
