@@ -8,14 +8,32 @@ the adjunction when
   (2) opp sends B into A,
   (3) for x in A and y in B:  x <= opp(y)  iff  opp(x) >= y,
 
-all checked on finite windows that include the infinite-count extreme
-strings.  The checks run in the ambient composite order, so a failure
-of (1) or (2) does not prevent (3) from being evaluated.
+(3) being the law of a Galois connection (Ore 1944; Erné, Koslowski,
+Melton & Strecker 1993).  The checks run in the ambient composite
+order, so a failure of (1) or (2) does not prevent (3) from being
+evaluated.
+
+Each verdict is decided for the whole order, whatever the window.  A
+half is one or two catalogue layers, a layer holds one string per
+count c, and opp sends a layer to a layer, keeping c.  From the order's
+`settle` count on, an element sits at (block, ±(base + c − start)) in
+one run, and the elements of one infinite block share its run.  So past
+`settle`, (1) and (2) do not depend on c, and each side of (3) depends
+only on whether c < d, c = d or c > d.  A failing count farther than
+settle + 2 from both ends of its layer's window keeps failing when it
+(and its partner in (3)) moves one count towards the start of the scan.
+So the first failure of an ascending scan over the window lies on the
+counts within settle + 2 of a layer's ends, its corners, and only those
+are examined: the verdict and the witness are the scan's, and the
+window's size does not matter.  In an omega* layer the scan starts at
+the window's count w, so a witness there, 0^w 11..., spells w out.
 
 The two pair-built orders carry a boundary element where the halves
 meet: m = (000..., ...111) is its own dual and has no immediate
 neighbors, while m' = (...000, 111...) is its own dual with immediate
-neighbors on both sides.
+neighbors on both sides.  Ranks rise through each layer's window, so
+whether the boundary tops the lower half and bottoms the upper one is
+read off each layer's two ends.
 
 The halves, the string ranks, the boundaries and the ambient positions
 are all read off the catalogue's table; nothing here restates an order.
@@ -34,7 +52,6 @@ from .catalog import (  # the *_HALF names are re-exported for callers
     XI_HALF,
     XI_OPP_HALF,
     CpoName,
-    Half,
     NamedCpo,
     named_cpo,
     stack_position,
@@ -51,12 +68,6 @@ def opp_element(x):
 
 
 global_string_rank = stack_position  # position in the whole stack of four families
-
-
-# Canonical pairing of halves for each composite order: its two halves.
-PAIRINGS: dict[CpoName, tuple[Half, Half]] = {
-    c.name: c.halves for c in map(named_cpo, CpoName) if len(c.halves) == 2 and not c.bare
-}
 
 
 def build_pair_cpo(name: str | CpoName) -> NamedCpo:
@@ -92,15 +103,20 @@ class AdjunctionReport:
     passed: bool  # all three conditions hold
 
 
-def check_adjunction(which: str | CpoName, window: int = 20) -> AdjunctionReport:
-    """Run the three adjunction conditions for the order's half pairing."""
+def check_adjunction(which: str | CpoName | NamedCpo, window: int = 20) -> AdjunctionReport:
+    """Decide the three adjunction conditions for the order's pair of halves.
+
+    The witnesses are the first failures of an ascending scan over the
+    window, found on the layers' corners (see the module docstring).
+    """
     check_window(window)
-    cpo = named_cpo(which)
-    if cpo.name not in PAIRINGS:
+    cpo = which if isinstance(which, NamedCpo) else named_cpo(which)
+    if len(cpo.halves) != 2 or cpo.bare:
         raise UnknownCpo(f"no half pairing attached to {cpo.name.value}")
-    a_half, b_half = PAIRINGS[cpo.name]
-    xs = a_half.window(window)
-    ys = b_half.window(window)
+    a_half, b_half = cpo.halves
+    reach = cpo.settle + 2
+    xs = a_half.corners(window, reach)
+    ys = b_half.corners(window, reach)
     oxs = [opp_element(x) for x in xs]
     oys = [opp_element(y) for y in ys]
 
@@ -146,11 +162,12 @@ def boundary_report(which: str | CpoName, window: int = 20) -> BoundaryReport:
     b = cpo.boundary
     belem = cpo.element(b)
     pred, succ = neighbors(cpo.word, belem)
-    lower_win = lower.window(window)
-    upper_win = upper.window(window)
+    # ranks rise through a layer's window, so its two ends bound them
+    lower_ends = lower.corners(window, 0)
+    upper_ends = upper.corners(window, 0)
     b_low, b_up = lower.rank(b), upper.rank(b)
-    join = lower_win[-1] == b and all(lower.rank(x) <= b_low for x in lower_win)
-    meet = upper_win[0] == b and all(b_up <= upper.rank(y) for y in upper_win)
+    join = lower_ends[-1] == b and all(lower.rank(x) <= b_low for x in lower_ends)
+    meet = upper_ends[0] == b and all(b_up <= upper.rank(y) for y in upper_ends)
     return BoundaryReport(
         cpo.name, b, cpo.to_label(belem), opp_element(b) == b,
         cpo.to_label(pred) if pred is not None else None,

@@ -38,7 +38,7 @@ from .errors import BadLiteral, NotBoundary, NotIsomorphic, UnknownCpo, UsageErr
 from .funcspace import Mu, fpt, indicator_row, mu_continuous, scott_opens, self_iso
 from .replication import decompositions, lcr_backward, lcr_forward, pipeline, replicate, table8
 from .stages import Scheme, check_ep_laws, diagram_dot, enumerate_monotone, ep_pair, limit_cpo, limit_paths, stage
-from .words import compare, extremes, iso as word_iso, neighbors, normalize, parse_word, window_elems
+from .words import check_range, compare, extremes, iso as word_iso, neighbors, normalize, parse_word, window_elems
 
 
 def _yes_no(flag: bool) -> str:
@@ -228,8 +228,13 @@ def _diagram_text(obj, args) -> str:
     return obj["dot"].removesuffix("\n")
 
 
+# the table has about 2w rows of 2w bits: 4 MB in 0.2 s at w = 1000
+MAX_TABLE_WINDOW = 1000
+
+
 def _funcspace_table(c, space, window: int):
     """Rows are the space's windowed segments, columns the base window."""
+    check_range("window", window, 0, MAX_TABLE_WINDOW)
     cols = window_elems(c.word, window)
     rows = window_elems(space.word, window)
     aligned = space.word == c.word

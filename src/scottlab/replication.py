@@ -21,7 +21,10 @@ two-element middle of the primed order.
 
 pipeline() chains these constructions and tabulates, per composite
 order, the adjunction verdict, fixed point applicability, boundary
-element, and order type.
+element, and order type.  Every verdict holds for the whole order, so
+the window changes nothing but the `window` that table8 echoes: the
+adjunctions are decided as adjunction.py describes, and the fold's
+round trip and collisions on each layer's corners.
 """
 
 from __future__ import annotations
@@ -239,7 +242,11 @@ def pipeline(window: int = 20) -> PipelineReport:
         str(hat.display_word), str(lam_prime.display_word), rep.mutual_neighbors,
     )
 
-    probe = [x for half in lam_prime.halves for x in half.window(window)]
+    # from the settle counts on, the fold and its inverse treat each layer's
+    # strings alike, so each layer's corners decide the round trip, and the
+    # collisions are the count-0 strings ...000 and 111...
+    reach = max(lam_prime.settle, v.settle)
+    probe = [x for half in lam_prime.halves for x in half.corners(window, reach)]
     ok = True
     collisions = []
     for x in probe:

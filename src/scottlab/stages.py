@@ -24,8 +24,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BadDepth
-from .words import OMEGA, OMEGA_STAR, OrderWord, fin, word_of
+from .words import OMEGA, OMEGA_STAR, OrderWord, check_range, fin, word_of
 
 # enumerate_monotone walks all 2^m assignments: about 2 s at m = 20,
 # doubling with each step
@@ -46,13 +45,6 @@ MAX_PATHS_DEPTH = 3000
 MAX_LIMIT_DEPTH = 1_000_000
 
 
-def _check_range(what: str, value: int, low: int, high: int) -> None:
-    if value < low:
-        raise BadDepth(f"{what} must be >= {low}, got {value}")
-    if value > high:
-        raise BadDepth(f"{what} must be <= {high}, got {value}")
-
-
 @dataclass(frozen=True)
 class Stage:
     n: int
@@ -60,7 +52,7 @@ class Stage:
 
 
 def stage(n: int) -> Stage:
-    _check_range("stage", n, 1, MAX_STAGE)
+    check_range("stage", n, 1, MAX_STAGE)
     return Stage(n, tuple("0" * (n - 1 - k) + "1" * k for k in range(n)))
 
 
@@ -71,7 +63,7 @@ def enumerate_monotone(m: int) -> tuple[str, ...]:
     direct stage construction must match.  Its time doubles with each
     step of m, so m is bounded by MAX_MONOTONE_CHAIN.
     """
-    _check_range("chain length", m, 1, MAX_MONOTONE_CHAIN)
+    check_range("chain length", m, 1, MAX_MONOTONE_CHAIN)
     out = []
     for bits in itertools.product("01", repeat=m):
         if all(a <= b for a, b in zip(bits, bits[1:])):
@@ -103,7 +95,7 @@ class EpPair:
 
 
 def ep_pair(scheme: Scheme, n: int) -> EpPair:
-    _check_range("stage", n, 1, MAX_EP_STAGE)
+    check_range("stage", n, 1, MAX_EP_STAGE)
     if scheme is Scheme.STANDARD:
         t = (n - 1) // 2
         e = tuple(k if k <= t else k + 1 for k in range(n))
@@ -183,7 +175,7 @@ def limit_paths(scheme: Scheme, depth: int) -> tuple[LimitPath, ...]:
     pointwise increasing and come out already sorted.  The labels
     number depth^2, so depth is bounded by MAX_PATHS_DEPTH.
     """
-    _check_range("depth", depth, 2, MAX_PATHS_DEPTH)
+    check_range("depth", depth, 2, MAX_PATHS_DEPTH)
     labels = list(range(depth))
     columns = [labels]  # labels of stage depth, depth-1, ..., 1
     for n in range(depth - 1, 0, -1):
@@ -200,7 +192,7 @@ def limit_cpo(scheme: Scheme, depth: int = 12) -> OrderWord:
     kinds off the labels of stage `depth` without building any path,
     in time linear in depth, which is bounded by MAX_LIMIT_DEPTH.
     """
-    _check_range("depth", depth, 2, MAX_LIMIT_DEPTH)
+    check_range("depth", depth, 2, MAX_LIMIT_DEPTH)
     kinds = {_classify(scheme, depth, last)[0] for last in range(depth)}
     atoms = [OMEGA]
     if PathClass.INFINITY in kinds:
@@ -225,7 +217,7 @@ def diagram_dot(scheme: Scheme, depth: int) -> str:
     one `stage` call per stage.  The text itself grows as depth^3 bytes,
     so depth is bounded by MAX_DIAGRAM_DEPTH.
     """
-    _check_range("depth", depth, 2, MAX_DIAGRAM_DEPTH)
+    check_range("depth", depth, 2, MAX_DIAGRAM_DEPTH)
     lines = [f"digraph stages_{scheme.value} {{", "  rankdir=LR;", "  node [shape=plaintext];"]
     nodes = [[_gvquote(f"s{n}_{text or 'λ'}") for text in stage(n).elements]
              for n in range(1, depth + 1)]

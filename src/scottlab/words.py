@@ -230,6 +230,14 @@ def iso(a: OrderWord, b: OrderWord) -> bool:
     return verdict
 
 
+def check_range(what: str, value: int, low: int, high: int) -> None:
+    """Reject a size outside [low, high], the range in which its operation is defined and cheap."""
+    if value < low:
+        raise BadDepth(f"{what} must be >= {low}, got {value}")
+    if value > high:
+        raise BadDepth(f"{what} must be <= {high}, got {value}")
+
+
 def check_window(depth: int) -> None:
     """Reject a negative window: it would drop whole blocks and make scans vacuous."""
     if depth < 0:

@@ -1,5 +1,10 @@
-import pytest
+from dataclasses import replace
 
+import hypothesis.strategies as hs
+import pytest
+from hypothesis import given
+
+from scottlab import adjunction
 from scottlab import strings as st
 from scottlab.adjunction import (
     BOUNDARY_M,
@@ -16,7 +21,12 @@ from scottlab.adjunction import (
     global_string_rank,
     opp_element,
 )
-from scottlab.errors import UnknownCpo
+from scottlab.catalog import ALL_ONES, ALL_ZEROS, L_STRINGS, R_STRINGS, NamedCpo, named_cpo
+from scottlab.cli import run
+from scottlab.errors import BadElement, UnknownCpo
+
+# the window scans these verdicts replaced, kept as their oracle
+from window_scan import COMPOSITE, golden_at_window, scan_adjunction, scan_boundary
 
 
 def test_boundary_constants():
@@ -113,3 +123,157 @@ def test_boundary_report_m_prime():
     assert (b.predecessor, b.successor) == ("-1", "+1")
     assert b.in_lower and b.in_upper
     assert b.join_of_lower and b.meet_of_upper
+
+
+# -- the decided verdicts against the window scan ------------------------------
+
+WINDOWS = range(61)
+
+
+@pytest.mark.parametrize("name", COMPOSITE, ids=[n.value for n in COMPOSITE])
+def test_decided_adjunction_equals_the_scan(name):
+    cpo = named_cpo(name)
+    for w in WINDOWS:
+        assert check_adjunction(name, w) == scan_adjunction(cpo, w), w
+
+
+@pytest.mark.parametrize("name", COMPOSITE, ids=[n.value for n in COMPOSITE])
+def test_decided_boundary_equals_the_scan(name):
+    if named_cpo(name).boundary is None:
+        for report in (boundary_report, scan_boundary):
+            with pytest.raises(UnknownCpo):
+                report(name, 0)
+        return
+    for w in WINDOWS:
+        assert boundary_report(name, w) == scan_boundary(name, w), w
+
+
+def _rebuilt(name, lower=None, upper=None):
+    """The order built as the catalogue builds it, from other halves."""
+    cpo = named_cpo(name)
+    a, b = cpo.halves
+    return NamedCpo(cpo.name, (lower or a, upper or b), glued=cpo.boundary is not None, literal=cpo.literal)
+
+
+def _with_start(cpo, layer, start):
+    """The order, with the least count of one of its layers moved."""
+    cpo._runs = [replace(r, start=start) if r.layer is layer else r for r in cpo._runs]
+    cpo._run_of = {(r.half, r.layer): r for r in cpo._runs}
+    return cpo
+
+
+def _swapped(half):
+    return replace(half, blocks=half.blocks[::-1])
+
+
+PRIME_LOW, PRIME_UP = named_cpo("lambda_prime").halves
+HAT_LOW, HAT_UP = named_cpo("lambda_hat_prime").halves
+V_LOW, V_UP = named_cpo("v").halves
+
+# (mutation, order, conditions that fail)
+MUTATED = [
+    ("lambda_hat_prime, upper layers swapped", _rebuilt("lambda_hat_prime", upper=_swapped(HAT_UP)), {3}),
+    ("v, upper layers swapped", _rebuilt("v", upper=_swapped(V_UP)), {3}),
+    ("lambda_prime, lower omega layer swapped for omega*",
+     _rebuilt("lambda_prime", lower=replace(PRIME_LOW, blocks=((L_STRINGS, "n"), (ALL_ONES, "inf")))), {1, 2}),
+    ("lambda_prime, top ...111 of the lower half dropped",
+     _rebuilt("lambda_prime", lower=replace(PRIME_LOW, blocks=PRIME_LOW.blocks[:1])), {2}),
+    ("lambda_prime, bottom 000... of the upper half dropped",
+     _rebuilt("lambda_prime", upper=replace(PRIME_UP, blocks=PRIME_UP.blocks[1:])), {1}),
+    ("v, glued start moved down, so the lower half holds m'", _with_start(_rebuilt("v"), L_STRINGS, 0), set()),
+]
+# mutations that leave an element or a dual outside the order: both raise
+BROKEN = [
+    ("v, lower layers swapped", _rebuilt("v", lower=_swapped(V_LOW))),
+    ("lambda_hat_prime, pinned end of the upper half dropped",
+     _rebuilt("lambda_hat_prime", upper=replace(HAT_UP, right=None))),
+    ("v, glued start moved up", _with_start(_rebuilt("v"), L_STRINGS, 3)),
+]
+
+
+@pytest.mark.parametrize(("mutation", "cpo", "failing"), MUTATED, ids=[m[0] for m in MUTATED])
+def test_mutated_halves_fail_as_the_scan_does(mutation, cpo, failing):
+    for w in range(31):
+        report = check_adjunction(cpo, w)
+        assert report == scan_adjunction(cpo, w), w
+        assert {c.index for c in report.conditions if not c.passed} == failing
+
+
+def test_every_condition_fails_under_some_mutation():
+    assert set().union(*(failing for _, _, failing in MUTATED)) == {1, 2, 3}
+
+
+def test_an_omega_star_witness_spells_out_the_window():
+    _, cpo, _ = MUTATED[2]
+    for w in (1, 7, 60, 1000):
+        report = check_adjunction(cpo, w)
+        assert [c.witness for c in report.conditions[:2]] == ["0" * w + "11..."] * 2
+
+
+@hs.composite
+def mutated_orders(draw):
+    """A composite order with one half's layers swapped, one layer replaced, its pin dropped, or a start moved."""
+    name = draw(hs.sampled_from(COMPOSITE))
+    halves = list(named_cpo(name).halves)
+    i = draw(hs.integers(0, 1))
+    kind = draw(hs.sampled_from(["swap", "layer", "pin", "start"]))
+    if kind == "swap":
+        halves[i] = _swapped(halves[i])
+    elif kind == "layer":
+        blocks = list(halves[i].blocks)
+        blocks[draw(hs.integers(0, len(blocks) - 1))] = draw(hs.sampled_from(
+            [(R_STRINGS, "n"), (ALL_ONES, "inf"), (ALL_ZEROS, "inf'"), (L_STRINGS, "n'")]))
+        halves[i] = replace(halves[i], blocks=tuple(blocks))
+    elif kind == "pin":
+        halves[i] = replace(halves[i], left=None, right=None)
+    cpo = _rebuilt(name, *halves)
+    if kind == "start":
+        cpo = _with_start(cpo, draw(hs.sampled_from([layer for layer, _ in halves[i].blocks])), draw(hs.integers(0, 3)))
+    return cpo
+
+
+def _outcome(check, cpo, w):
+    """The report, or the error: a mutated pairing may leave elements or duals outside its order."""
+    try:
+        return check(cpo, w)
+    except (BadElement, AttributeError) as e:
+        return type(e), str(e)
+
+
+@given(mutated_orders(), hs.integers(0, 40))
+def test_any_mutated_pairing_is_decided_as_the_scan_decides(cpo, w):
+    assert _outcome(check_adjunction, cpo, w) == _outcome(scan_adjunction, cpo, w)
+
+
+@pytest.mark.parametrize(("mutation", "cpo"), BROKEN, ids=[m[0] for m in BROKEN])
+def test_broken_mutations_raise_as_the_scan_does(mutation, cpo):
+    for w in (1, 5, 30):  # from window 1 on, the scan meets the missing element
+        with pytest.raises(BadElement) as scanned:
+            scan_adjunction(cpo, w)
+        with pytest.raises(BadElement) as decided:
+            check_adjunction(cpo, w)
+        assert str(decided.value) == str(scanned.value)
+
+
+def test_the_work_does_not_grow_with_the_window(monkeypatch):
+    calls = []
+    opp = adjunction.opp_element
+    monkeypatch.setattr(adjunction, "opp_element", lambda x: calls.append(x) or opp(x))
+
+    def count(call, w):
+        calls.clear()
+        call(w)
+        return len(calls)
+
+    for name in COMPOSITE:
+        assert count(lambda w: check_adjunction(name, w), 20) == count(lambda w: check_adjunction(name, w), 10**9)
+    for name in ("lambda_hat_prime", "v"):
+        assert count(lambda w: boundary_report(name, w), 20) == count(lambda w: boundary_report(name, w), 10**9)
+
+
+@pytest.mark.parametrize("argv", [["adjunction", "--cpo", "v"], ["boundary", "--cpo", "v"],
+                                  ["boundary", "--cpo", "lambda_hat_prime"]])
+def test_a_huge_window_prints_the_window_20_golden(capsys, argv):
+    for fmt in ("text", "json"):
+        assert run(argv + ["--window", "1000000", "--format", fmt]) == 0
+        assert capsys.readouterr().out == golden_at_window(argv, fmt, 1000000)

@@ -26,3 +26,23 @@ def test_string_positions_follow_the_stack_order(a, b):
     rel = compare(lp.word, lp.to_elem(str(a)), lp.to_elem(str(b)))
     ra, rb = global_string_rank(a), global_string_rank(b)
     assert rel is (Ordering.LT if ra < rb else Ordering.EQ if ra == rb else Ordering.GT)
+
+
+@given(hs.sampled_from(all_names()), hs.integers(min_value=0, max_value=40), hs.integers(min_value=0, max_value=6))
+def test_corners_are_the_window_ends(name, n, reach):
+    c = named_cpo(name)
+    for half in c.halves:
+        for layer, _ in half.blocks:
+            counts = list(layer.counts(n))
+            corners = list(layer.corners(n, reach))
+            # the window's order, both ends kept, nothing from the middle
+            assert corners == [k for k in counts if k in corners]
+            assert counts[:reach + 1] + counts[-reach - 1:] == \
+                corners[:reach + 1] + corners[-reach - 1:]
+            assert len(corners) <= 2 * reach + 2
+
+
+def test_settle_lies_past_every_glued_start_and_pinned_end():
+    settle = {name: named_cpo(name).settle for name in ("lambda", "lambda_prime", "lambda_hat_prime", "v")}
+    # v's lower omega* layer starts at count 1, under the boundary m'
+    assert settle == {"lambda": 1, "lambda_prime": 1, "lambda_hat_prime": 1, "v": 2}

@@ -176,6 +176,11 @@ USAGE_ERRORS = [
     ["ep", "--n", "100001", "--check"],
     ["paths", "--depth", "3001"],
     ["limit", "--scheme", "alternative", "--depth", "1000001"],
+    # one step past each bound on a window or size whose output or work grows with it
+    ["cpo", "--cpo", "omega", "--window", "100001"],
+    ["funcspace", "--cpo", "phi", "--table", "--window", "1001"],
+    ["string", "approx", "--recipe", "II:3", "--n", "1000001"],
+    ["string", "limit", "--recipe", "II:3", "--pos", "2", "--depth", "1000001"],
     # a superscript digit passes str.isdigit but not int()
     ["normalize", "--word", "²"],
     ["string", "realize", "--recipe", "II:²"],
@@ -298,7 +303,10 @@ HOSTILE = ["", " ", "(", ")", "...", "-0", "0", "1", "-1", "+1", "²", "٣", "w"
 CPOS = ["two", "phi", "theta", "omega", "omega_opp", "omega_prime", "omega_prime_opp", "lambda",
         "lambda_prime", "lambda_hat_prime", "xi", "xi_opp", "v", "lam", "omega_set"]
 texts = hs.one_of(hs.sampled_from(HOSTILE + CPOS), hs.text(max_size=6))
-OPTION = {"text": texts, "cpo": hs.one_of(hs.sampled_from(CPOS), texts), "int": hs.integers(-3, 40),
+ints = hs.integers(-3, 40)
+OPTION = {"text": texts, "cpo": hs.one_of(hs.sampled_from(CPOS), texts), "int": ints,
+          # the decided verbs take a window of any size at the same cost
+          "window": hs.one_of(ints, hs.integers(0, 10**9), hs.just(10**9)),
           "scheme": hs.sampled_from(["standard", "alternative"]),
           "mu": hs.sampled_from(["const0", "const1", "id"]), "endpoint": hs.sampled_from(["L", "R"])}
 
@@ -309,13 +317,13 @@ def _option(kind):
     The bound itself is left out: it is valid but slow (funcs --m 20 takes seconds).
     """
     if isinstance(kind, int):
-        return hs.one_of(OPTION["int"], hs.just(kind))
+        return hs.one_of(ints, hs.just(kind))
     return OPTION[kind]
 
 
 # every verb and subverb: (argv prefix, required options, optional options)
 TREE = [
-    (["cpo"], {"--cpo": "cpo"}, {"--window": "int"}),
+    (["cpo"], {"--cpo": "cpo"}, {"--window": 100_001}),
     (["normalize"], {"--word": "text"}, {}),
     (["iso"], {"--a": "cpo", "--b": "cpo"}, {}),
     (["compare"], {"--cpo": "cpo", "--x": "text", "--y": "text"}, {}),
@@ -327,24 +335,24 @@ TREE = [
     (["paths"], {}, {"--scheme": "scheme", "--depth": 3001}),
     (["limit"], {}, {"--scheme": "scheme", "--depth": 1_000_001}),
     (["diagram"], {}, {"--scheme": "scheme", "--depth": 301}),
-    (["funcspace"], {}, {"--cpo": "cpo", "--word": "text", "--window": "int", "--table": None}),
+    (["funcspace"], {}, {"--cpo": "cpo", "--word": "text", "--window": 1001, "--table": None}),
     (["fpt"], {"--cpo": "cpo", "--mu": "mu"}, {}),
     (["string", "realize"], {"--recipe": "text"}, {}),
-    (["string", "approx"], {"--recipe": "text", "--n": "int"}, {}),
-    (["string", "limit"], {"--recipe": "text", "--pos": "int"}, {"--depth": "int"}),
+    (["string", "approx"], {"--recipe": "text", "--n": 1_000_001}, {}),
+    (["string", "limit"], {"--recipe": "text", "--pos": "int"}, {"--depth": 1_000_001}),
     (["string", "opp"], {"--x": "text"}, {}),
     (["string", "opp-pair"], {"--pair": "text"}, {}),
     (["string", "lr"], {"--recipe": "text"}, {}),
     (["string", "lr-pair"], {"--a": "text", "--b": "text"}, {}),
     (["string", "classify"], {"--x": "text"}, {}),
-    (["adjunction"], {"--cpo": "cpo"}, {"--window": "int"}),
-    (["boundary"], {"--cpo": "cpo"}, {"--window": "int"}),
+    (["adjunction"], {"--cpo": "cpo"}, {"--window": "window"}),
+    (["boundary"], {"--cpo": "cpo"}, {"--window": "window"}),
     (["decompose"], {"--cpo": "cpo"}, {}),
     (["lcr", "forward"], {"--x": "text"}, {}),
     (["lcr", "backward"], {"--pair": "text"}, {"--endpoint": "endpoint"}),
     (["replicate"], {}, {"--pair": "text"}),
-    (["table8"], {}, {"--window": "int"}),
-    (["pipeline"], {}, {"--window": "int"}),
+    (["table8"], {}, {"--window": "window"}),
+    (["pipeline"], {}, {"--window": "window"}),
 ]
 
 

@@ -1,7 +1,9 @@
 import pytest
 
+from scottlab import adjunction, replication
 from scottlab import strings as st
 from scottlab.adjunction import BOUNDARY_M, BOUNDARY_M_PRIME
+from scottlab.cli import run
 from scottlab.errors import NotBoundary, UnknownCpo
 from scottlab.replication import (
     decompositions,
@@ -11,6 +13,9 @@ from scottlab.replication import (
     replicate,
     table8,
 )
+
+# the window scans these verdicts replaced, kept as their oracle
+from window_scan import golden_at_window, scan_pipeline, scan_table8
 
 
 def _string(kind, i):
@@ -148,3 +153,34 @@ def test_pipeline_edges():
     assert p.lcr.collision_preimages == ("...000", "111...")
     assert not p.lcr.isomorphic
     assert len(p.table8) == 4
+
+
+# -- the decided Table 8 and pipeline against the window scan ------------------
+
+
+def test_decided_table8_and_pipeline_equal_the_scan():
+    for w in range(61):
+        assert table8(w) == scan_table8(w), w
+        assert pipeline(w) == scan_pipeline(w), w
+
+
+def test_the_work_does_not_grow_with_the_window(monkeypatch):
+    calls = []
+    for module, name in ((adjunction, "opp_element"), (replication, "lcr_forward")):
+        f = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda x, f=f: calls.append(x) or f(x))
+
+    def count(call, w):
+        calls.clear()
+        call(w)
+        return len(calls)
+
+    assert count(table8, 20) == count(table8, 10**9)
+    assert count(pipeline, 20) == count(pipeline, 10**9)
+
+
+@pytest.mark.parametrize("argv", [["table8"], ["pipeline"]])
+def test_a_huge_window_prints_the_window_20_golden(capsys, argv):
+    for fmt in ("text", "json"):
+        assert run(argv + ["--window", "1000000", "--format", fmt]) == 0
+        assert capsys.readouterr().out == golden_at_window(argv, fmt, 1000000)

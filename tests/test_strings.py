@@ -1,7 +1,7 @@
 import pytest
 
 from scottlab import strings as st
-from scottlab.errors import BadIndex, BadLiteral
+from scottlab.errors import BadDepth, BadIndex, BadLiteral
 
 
 def test_realized_family_shapes():
@@ -40,6 +40,15 @@ def test_finite_approx_stage_words():
     assert st.finite_approx(st.SpecKind.III, 3, 5) == "0011"
     assert st.finite_approx(st.SpecKind.IV, 2, 5) == "0111"
     assert st.finite_approx(st.SpecKind.II, 1, 2) == "1"
+
+
+def test_approximations_and_limit_checks_are_bounded():
+    assert len(st.finite_approx(st.SpecKind.II, 3, 1000)) == 999
+    assert st.limit_check(st.SpecKind.II, 3, 2, 1000)
+    with pytest.raises(BadDepth, match="must be <= "):
+        st.finite_approx(st.SpecKind.II, 3, st.MAX_APPROX_STAGE + 1)
+    with pytest.raises(BadDepth, match="must be <= "):
+        st.limit_check(st.SpecKind.II, 3, 2, st.MAX_STABILITY_DEPTH + 1)
 
 
 def test_finite_approx_rejects_index_beyond_stage():
