@@ -103,6 +103,18 @@ class AdjunctionReport:
     passed: bool  # all three conditions hold
 
 
+def _check_shapes(cpo: NamedCpo) -> None:
+    """Reject a pairing whose lower half holds strings and whose upper half holds pairs.
+
+    Condition (3) compares such a lower half in the stack of strings,
+    which holds no pairs, so the upper half's elements have no place there.
+    """
+    a_half, b_half = cpo.halves
+    if not a_half.pinned and b_half.pinned:
+        raise UnknownCpo(f"{cpo.name.value}: the lower half {a_half.name} holds strings but the upper "
+                         f"half {b_half.name} holds pairs, so no adjunction can compare them")
+
+
 def check_adjunction(which: str | CpoName | NamedCpo, window: int = 20) -> AdjunctionReport:
     """Decide the three adjunction conditions for the order's pair of halves.
 
@@ -114,6 +126,7 @@ def check_adjunction(which: str | CpoName | NamedCpo, window: int = 20) -> Adjun
     if len(cpo.halves) != 2 or cpo.bare:
         raise UnknownCpo(f"no half pairing attached to {cpo.name.value}")
     a_half, b_half = cpo.halves
+    _check_shapes(cpo)
     reach = cpo.settle + 2
     xs = a_half.corners(window, reach)
     ys = b_half.corners(window, reach)

@@ -35,7 +35,7 @@ from . import strings as st
 from .adjunction import BOUNDARY_M, boundary_report, check_adjunction
 from .catalog import chain_display, named_cpo
 from .errors import BadLiteral, NotBoundary, NotIsomorphic, UnknownCpo, UsageError
-from .funcspace import Mu, fpt, indicator_row, mu_continuous, scott_opens, self_iso
+from .funcspace import Mu, fpt, indicator_rows, mu_continuous, scott_opens, self_iso
 from .replication import decompositions, lcr_backward, lcr_forward, pipeline, replicate, table8
 from .stages import Scheme, check_ep_laws, diagram_dot, enumerate_monotone, ep_pair, limit_cpo, limit_paths, stage
 from .words import check_range, compare, extremes, iso as word_iso, neighbors, normalize, parse_word, window_elems
@@ -228,7 +228,8 @@ def _diagram_text(obj, args) -> str:
     return obj["dot"].removesuffix("\n")
 
 
-# the table has about 2w rows of 2w bits: 4 MB in 0.2 s at w = 1000
+# the table has about 2w rows of 2w bits, O(w^2) bytes: 4 MB in 0.05 s at w = 1000
+# (2-vCPU Xeon, Python 3.11)
 MAX_TABLE_WINDOW = 1000
 
 
@@ -237,13 +238,10 @@ def _funcspace_table(c, space, window: int):
     check_range("window", window, 0, MAX_TABLE_WINDOW)
     cols = window_elems(c.word, window)
     rows = window_elems(space.word, window)
-    aligned = space.word == c.word
-    out = []
-    for r in rows:
-        seg = space.segment_at(r)
-        label = f"psi_{c.to_label(r)}" if aligned else str(seg)
-        out.append({"row": label, "bits": indicator_row(c.word, seg, cols)})
-    return [c.to_label(x) for x in cols], out
+    segs = [space.segment_at(r) for r in rows]
+    labels = [f"psi_{c.to_label(r)}" for r in rows] if space.word == c.word else [str(s) for s in segs]
+    bits = indicator_rows(c.word, segs, cols)
+    return [c.to_label(x) for x in cols], [{"row": r, "bits": b} for r, b in zip(labels, bits)]
 
 
 def _funcspace(args) -> dict:

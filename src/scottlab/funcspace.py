@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .catalog import NamedCpo
-from .errors import BadLiteral, InvalidSegment, NotIsomorphic
+from .errors import BadElement, BadLiteral, InvalidSegment, NotIsomorphic
 from .words import (
     OMEGA,
     OMEGA_STAR,
@@ -114,17 +114,45 @@ def eval_segment(w: OrderWord, s: OpenSegment, x: Elem) -> int:
     return 1 if compare(w, x, s.at) is not Ordering.LT else 0
 
 
-def indicator_row(w: OrderWord, s: OpenSegment, xs: Sequence[Elem]) -> str:
-    """The indicator map of s on the ascending elements xs, as a bit string.
+def _rank_key(w: OrderWord, x: Elem) -> tuple[int, int]:
+    """A tuple that sorts like x in w: omega* offsets count downward."""
+    return (x.block, -x.offset if w.atoms[x.block].kind is AtomKind.OMEGA_STAR else x.offset)
+
+
+def indicator_rows(w: OrderWord, segs: Sequence[OpenSegment], xs: Sequence[Elem]) -> list[str]:
+    """The indicator maps of segs on the ascending elements xs, as bit strings.
 
     An open segment is a final segment (a Scott-open set is an up-set),
-    so over ascending xs the row reads 0...01...1 and the position of
-    its first 1 decides it.  That cut is found by bisection, in
-    O(log len(xs)) calls of the validating eval_segment instead of one
-    per element.  xs must ascend in w, as window_elems returns them.
+    so over ascending xs a row reads 0...01...1 and the position of its
+    first 1 decides it.  Each column is validated once and mapped to a
+    rank key; the keys must not descend.  Each segment is validated once
+    and its cut found by one bisection of the keys: UP_FROM(x) cuts at
+    x's key, BLOCK_TAIL(j) at the start of block j, EMPTY after the last
+    column.  A row costs O(log len(xs)) tuple comparisons.
     """
-    k = bisect.bisect_left(xs, 1, key=lambda x: eval_segment(w, s, x))
-    return "0" * k + "1" * (len(xs) - k)
+    for x in xs:
+        validate_elem(w, x)
+    keys = [_rank_key(w, x) for x in xs]
+    for i in range(1, len(keys)):
+        if keys[i - 1] > keys[i]:
+            raise BadElement(f"columns must ascend in {w}: {xs[i]} follows {xs[i - 1]}")
+    n = len(keys)
+    rows = []
+    for s in segs:
+        validate_segment(w, s)
+        if s.kind is SegmentKind.EMPTY:
+            k = n
+        elif s.kind is SegmentKind.BLOCK_TAIL:
+            k = bisect.bisect_left(keys, (s.block,))  # (j,) sorts before every (j, offset)
+        else:
+            k = bisect.bisect_left(keys, _rank_key(w, s.at))
+        rows.append("0" * k + "1" * (n - k))
+    return rows
+
+
+def indicator_row(w: OrderWord, s: OpenSegment, xs: Sequence[Elem]) -> str:
+    """The indicator map of s on the ascending elements xs, as a bit string."""
+    return indicator_rows(w, (s,), xs)[0]
 
 
 # -- positional enumeration ------------------------------------------------

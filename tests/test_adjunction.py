@@ -236,7 +236,7 @@ def _outcome(check, cpo, w):
     """The report, or the error: a mutated pairing may leave elements or duals outside its order."""
     try:
         return check(cpo, w)
-    except (BadElement, AttributeError) as e:
+    except (BadElement, UnknownCpo) as e:
         return type(e), str(e)
 
 
@@ -253,6 +253,16 @@ def test_broken_mutations_raise_as_the_scan_does(mutation, cpo):
         with pytest.raises(BadElement) as decided:
             check_adjunction(cpo, w)
         assert str(decided.value) == str(scanned.value)
+
+
+@pytest.mark.parametrize("name", ["lambda_hat_prime", "v"])
+def test_string_half_under_a_pair_half_is_a_usage_error(name):
+    """Positioning the upper half's pairs in the stack of strings raised an AttributeError."""
+    lower, _ = named_cpo(name).halves
+    cpo = _rebuilt(name, lower=replace(lower, left=None, right=None))
+    for w in (0, 1, 5, 30):
+        with pytest.raises(UnknownCpo, match="holds strings but the upper half .* holds pairs"):
+            check_adjunction(cpo, w)
 
 
 def test_the_work_does_not_grow_with_the_window(monkeypatch):

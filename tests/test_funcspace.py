@@ -1,16 +1,25 @@
-import pytest
+import json
+from collections import Counter
 
+import hypothesis.strategies as hs
+import pytest
+from hypothesis import assume, given
+
+from scottlab import funcspace
 from scottlab.catalog import all_names, named_cpo
-from scottlab.errors import InvalidSegment, NotIsomorphic
+from scottlab.cli import run
+from scottlab.errors import BadElement, InvalidSegment, NotIsomorphic
 from scottlab.funcspace import (
     EMPTY_SEGMENT,
     Mu,
     SegmentKind,
+    _diagonal_bits,
     block_tail,
     canonical_iso,
     eval_segment,
     fpt,
     indicator_row,
+    indicator_rows,
     mu_apply,
     mu_continuous,
     scott_opens,
@@ -19,7 +28,19 @@ from scottlab.funcspace import (
     validate_segment,
 )
 from scottlab.stages import enumerate_monotone
-from scottlab.words import Elem, Ordering, compare, parse_word, window_elems
+from scottlab.words import (
+    OMEGA,
+    OMEGA_STAR,
+    AtomKind,
+    Elem,
+    Ordering,
+    compare,
+    fin,
+    normalize,
+    parse_word,
+    window_elems,
+    word_of,
+)
 
 SPACE_WORDS = {
     "two": "3",
@@ -94,6 +115,62 @@ def test_indicator_row_validates_the_segment():
     for seg in (up_from(Elem(1, 0)), block_tail(0)):
         with pytest.raises(InvalidSegment):
             indicator_row(theta, seg, window_elems(theta, 3))
+
+
+small_words = hs.lists(hs.sampled_from([OMEGA, OMEGA_STAR, fin(1), fin(2), fin(3)]),
+                       min_size=1, max_size=4).map(lambda atoms: word_of(*atoms))
+
+
+@given(small_words)
+def test_indicator_rows_match_the_per_cell_rows_beyond_the_catalogue(word):
+    """Every segment of windows 0..12, against one eval_segment per cell."""
+    space = scott_opens(word)
+    w = space.base
+    segs = [space.segment_at(pos) for pos in window_elems(space.word, 12)]
+    cell = {(s, x): str(eval_segment(w, s, x)) for s in segs for x in window_elems(w, 12)}
+    for window in range(13):
+        cols = window_elems(w, window)
+        rows = [space.segment_at(pos) for pos in window_elems(space.word, window)]
+        assert indicator_rows(w, rows, cols) == ["".join(cell[s, x] for x in cols) for s in rows]
+
+
+@given(small_words, hs.data())
+def test_indicator_rows_reject_columns_out_of_order(word, data):
+    w = normalize(word)
+    cols = window_elems(w, 3)
+    assume(len(cols) > 1)
+    i = data.draw(hs.integers(0, len(cols) - 2))
+    cols[i], cols[i + 1] = cols[i + 1], cols[i]
+    with pytest.raises(BadElement, match="columns must ascend"):
+        indicator_rows(w, [EMPTY_SEGMENT], cols)
+
+
+def test_indicator_rows_validate_every_segment_and_column():
+    theta = named_cpo("theta").word  # ω+1
+    cols = window_elems(theta, 3)
+    fine = [EMPTY_SEGMENT, up_from(Elem(0, 0)), up_from(Elem(0, 2))]
+    for seg in (up_from(Elem(1, 0)), block_tail(0), block_tail(2)):
+        with pytest.raises(InvalidSegment):
+            indicator_rows(theta, fine + [seg], cols)
+    with pytest.raises(BadElement):
+        indicator_rows(theta, fine + [up_from(Elem(2, 0))], cols)
+    for x in (Elem(2, 0), Elem(1, 1), Elem(0, -1)):
+        with pytest.raises(BadElement):
+            indicator_rows(theta, fine, cols + [x])
+        with pytest.raises(BadElement):
+            indicator_rows(theta, [], [x])
+
+
+def test_the_table_validates_each_row_once_and_evaluates_no_cell(monkeypatch, capsys):
+    calls = Counter()
+    for name in ("validate_segment", "eval_segment"):
+        original = getattr(funcspace, name)
+        monkeypatch.setattr(funcspace, name,
+                            lambda *a, _name=name, _fn=original: calls.update([_name]) or _fn(*a))
+    assert run(["funcspace", "--cpo", "v", "--window", "93", "--table", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 2 * 94 + 3
+    assert calls == {"validate_segment": len(rows)}
 
 
 @pytest.mark.parametrize("name", ["phi", "lambda_prime", "v", "xi", "theta"])
@@ -205,3 +282,21 @@ def test_fixed_point_value_solves_the_equation():
 def test_fpt_needs_the_isomorphism(name):
     with pytest.raises(NotIsomorphic):
         fpt(named_cpo(name), Mu.ID)
+
+
+@pytest.mark.parametrize("mu", list(Mu))
+@pytest.mark.parametrize("name", sorted(SELF_ISO))
+def test_diagonal_classes_hold_far_out(name, mu):
+    """_diagonal_bits probes offsets 0..3; the diagonal and g = mu . d are checked to offset 200."""
+    c = named_cpo(name)
+    w = c.word
+    space = scott_opens(w)
+    bits = _diagonal_bits(c, space)
+    g = fpt(c, mu).g
+    for b, atom in enumerate(w.atoms):
+        offsets = range(atom.size) if atom.kind is AtomKind.FIN else range(201)
+        for o in offsets:
+            x = Elem(b, o)
+            d = eval_segment(w, space.segment_at(x), x)
+            assert d == bits[(b, min(o, 1))], (b, o)
+            assert eval_segment(w, g, x) == mu_apply(mu, d), (b, o)

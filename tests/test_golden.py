@@ -3,9 +3,12 @@
 Each case of golden/cli_outputs.json runs once as text and once with
 --format json.  Each case of golden/cli_verbs.json names its argv and
 runs once per format it records (text, json, and dot for two verbs).
-Every output must equal the recorded bytes.
+Every output must equal the recorded bytes.  golden/funcspace_tables.json
+holds `funcspace --table --window 12` of every order, and the sha256 of
+`--window 93` of the four composite orders, in both formats.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from scottlab.cli import run
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = json.loads((GOLDEN_DIR / "cli_outputs.json").read_text())
 VERBS = json.loads((GOLDEN_DIR / "cli_verbs.json").read_text())
+TABLES = json.loads((GOLDEN_DIR / "funcspace_tables.json").read_text())
 
 _ALIASES = [
     # numerals and primed numerals
@@ -100,3 +104,23 @@ def test_output_matches_golden(capsys, argv, fmt, expected):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert captured.out == expected
+
+
+TABLE_RUNS = [(entry["argv"], fmt, entry[fmt], digest)
+              for key, digest in (("tables", False), ("sha256", True))
+              for entry in TABLES[key].values() for fmt in ("text", "json")]
+
+
+@pytest.mark.parametrize(("argv", "fmt", "expected", "digest"), TABLE_RUNS,
+                         ids=[f"{' '.join(argv)}-{fmt}" for argv, fmt, _, _ in TABLE_RUNS])
+def test_funcspace_table_matches_golden(capsys, argv, fmt, expected, digest):
+    code = run(argv + ["--format", fmt])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    out = hashlib.sha256(captured.out.encode()).hexdigest() if digest else captured.out
+    assert out == expected
+
+
+def test_funcspace_tables_cover_every_order():
+    assert list(TABLES["tables"]) == all_names()
+    assert list(TABLES["sha256"]) == ["lambda", "lambda_prime", "lambda_hat_prime", "v"]

@@ -15,6 +15,7 @@ from scottlab.adjunction import (
     BoundaryReport,
     ConditionReport,
     build_pair_cpo,
+    _check_shapes,
     opp_element,
 )
 from scottlab.catalog import CpoName, NamedCpo, named_cpo, stack_position
@@ -50,6 +51,7 @@ def golden_at_window(argv: list[str], fmt: str, window: int) -> str:
 def scan_adjunction(cpo: NamedCpo, window: int) -> AdjunctionReport:
     """The three conditions, over every pair of the halves' windows."""
     a_half, b_half = cpo.halves
+    _check_shapes(cpo)
     xs = a_half.window(window)
     ys = b_half.window(window)
     oxs = [opp_element(x) for x in xs]
