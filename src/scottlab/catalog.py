@@ -40,7 +40,8 @@ from typing import Callable
 
 from . import strings as st
 from .errors import BadElement, UnknownCpo
-from .words import OMEGA, OMEGA_STAR, AtomKind, Elem, OrderAtom, check_range, fin, normalize, word_of
+from .words import (OMEGA, OMEGA_STAR, AtomKind, Elem, OrderAtom, check_range, fin, normal_layout,
+                    window_offsets, word_of)
 
 
 class CpoName(Enum):
@@ -105,12 +106,8 @@ class Layer:
     string: Callable[[int], st.MonotypicString] | None
 
     def counts(self, n: int) -> range:
-        """Counts in ascending order, up to n in an infinite layer."""
-        if self.atom.kind is AtomKind.FIN:
-            return range(self.atom.size)
-        if self.atom.kind is AtomKind.OMEGA:
-            return range(n + 1)
-        return range(n, -1, -1)
+        """Counts in ascending order, up to n in an infinite layer: the layer's own offsets."""
+        return window_offsets(self.atom, n)
 
     def corners(self, n: int, reach: int) -> range | list[int]:
         """The counts of `counts(n)` within `reach` of either end, in the same order."""
@@ -202,7 +199,7 @@ class _Run:
     style: str
     start: int   # least count present; 1 where gluing took the top away
     block: int   # block of the normalized word
-    base: int    # offset of count `start` within that block
+    base: int    # offset of count `start` within that block, in the block's direction
 
 
 class NamedCpo:
@@ -227,16 +224,12 @@ class NamedCpo:
             upper = halves[1]
             self.boundary = upper.carry(upper.blocks[0][0].string(0))
         self.display_word = word_of(*(layer.atom for _, layer, _, _ in blocks))
-        self.word = normalize(self.display_word)
-        self._runs: list[_Run] = []
-        block, base, prev = -1, 0, None
-        for i, layer, style, start in blocks:
-            if prev is not None and prev.kind is AtomKind.FIN and layer.atom.kind is AtomKind.FIN:
-                base += prev.size  # adjacent finite blocks merge under normalize
-            else:
-                block, base = block + 1, 0
-            prev = layer.atom
-            self._runs.append(_Run(i, layer, style, start, block, base))
+        self.word, layout = normal_layout(self.display_word.atoms)
+        # in order of place, so the last run placed at or below an offset holds it,
+        # also where an omega* block reads an absorbed finite layer from its top
+        self._runs = sorted((_Run(i, layer, style, start, block, base)
+                             for (i, layer, style, start), (block, base) in zip(blocks, layout)),
+                            key=lambda r: (r.block, r.base))
         self._run_of = {(r.half, r.layer): r for r in self._runs}
 
     @property
@@ -360,12 +353,9 @@ def chain_display(cpo: NamedCpo, depth: int) -> str:
     check_range("window", depth, 0, MAX_CHAIN_WINDOW)
     parts: list[str] = []
     for j, atom in enumerate(cpo.word.atoms):
-        if atom.kind is AtomKind.FIN:
-            parts.extend(cpo.to_label(Elem(j, o)) for o in range(atom.size))
-        elif atom.kind is AtomKind.OMEGA:
-            parts.extend(cpo.to_label(Elem(j, o)) for o in range(depth + 1))
+        if atom.kind is AtomKind.OMEGA_STAR:
             parts.append("...")
-        else:
+        parts.extend(cpo.to_label(Elem(j, o)) for o in window_offsets(atom, depth))
+        if atom.kind is AtomKind.OMEGA:
             parts.append("...")
-            parts.extend(cpo.to_label(Elem(j, o)) for o in range(depth, -1, -1))
     return " \u2286 ".join(parts)

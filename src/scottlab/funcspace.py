@@ -15,10 +15,13 @@ scott_opens() enumerates these segments in inclusion order and returns
 the resulting word together with the segment sitting at each position,
 so the space supports the same coordinate algebra as its base.  The
 construction scans the base right to left: high cuts give small
-segments.  Each base block contributes a run whose shape is dual to the
-block's own (an ascending block is cut in descending order and vice
-versa), and runs are merged by the same rewrite rules that normalize
-words.
+segments.  Each base block contributes pieces, atoms of the space word
+before normalization: the EMPTY segment, each BLOCK_TAIL, and a run of
+UP_FROM cuts whose shape is dual to the block's own (an ascending block
+is cut in descending order and vice versa).  One normal_layout() call
+gives the space word and where each piece lands in it, so the segment
+at each position of a piece is one formula, UP_FROM((base, first +
+step * i)), that position_of() inverts.
 
 fpt() runs the classical fixed-point construction: when the base is
 isomorphic to its own function space via the positional isomorphism,
@@ -47,7 +50,9 @@ from .words import (
     extremes,
     fin,
     neighbors,
+    normal_layout,
     normalize,
+    rank_key,
     validate_elem,
 )
 
@@ -114,11 +119,6 @@ def eval_segment(w: OrderWord, s: OpenSegment, x: Elem) -> int:
     return 1 if compare(w, x, s.at) is not Ordering.LT else 0
 
 
-def _rank_key(w: OrderWord, x: Elem) -> tuple[int, int]:
-    """A tuple that sorts like x in w: omega* offsets count downward."""
-    return (x.block, -x.offset if w.atoms[x.block].kind is AtomKind.OMEGA_STAR else x.offset)
-
-
 def indicator_rows(w: OrderWord, segs: Sequence[OpenSegment], xs: Sequence[Elem]) -> list[str]:
     """The indicator maps of segs on the ascending elements xs, as bit strings.
 
@@ -132,7 +132,7 @@ def indicator_rows(w: OrderWord, segs: Sequence[OpenSegment], xs: Sequence[Elem]
     """
     for x in xs:
         validate_elem(w, x)
-    keys = [_rank_key(w, x) for x in xs]
+    keys = [rank_key(w, x) for x in xs]
     for i in range(1, len(keys)):
         if keys[i - 1] > keys[i]:
             raise BadElement(f"columns must ascend in {w}: {xs[i]} follows {xs[i - 1]}")
@@ -145,7 +145,7 @@ def indicator_rows(w: OrderWord, segs: Sequence[OpenSegment], xs: Sequence[Elem]
         elif s.kind is SegmentKind.BLOCK_TAIL:
             k = bisect.bisect_left(keys, (s.block,))  # (j,) sorts before every (j, offset)
         else:
-            k = bisect.bisect_left(keys, _rank_key(w, s.at))
+            k = bisect.bisect_left(keys, rank_key(w, s.at))
         rows.append("0" * k + "1" * (n - k))
     return rows
 
@@ -160,175 +160,73 @@ def indicator_row(w: OrderWord, s: OpenSegment, xs: Sequence[Elem]) -> str:
 
 @dataclass(frozen=True)
 class _Piece:
-    """A run of consecutive segments contributed by one base block.
+    """A run of consecutive segments: one atom of the space word before normalization.
 
-    shape FIN runs ascending through indices 0..size-1; shape OMEGA
-    ascends without end; shape OMEGA_STAR descends from the run's top,
-    indexed 0, 1, ... downward.  role says what the indices mean:
-    "empty" and "tail" are single segments, "cuts" are UP_FROM cuts in
-    the base block, where lo is the least valid cut offset.
+    role is the kind of its segments.  An EMPTY or BLOCK_TAIL piece holds
+    the single segment EMPTY or BLOCK_TAIL(base); the i-th segment of an
+    UP_FROM piece cuts base block `base` at offset first + step * i.  The
+    piece lands in space block `block`, where its i-th segment sits at
+    offset start + i, counted in that block's direction.
     """
 
-    shape: AtomKind
-    role: str                # "empty" | "tail" | "cuts"
-    size: int = 1            # FIN shapes only
-    base_block: int = -1
-    lo: int = 0
+    role: SegmentKind
+    base: int   # the base block, -1 for EMPTY
+    block: int
+    start: int
+    first: int
+    step: int   # -1 only for a finite cut run in an ascending space block
 
-    def seg(self, i: int) -> OpenSegment:
-        if self.role == "empty":
-            return EMPTY_SEGMENT
-        if self.role == "tail":
-            return block_tail(self.base_block)
-        if self.shape is AtomKind.FIN:
-            # ascending run over offsets hi down to lo
-            return up_from(Elem(self.base_block, self.lo + self.size - 1 - i))
-        if self.shape is AtomKind.OMEGA:
-            # cuts in an omega* block: offset i from that block's top
-            return up_from(Elem(self.base_block, i))
-        # cuts in an omega block, descending: index i from the run's top
-        return up_from(Elem(self.base_block, self.lo + i))
-
-
-@dataclass(frozen=True)
-class _SegBlock:
-    atom: object  # OrderAtom of the space word
-    pieces: tuple[_Piece, ...]  # in ascending segment order
-
-    def seg_at(self, offset: int) -> OpenSegment:
-        kind = self.atom.kind
-        if kind is AtomKind.OMEGA_STAR:
-            # offset counts down from the block top; finite pieces sit on top
-            rest = offset
-            for piece in reversed(self.pieces):
-                if piece.shape is AtomKind.OMEGA_STAR:
-                    return piece.seg(rest)
-                if rest < piece.size:
-                    return piece.seg(piece.size - 1 - rest)
-                rest -= piece.size
-            raise AssertionError("omega* block must end in an infinite piece")
-        rest = offset
-        for piece in self.pieces:
-            if piece.shape is AtomKind.OMEGA:
-                return piece.seg(rest)
-            if rest < piece.size:
-                return piece.seg(rest)
-            rest -= piece.size
-        raise InvalidSegment(f"offset {offset} beyond finite block")
+    def seg(self, offset: int) -> OpenSegment:
+        if self.role is SegmentKind.UP_FROM:
+            return up_from(Elem(self.base, self.first + self.step * (offset - self.start)))
+        return OpenSegment(self.role, block=self.base)
 
 
 @dataclass(frozen=True)
 class FuncSpace:
     base: OrderWord  # normalized
     word: OrderWord  # normalized order type of the space
-    blocks: tuple[_SegBlock, ...]
+    pieces: tuple[_Piece, ...]  # sorted by (block, start)
+    keys: tuple[tuple[int, int], ...]  # each piece's (block, start)
 
     def segment_at(self, x: Elem) -> OpenSegment:
         validate_elem(self.word, x)
-        return self.blocks[x.block].seg_at(x.offset)
+        return self.pieces[bisect.bisect_right(self.keys, (x.block, x.offset)) - 1].seg(x.offset)
 
     def position_of(self, s: OpenSegment) -> Elem:
         validate_segment(self.base, s)
-        for b, blk in enumerate(self.blocks):
-            offset = _find_in_block(blk, s)
-            if offset is not None:
-                return Elem(b, offset)
-        raise InvalidSegment(f"segment {s} not positioned in {self.word}")
-
-
-def _piece_index(piece: _Piece, s: OpenSegment) -> int | None:
-    """Index of s inside the run, or None."""
-    if piece.role == "empty":
-        return 0 if s.kind is SegmentKind.EMPTY else None
-    if piece.role == "tail":
-        return 0 if s.kind is SegmentKind.BLOCK_TAIL and s.block == piece.base_block else None
-    if s.kind is not SegmentKind.UP_FROM or s.at is None or s.at.block != piece.base_block:
-        return None
-    o = s.at.offset
-    if piece.shape is AtomKind.FIN:
-        i = piece.lo + piece.size - 1 - o
-        return i if 0 <= i < piece.size else None
-    if piece.shape is AtomKind.OMEGA:
-        return o
-    return o - piece.lo if o >= piece.lo else None
-
-
-def _find_in_block(blk: _SegBlock, s: OpenSegment) -> int | None:
-    kind = blk.atom.kind
-    if kind is AtomKind.OMEGA_STAR:
-        skipped = 0
-        for piece in reversed(blk.pieces):
-            i = _piece_index(piece, s)
-            if i is not None:
-                if piece.shape is AtomKind.OMEGA_STAR:
-                    return skipped + i
-                return skipped + piece.size - 1 - i
-            skipped += piece.size if piece.shape is AtomKind.FIN else 0
-        return None
-    skipped = 0
-    for piece in blk.pieces:
-        i = _piece_index(piece, s)
-        if i is not None:
-            return skipped + i
-        skipped += piece.size if piece.shape is AtomKind.FIN else 0
-    return None
+        base = s.block if s.at is None else s.at.block
+        piece = next(p for p in self.pieces if p.role is s.kind and p.base == base)
+        i = 0 if s.at is None else (s.at.offset - piece.first) * piece.step
+        return Elem(piece.block, piece.start + i)
 
 
 def scott_opens(w: OrderWord) -> FuncSpace:
     """Enumerate the open final segments of w in inclusion order."""
     base = normalize(w)
     atoms = base.atoms
-    pieces: list[_Piece] = [_Piece(AtomKind.FIN, "empty")]
+    # the space's runs, ascending: (atom, role, base block, least valid cut)
+    runs = [(fin(1), SegmentKind.EMPTY, -1, 0)]
     for j in range(len(atoms) - 1, -1, -1):
         atom = atoms[j]
         # least valid cut offset: the block bottom works only when it is
         # the global bottom or sees a predecessor across the seam
-        bottom_ok = j == 0 or atoms[j - 1].kind in (AtomKind.FIN, AtomKind.OMEGA_STAR)
+        lo = 0 if j == 0 or atoms[j - 1].kind is not AtomKind.OMEGA else 1
         if atom.kind is AtomKind.OMEGA_STAR:
-            pieces.append(_Piece(AtomKind.OMEGA, "cuts", base_block=j))
-            pieces.append(_Piece(AtomKind.FIN, "tail", base_block=j))
+            runs += [(OMEGA, SegmentKind.UP_FROM, j, 0), (fin(1), SegmentKind.BLOCK_TAIL, j, 0)]
         elif atom.kind is AtomKind.OMEGA:
-            pieces.append(_Piece(AtomKind.OMEGA_STAR, "cuts", base_block=j, lo=0 if bottom_ok else 1))
-        else:
-            size = atom.size if bottom_ok else atom.size - 1
-            if size > 0:
-                pieces.append(_Piece(AtomKind.FIN, "cuts", size=size, base_block=j, lo=atom.size - size))
-
-    # merge runs exactly like word normalization, but keep the pieces
-    blocks: list[list[_Piece]] = []
-    for piece in pieces:
-        if blocks:
-            top_kind = _run_kind(blocks[-1])
-            mergeable = (
-                (piece.shape is AtomKind.FIN and top_kind in (AtomKind.FIN, AtomKind.OMEGA_STAR))
-                or (piece.shape is AtomKind.OMEGA and top_kind is AtomKind.FIN)
-            )
-            if mergeable:
-                blocks[-1].append(piece)
-                continue
-        blocks.append([piece])
-
-    out_blocks = []
-    out_atoms = []
-    for run in blocks:
-        kind = _run_kind(run)
-        if kind is AtomKind.FIN:
-            atom = fin(sum(p.size for p in run))
-        else:
-            atom = OMEGA if kind is AtomKind.OMEGA else OMEGA_STAR
-        out_atoms.append(atom)
-        out_blocks.append(_SegBlock(atom, tuple(run)))
-    word = OrderWord(tuple(out_atoms))
-    assert normalize(word) == word
-    return FuncSpace(base, word, tuple(out_blocks))
-
-
-def _run_kind(run: list[_Piece]) -> AtomKind:
-    if run[0].shape is AtomKind.OMEGA_STAR:
-        return AtomKind.OMEGA_STAR
-    if run[-1].shape is AtomKind.OMEGA:
-        return AtomKind.OMEGA
-    return AtomKind.FIN
+            runs.append((OMEGA_STAR, SegmentKind.UP_FROM, j, lo))
+        elif atom.size > lo:
+            runs.append((fin(atom.size - lo), SegmentKind.UP_FROM, j, lo))
+    word, layout = normal_layout([atom for atom, _, _, _ in runs])
+    pieces = []
+    for (atom, role, j, lo), (block, start) in zip(runs, layout):
+        # a finite cut run starts from its highest cut, unless an omega* block reads it from its top
+        down = (role is SegmentKind.UP_FROM and atom.kind is AtomKind.FIN
+                and word.atoms[block].kind is not AtomKind.OMEGA_STAR)
+        pieces.append(_Piece(role, j, block, start, lo + atom.size - 1 if down else lo, -1 if down else 1))
+    pieces.sort(key=lambda p: (p.block, p.start))
+    return FuncSpace(base, word, tuple(pieces), tuple((p.block, p.start) for p in pieces))
 
 
 # -- self-isomorphism and the fixed point construction ---------------------

@@ -121,16 +121,16 @@ def lcr_forward(x: st.MonotypicString) -> LcrImage:
 def lcr_backward(p: st.PairString, endpoint: st.Orientation | None = None) -> st.MonotypicString:
     """Unfold a valley pair back to its string.
 
-    At the boundary both preimages exist; endpoint R reads the
-    right-indexed preimage ...000, endpoint L the left-indexed 111....
-    Away from the boundary the preimage is unique and endpoint is
-    ignored.
+    At the boundary both preimages exist, one freed by each half;
+    endpoint picks the one of that orientation: R reads the
+    right-indexed ...000, L the left-indexed 111....  Away from the
+    boundary the preimage is unique and endpoint is ignored.
     """
+    v = named_cpo(CpoName.V)
     if p == BOUNDARY_M_PRIME:
         if endpoint is None:
             raise BadElement("the boundary has two preimages; pick endpoint L or R")
-        return st.ALL_ZEROS_R if endpoint is st.Orientation.R else st.ALL_ONES_L
-    v = named_cpo(CpoName.V)
+        return next(s for s in (half.free(p) for half in v.halves) if s.orientation is endpoint)
     v.element(p)  # raises BadElement for a pair outside the valley order
     return _unpin(v, p)
 
@@ -251,8 +251,7 @@ def pipeline(window: int = 20) -> PipelineReport:
     collisions = []
     for x in probe:
         img = lcr_forward(x)
-        endpoint = st.Orientation.R if x.orientation is st.Orientation.R else st.Orientation.L
-        if lcr_backward(img.image, endpoint) != x:
+        if lcr_backward(img.image, x.orientation) != x:
             ok = False
         if img.collision:
             collisions.append(x)

@@ -1,5 +1,8 @@
+import hashlib
+import itertools
 import json
 from collections import Counter
+from pathlib import Path
 
 import hypothesis.strategies as hs
 import pytest
@@ -193,6 +196,42 @@ def test_position_round_trip(name):
     space = scott_opens(named_cpo(name).word)
     for pos in window_elems(space.word, 8):
         assert space.position_of(space.segment_at(pos)) == pos
+
+
+# every word of 1-4 atoms over {ω, ω*, 1, 2, 3}: 780 words
+CENSUS_WORDS = [word_of(*atoms) for n in range(1, 5)
+                for atoms in itertools.product((OMEGA, OMEGA_STAR, fin(1), fin(2), fin(3)), repeat=n)]
+CENSUS = json.loads((Path(__file__).parent / "golden" / "funcspace_census.json").read_text())
+
+
+def census_entry(word):
+    """The space word, and the sha256 of the segments on the space's window 6, one a line."""
+    space = scott_opens(word)
+    text = "\n".join(str(space.segment_at(pos)) for pos in window_elems(space.word, CENSUS["window"]))
+    return {"space": str(space.word), "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def test_census_matches_golden():
+    assert len(CENSUS_WORDS) == len(CENSUS["words"]) == 780
+    for word in CENSUS_WORDS:
+        assert census_entry(word) == CENSUS["words"][str(word)], str(word)
+
+
+def test_segment_round_trip_over_the_census():
+    """segment -> position -> segment for every valid segment of the base's window 5."""
+    for word in CENSUS_WORDS:
+        space = scott_opens(word)
+        w = space.base
+        segs = [EMPTY_SEGMENT] + [block_tail(j) for j, a in enumerate(w.atoms)
+                                  if a.kind is AtomKind.OMEGA_STAR]
+        for x in window_elems(w, 5):
+            try:
+                validate_segment(w, up_from(x))
+            except InvalidSegment:
+                continue
+            segs.append(up_from(x))
+        for s in segs:
+            assert space.segment_at(space.position_of(s)) == s, (str(word), str(s))
 
 
 def test_segment_validity_on_theta():

@@ -1,12 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given
 
-from conftest import assert_order_bijection
+from conftest import assert_order_bijection, words
 from scottlab.errors import BadElement, BadLiteral
 from scottlab.words import (
     OMEGA,
     OMEGA_STAR,
+    AtomKind,
     Elem,
     Ordering,
     compare,
@@ -14,6 +16,7 @@ from scottlab.words import (
     fin,
     iso,
     neighbors,
+    normal_layout,
     normalize,
     parse_word,
     signature,
@@ -81,6 +84,30 @@ def test_normalized_example_is_a_real_isomorphism():
     assert_order_bijection(a, b, f, depth=50)
 
 
+@given(words)
+def test_normal_layout_is_an_order_bijection(w):
+    """Each atom's elements, placed from its (block, start), land in order in the normal word."""
+    n, layout = normal_layout(w.atoms)
+    assert n == normalize(w)
+
+    def f(x: Elem) -> Elem:
+        atom = w.atoms[x.block]
+        block, start = layout[x.block]
+        if atom.kind is AtomKind.FIN and n.atoms[block].kind is AtomKind.OMEGA_STAR:
+            return Elem(block, start + atom.size - 1 - x.offset)  # read from its top
+        return Elem(block, start + x.offset)
+
+    assert_order_bijection(w, n, f, depth=8)
+    if all(a.kind is AtomKind.FIN for a in w.atoms):
+        assert {f(x) for x in window_elems(w, 0)} == set(window_elems(n, 0))
+
+
+def test_normal_layout_places_every_atom():
+    # ω* absorbs 2 and 3 (read from the top), ω absorbs 1+2, the 3 stays
+    assert normal_layout(parse_word("1+2+w+3+w*+2+3").atoms) == (
+        parse_word("w+3+w*"), ((0, 0), (0, 1), (0, 3), (1, 0), (2, 5), (2, 3), (2, 0)))
+
+
 def test_normalize_exhaustive_small_words():
     kinds = [fin(1), fin(2), fin(3), OMEGA, OMEGA_STAR]
     for size in range(1, 5):
@@ -91,9 +118,9 @@ def test_normalize_exhaustive_small_words():
             assert iso(w, n)
             # normal form never keeps a mergeable pair
             for left, right in zip(n.atoms, n.atoms[1:]):
-                assert not (left.kind.value == "fin" and right.kind.value == "fin")
-                assert not (left.kind.value == "fin" and right.kind.value == "omega")
-                assert not (left.kind.value == "omega*" and right.kind.value == "fin")
+                assert not (left.kind is AtomKind.FIN and right.kind is AtomKind.FIN)
+                assert not (left.kind is AtomKind.FIN and right.kind is AtomKind.OMEGA)
+                assert not (left.kind is AtomKind.OMEGA_STAR and right.kind is AtomKind.FIN)
 
 
 def test_compare_is_total_on_window():
