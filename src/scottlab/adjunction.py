@@ -16,7 +16,7 @@ evaluated.
 Each verdict is decided for the whole order, whatever the window.  A
 half is one or two catalogue layers, a layer holds one string per
 count c, and opp sends a layer to a layer, keeping c.  From the order's
-`settle` count on, an element sits at (block, ±(base + c − start)) in
+`settle` count on, an element sits at (block, ±(first + step·(c − start))) in
 one run, and the elements of one infinite block share its run.  So past
 `settle`, (1) and (2) do not depend on c, and each side of (3) depends
 only on whether c < d, c = d or c > d.  A failing count farther than

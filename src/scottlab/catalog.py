@@ -199,7 +199,9 @@ class _Run:
     style: str
     start: int   # least count present; 1 where gluing took the top away
     block: int   # block of the normalized word
-    base: int    # offset of count `start` within that block, in the block's direction
+    base: int    # least offset of the run within that block, in the block's direction
+    first: int   # offset of count `start`
+    step: int    # count c sits at offset first + step * (c - start)
 
 
 class NamedCpo:
@@ -225,11 +227,14 @@ class NamedCpo:
             self.boundary = upper.carry(upper.blocks[0][0].string(0))
         self.display_word = word_of(*(layer.atom for _, layer, _, _ in blocks))
         self.word, layout = normal_layout(self.display_word.atoms)
-        # in order of place, so the last run placed at or below an offset holds it,
-        # also where an omega* block reads an absorbed finite layer from its top
-        self._runs = sorted((_Run(i, layer, style, start, block, base)
-                             for (i, layer, style, start), (block, base) in zip(blocks, layout)),
-                            key=lambda r: (r.block, r.base))
+        runs = []
+        for (i, layer, style, start), (block, base) in zip(blocks, layout):
+            # an omega* block reads an absorbed finite layer from its top, so its counts descend
+            down = layer.atom.kind is AtomKind.FIN and self.word.atoms[block].kind is AtomKind.OMEGA_STAR
+            runs.append(_Run(i, layer, style, start, block, base,
+                             base + layer.atom.size - 1 if down else base, -1 if down else 1))
+        # in order of place, so the last run placed at or below an offset holds it
+        self._runs = sorted(runs, key=lambda r: (r.block, r.base))
         self._run_of = {(r.half, r.layer): r for r in self._runs}
 
     @property
@@ -239,13 +244,13 @@ class NamedCpo:
         Below it lie every glued start and the count of every pinned end,
         so a count below it may name an element held by another layer's
         run (the boundary, say).  From it on, the element at count c is
-        held by one run for all c, at position (block, ±(base + c − start)).
+        held by one run for all c, at position (block, ±(first + step·(c − start))).
         """
         pins = [h.left if h.left is not None else h.right for h in self.halves if h.pinned]
         return 1 + max([r.start for r in self._runs] + [_layer_count(p)[1] for p in pins])
 
     def _elem(self, run: _Run, c: int) -> Elem:
-        return Elem(run.block, run.base + c - run.start)
+        return Elem(run.block, run.first + run.step * (c - run.start))
 
     def _find(self, x) -> tuple[_Run, int]:
         """The run holding a string or pair x, and x's count in it."""
@@ -267,8 +272,8 @@ class NamedCpo:
     def position(self, x) -> tuple[int, int]:
         """Sort key of x's element, ascending in this order."""
         run, c = self._find(x)
-        offset = run.base + c - run.start
-        return run.block, (-offset if run.layer.atom.kind is AtomKind.OMEGA_STAR else offset)
+        offset = run.first + run.step * (c - run.start)
+        return run.block, (-offset if self.word.atoms[run.block].kind is AtomKind.OMEGA_STAR else offset)
 
     def to_elem(self, label: str) -> Elem:
         t = canonical_label_text(label)
@@ -285,7 +290,7 @@ class NamedCpo:
 
     def to_label(self, x: Elem) -> str:
         run = next(r for r in reversed(self._runs) if r.block == x.block and r.base <= x.offset)
-        c = x.offset - run.base + run.start
+        c = run.start + run.step * (x.offset - run.first)
         if self.literal:
             held = self.halves[run.half].carry(run.layer.string(c))
             if held != self.boundary:  # the boundary is named, not spelled

@@ -256,10 +256,9 @@ def _funcspace(args) -> dict:
     else:
         raise BadLiteral("need --cpo or --word")
     report = self_iso(word)
-    space = scott_opens(word)
     obj = {
         "base": base_name,
-        "order_type": str(space.word),
+        "order_type": str(report.space_word),
         "self_isomorphic": report.is_iso,
         "reason": report.reason,
         "notes": list(report.notes),
@@ -267,7 +266,7 @@ def _funcspace(args) -> dict:
     if args.table:
         if c is None:
             raise BadLiteral("--table needs a catalogued --cpo for its labels")
-        obj["columns"], obj["rows"] = _funcspace_table(c, space, args.window)
+        obj["columns"], obj["rows"] = _funcspace_table(c, scott_opens(word), args.window)
     return obj
 
 

@@ -27,7 +27,16 @@ fpt() runs the classical fixed-point construction: when the base is
 isomorphic to its own function space via the positional isomorphism,
 the diagonal d(x) = "is x in the segment at x's own position" is a
 monotone map, and composing with a continuous mu: 2 -> 2 yields the
-map g whose canonical preimage is the fixed point.
+map g whose canonical preimage is the fixed point.  diagonal_map()
+decides g on one finite window, by a two-line proof:
+
+  An infinite piece cuts one base block and lands in a block of the
+  other kind, so its positions and its cuts lie in different blocks of
+  the one word, and d is constant on it.
+  A finite piece in an infinite block sits below the start of that
+  block's one infinite piece, so the base's window at the greatest piece
+  start holds every finite piece whole and a point of every infinite
+  piece: it decides d everywhere.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ from .words import (
     normalize,
     rank_key,
     validate_elem,
+    window_elems,
 )
 
 
@@ -88,6 +98,17 @@ def block_tail(j: int) -> OpenSegment:
     return OpenSegment(SegmentKind.BLOCK_TAIL, block=j)
 
 
+def _least_cut(w: OrderWord, j: int) -> int:
+    """The least offset of block j from which on every UP_FROM cut is open.
+
+    A cut is open when its point is the global bottom or has an immediate
+    predecessor.  Only the bottom of a block other than omega* can lack
+    one, and it sees one across the seam unless the block below is omega.
+    """
+    return int(j > 0 and w.atoms[j - 1].kind is AtomKind.OMEGA
+               and w.atoms[j].kind is not AtomKind.OMEGA_STAR)
+
+
 def validate_segment(w: OrderWord, s: OpenSegment) -> None:
     """Openness: an UP_FROM cut needs a bottom or an immediate predecessor."""
     if s.kind is SegmentKind.EMPTY:
@@ -100,10 +121,7 @@ def validate_segment(w: OrderWord, s: OpenSegment) -> None:
         return
     assert s.at is not None
     validate_elem(w, s.at)
-    bottom, _ = extremes(w)
-    if s.at == bottom:
-        return
-    if neighbors(w, s.at)[0] is None:
+    if s.at.offset < _least_cut(w, s.at.block):
         raise InvalidSegment(f"cut at {s.at} is not open in {w}")
 
 
@@ -209,9 +227,7 @@ def scott_opens(w: OrderWord) -> FuncSpace:
     runs = [(fin(1), SegmentKind.EMPTY, -1, 0)]
     for j in range(len(atoms) - 1, -1, -1):
         atom = atoms[j]
-        # least valid cut offset: the block bottom works only when it is
-        # the global bottom or sees a predecessor across the seam
-        lo = 0 if j == 0 or atoms[j - 1].kind is not AtomKind.OMEGA else 1
+        lo = _least_cut(base, j)
         if atom.kind is AtomKind.OMEGA_STAR:
             runs += [(OMEGA, SegmentKind.UP_FROM, j, 0), (fin(1), SegmentKind.BLOCK_TAIL, j, 0)]
         elif atom.kind is AtomKind.OMEGA:
@@ -318,64 +334,33 @@ class FixedPointReport:
     value: int
 
 
-def _diagonal_bits(cpo: NamedCpo, space: FuncSpace) -> dict[tuple[int, int], int]:
-    """d(x) = [x in segment_at(x)] per (block, offset class).
+def diagonal_map(space: FuncSpace, mu: Mu) -> OpenSegment:
+    """g = mu . d, d(x) = [x in segment_at(x)], for a space whose word is its base.
 
-    Classes: offset 0 and offset >= 1.  The construction only needs the
-    class value to be constant, which is asserted on probe offsets.
+    The window at the greatest piece start decides d (module docstring).
+    Its first 1 under mu is g's cut, unless it is the lowest point of an
+    omega* block in the window: below it d stays constant, so g holds the
+    whole block.
     """
-    w = cpo.word
-    bits: dict[tuple[int, int], int] = {}
-    for b, atom in enumerate(w.atoms):
-        limit = atom.size if atom.kind is AtomKind.FIN else 4
-        probes: dict[int, int] = {}
-        for o in range(limit):
-            x = Elem(b, o)
-            probes[o] = eval_segment(w, space.segment_at(x), x)
-        bits[(b, 0)] = probes[0]
-        tail = {v for o, v in probes.items() if o >= 1}
-        if len(tail) > 1:
-            raise RuntimeError(f"diagonal not class-constant on block {b} of {w}")
-        bits[(b, 1)] = tail.pop() if tail else probes[0]
-    return bits
-
-
-def _segment_of_bits(w: OrderWord, bits: dict[tuple[int, int], int]) -> OpenSegment:
-    """Reassemble the monotone map given per-class bits."""
-    flat: list[tuple[tuple[int, int], int]] = []
-    for b, atom in enumerate(w.atoms):
-        first, rest = bits[(b, 0)], bits[(b, 1)]
-        if atom.kind is AtomKind.OMEGA_STAR:
-            flat.extend([((b, 1), rest), ((b, 0), first)])
-        elif atom.kind is AtomKind.FIN and atom.size == 1:
-            flat.append(((b, 0), first))
-        else:
-            flat.extend([((b, 0), first), ((b, 1), rest)])
-    values = [v for _, v in flat]
-    if any(a > b for a, b in zip(values, values[1:])):
-        raise RuntimeError(f"diagonal is not monotone on {w}: {flat}")
-    ones = [key for key, v in flat if v == 1]
-    if not ones:
+    w = space.base
+    xs = window_elems(w, max(p.start for p in space.pieces))
+    d = [eval_segment(w, space.segment_at(x), x) for x in xs]
+    if any(a > b for a, b in zip(d, d[1:])):
+        raise RuntimeError(f"diagonal is not monotone on {w}: {d}")
+    g = [mu_apply(mu, bit) for bit in d]
+    if 1 not in g:
         return EMPTY_SEGMENT
-    (b, cls) = ones[0]
-    atom = w.atoms[b]
-    if atom.kind is AtomKind.OMEGA_STAR and cls == 1:
-        return block_tail(b)
-    return up_from(Elem(b, cls))
+    i = g.index(1)
+    x = xs[i]
+    if w.atoms[x.block].kind is AtomKind.OMEGA_STAR and (i == 0 or xs[i - 1].block != x.block):
+        return block_tail(x.block)
+    return up_from(x)
 
 
 def fpt(cpo: NamedCpo, mu: Mu) -> FixedPointReport:
     """Fixed point of mu via the diagonal of the positional isomorphism."""
-    iso = canonical_iso(cpo)  # raises NotIsomorphic when inapplicable
-    space = iso.space
-    if mu is Mu.CONST0:
-        g = EMPTY_SEGMENT
-    elif mu is Mu.CONST1:
-        bottom = extremes(cpo.word)[0]
-        assert bottom is not None
-        g = up_from(bottom)
-    else:
-        g = _segment_of_bits(cpo.word, _diagonal_bits(cpo, space))
+    space = canonical_iso(cpo).space  # raises NotIsomorphic when inapplicable
+    g = diagonal_map(space, mu)
     x = space.position_of(g)
     value = eval_segment(cpo.word, g, x)
     if value != mu_apply(mu, value):

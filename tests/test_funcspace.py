@@ -16,9 +16,9 @@ from scottlab.funcspace import (
     EMPTY_SEGMENT,
     Mu,
     SegmentKind,
-    _diagonal_bits,
     block_tail,
     canonical_iso,
+    diagonal_map,
     eval_segment,
     fpt,
     indicator_row,
@@ -38,7 +38,9 @@ from scottlab.words import (
     Elem,
     Ordering,
     compare,
+    extremes,
     fin,
+    neighbors,
     normalize,
     parse_word,
     window_elems,
@@ -323,19 +325,91 @@ def test_fpt_needs_the_isomorphism(name):
         fpt(named_cpo(name), Mu.ID)
 
 
+def assert_g_is_mu_of_the_diagonal(space, mu, g, reach=200):
+    """g = mu . d on every element of each finite block and offsets 0..reach of each infinite one."""
+    w = space.base
+    for b, atom in enumerate(w.atoms):
+        for o in range(atom.size) if atom.kind is AtomKind.FIN else range(reach + 1):
+            x = Elem(b, o)
+            d = eval_segment(w, space.segment_at(x), x)
+            assert eval_segment(w, g, x) == mu_apply(mu, d), (str(w), mu, b, o)
+
+
 @pytest.mark.parametrize("mu", list(Mu))
 @pytest.mark.parametrize("name", sorted(SELF_ISO))
 def test_diagonal_classes_hold_far_out(name, mu):
-    """_diagonal_bits probes offsets 0..3; the diagonal and g = mu . d are checked to offset 200."""
+    """The fpt map g and mu . d agree out to offset 200."""
     c = named_cpo(name)
-    w = c.word
-    space = scott_opens(w)
-    bits = _diagonal_bits(c, space)
-    g = fpt(c, mu).g
+    assert_g_is_mu_of_the_diagonal(scott_opens(c.word), mu, fpt(c, mu).g)
+
+
+# the normal forms of the words of 1-6 atoms over {ω, ω*, 1, 2} that equal
+# their own space: ω+n+ω* for n = 1..8, ω+ω+n+ω*+ω* for n = 1..4, and
+# ω+n+ω*+ω+n+ω* for n = 1, 2
+SELF_ISO_WORDS = list(dict.fromkeys(
+    w for n in range(1, 7)
+    for w in (normalize(word_of(*atoms))
+              for atoms in itertools.product((OMEGA, OMEGA_STAR, fin(1), fin(2)), repeat=n))
+    if self_iso(w).is_iso))
+
+
+def test_self_iso_words_are_the_expected_fourteen():
+    assert sorted(map(str, SELF_ISO_WORDS)) == sorted(
+        [f"ω+{n}+ω*" for n in range(1, 9)] + [f"ω+ω+{n}+ω*+ω*" for n in range(1, 5)]
+        + [f"ω+{n}+ω*+ω+{n}+ω*" for n in (1, 2)])
+
+
+@pytest.mark.parametrize("mu", list(Mu))
+@pytest.mark.parametrize("word", SELF_ISO_WORDS, ids=str)
+def test_diagonal_map_is_mu_of_the_diagonal(word, mu):
+    """Oracle for the windowed decision: g = mu . d far out, and g's preimage is a fixed point."""
+    space = scott_opens(word)
+    g = diagonal_map(space, mu)
+    assert_g_is_mu_of_the_diagonal(space, mu, g)
+    value = eval_segment(word, g, space.position_of(g))
+    assert value == mu_apply(mu, value)
+
+
+def _probed_diagonal_bits(w, space):
+    """The earlier decision: d per (block, offset class), probed on offsets 0..3.
+
+    Classes: offset 0 and offset >= 1.  The construction only needs the
+    class value to be constant, which is asserted on probe offsets.
+    """
+    bits = {}
     for b, atom in enumerate(w.atoms):
-        offsets = range(atom.size) if atom.kind is AtomKind.FIN else range(201)
-        for o in offsets:
+        limit = atom.size if atom.kind is AtomKind.FIN else 4
+        probes = {}
+        for o in range(limit):
             x = Elem(b, o)
-            d = eval_segment(w, space.segment_at(x), x)
-            assert d == bits[(b, min(o, 1))], (b, o)
-            assert eval_segment(w, g, x) == mu_apply(mu, d), (b, o)
+            probes[o] = eval_segment(w, space.segment_at(x), x)
+        bits[(b, 0)] = probes[0]
+        tail = {v for o, v in probes.items() if o >= 1}
+        if len(tail) > 1:
+            raise RuntimeError(f"diagonal not class-constant on block {b} of {w}")
+        bits[(b, 1)] = tail.pop() if tail else probes[0]
+    return bits
+
+
+def test_probed_classes_fail_where_the_window_decides():
+    """Two classes per block do not hold on ω+3+ω*: the finite block switches inside."""
+    w = parse_word("w+3+w*")
+    space = scott_opens(w)
+    with pytest.raises(RuntimeError, match="not class-constant on block 1"):
+        _probed_diagonal_bits(w, space)
+    assert diagonal_map(space, Mu.ID) == up_from(Elem(1, 2))
+
+
+def test_least_cut_matches_the_neighbour_rule():
+    """validate_segment's openness rule against the bottom-or-predecessor definition."""
+    for word in CENSUS_WORDS:
+        w = normalize(word)
+        bottom = extremes(w)[0]
+        for x in window_elems(w, 4):
+            is_open = x == bottom or neighbors(w, x)[0] is not None
+            try:
+                validate_segment(w, up_from(x))
+            except InvalidSegment:
+                assert not is_open, (str(w), str(x))
+            else:
+                assert is_open, (str(w), str(x))

@@ -6,6 +6,8 @@ runs once per format it records (text, json, and dot for two verbs).
 Every output must equal the recorded bytes.  golden/funcspace_tables.json
 holds `funcspace --table --window 12` of every order, and the sha256 of
 `--window 93` of the four composite orders, in both formats.
+golden/fpt_outputs.json holds `fpt` of every order under every mu, in
+both formats, the verdicts "not applicable" included.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = json.loads((GOLDEN_DIR / "cli_outputs.json").read_text())
 VERBS = json.loads((GOLDEN_DIR / "cli_verbs.json").read_text())
 TABLES = json.loads((GOLDEN_DIR / "funcspace_tables.json").read_text())
+FPT = json.loads((GOLDEN_DIR / "fpt_outputs.json").read_text())
 
 _ALIASES = [
     # numerals and primed numerals
@@ -92,7 +95,7 @@ CASES = (
 # (argv, format, expected stdout)
 RUNS = (
     [(argv, fmt, GOLDEN[" ".join(argv)][fmt]) for argv in CASES for fmt in ("text", "json")]
-    + [(entry["argv"], fmt, out) for entry in VERBS.values()
+    + [(entry["argv"], fmt, out) for entry in (*VERBS.values(), *FPT.values())
        for fmt, out in entry.items() if fmt != "argv"]
 )
 
@@ -124,3 +127,8 @@ def test_funcspace_table_matches_golden(capsys, argv, fmt, expected, digest):
 def test_funcspace_tables_cover_every_order():
     assert list(TABLES["tables"]) == all_names()
     assert list(TABLES["sha256"]) == ["lambda", "lambda_prime", "lambda_hat_prime", "v"]
+
+
+def test_fpt_outputs_cover_every_order_and_mu():
+    assert [(argv[2], argv[4]) for argv in (e["argv"] for e in FPT.values())] == [
+        (name, mu) for name in all_names() for mu in ("const0", "const1", "id")]
