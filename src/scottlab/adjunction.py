@@ -41,7 +41,7 @@ are all read off the catalogue's table; nothing here restates an order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import strings as st
 from .catalog import (  # the *_HALF names are re-exported for callers
@@ -82,8 +82,7 @@ BOUNDARY_M = build_pair_cpo(CpoName.LAMBDA_HAT_PRIME).boundary
 BOUNDARY_M_PRIME = build_pair_cpo(CpoName.V).boundary
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """One adjunction condition; the fields are the keys of the schema's condition."""
 
     index: int
@@ -91,8 +90,7 @@ class ConditionReport:
     witness: str | None
 
 
-@dataclass(frozen=True)
-class AdjunctionReport:
+class AdjunctionReport(NamedTuple):
     """The three conditions for one order; the fields are adjunction.schema.json's keys."""
 
     cpo: CpoName
@@ -151,8 +149,7 @@ def check_adjunction(which: str | CpoName | NamedCpo, window: int = 20) -> Adjun
                             all(c.passed for c in conds))
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
+class BoundaryReport(NamedTuple):
     """The boundary of a glued order; the fields are boundary.schema.json's keys."""
 
     cpo: CpoName

@@ -34,9 +34,8 @@ the literal itself in orders that print literals.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import strings as st
 from .errors import BadElement, UnknownCpo
@@ -98,9 +97,11 @@ def _render_count(style: str, c: int) -> str:
     return style.replace("n", str(c))
 
 
-@dataclass(frozen=True, eq=False)
-class Layer:
-    """One block of the string stack: its atom and its string at each count."""
+class Layer(NamedTuple):
+    """One block of the string stack: its atom and its string at each count.
+
+    Layers compare by value, and each has a `string` function of its own, so no two are equal.
+    """
 
     atom: OrderAtom
     string: Callable[[int], st.MonotypicString] | None
@@ -138,8 +139,7 @@ def stack_position(s: st.MonotypicString) -> tuple[int, int]:
     return STACK.index(layer), (-c if layer.atom.kind is AtomKind.OMEGA_STAR else c)
 
 
-@dataclass(frozen=True)
-class Half:
+class Half(NamedTuple):
     """Consecutive stack layers; a pair half pins the left or right end."""
 
     name: str
@@ -190,8 +190,7 @@ class Half:
         return stack_position(self.free(x))
 
 
-@dataclass(frozen=True)
-class _Run:
+class _Run(NamedTuple):
     """A block of a catalogue order, read off one half's layer."""
 
     half: int

@@ -12,8 +12,9 @@ its schema describes it, and render(obj, args) builds the text from
 that object alone.  `run()` prints one or the other, so the text is
 built only when it is printed.  A layer's report (an adjunction or
 boundary report, a decomposition, a fold, a replication, a Table 8 row,
-the pipeline, the e/p laws) has its schema's keys as its fields, in
-order, and `_json` is the only function that turns a report into JSON.
+the pipeline, the e/p laws) is a tuple record, a typing.NamedTuple
+whose `_fields` are its schema's keys, in order, and `_json` is the
+only function that turns a report into JSON.
 `--format` may be given to a group (`string`, `lcr`) or to its subverb;
 the later one wins.
 
@@ -28,14 +29,12 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import fields
-from enum import Enum
 
 from . import strings as st
 from .adjunction import BOUNDARY_M, boundary_report, check_adjunction
 from .catalog import chain_display, named_cpo
 from .errors import BadLiteral, NotBoundary, NotIsomorphic, UnknownCpo, UsageError
-from .funcspace import Mu, fpt, indicator_rows, mu_continuous, scott_opens, self_iso
+from .funcspace import Mu, fpt, indicator_rows, mu_continuous, self_iso
 from .replication import decompositions, lcr_backward, lcr_forward, pipeline, replicate, table8
 from .stages import Scheme, check_ep_laws, diagram_dot, enumerate_monotone, ep_pair, limit_cpo, limit_paths, stage
 from .words import check_range, compare, extremes, iso as word_iso, neighbors, normalize, parse_word, window_elems
@@ -66,7 +65,9 @@ def _parse_recipe(text: str) -> st.SpecifiedString:
         raise BadLiteral(f"unknown recipe family {parts[0]!r}") from None
     if not parts[1].strip().isdecimal():
         raise BadLiteral(f"recipe index must be a number, got {parts[1]!r}")
-    return st.SpecifiedString(k, int(parts[1]))
+    s = st.SpecifiedString(k, int(parts[1]))
+    check_range("recipe index", s.index, 1, st.MAX_RECIPE_INDEX)
+    return s
 
 
 def _recipe_str(s: st.SpecifiedString) -> str:
@@ -76,17 +77,20 @@ def _recipe_str(s: st.SpecifiedString) -> str:
 def _json(report):
     """A report as its schema's JSON value: its fields are the schema's keys, in order.
 
-    A dataclass becomes an object, a tuple a list, an enum its value, a string or pair its literal.
+    A string or pair becomes its literal, any other record (a tuple with `_fields`) an
+    object, a plain tuple a list, an enum its value.  Records are tuples, so they are
+    told apart from plain tuples before a tuple becomes a list.
     """
     if report is None or isinstance(report, (str, int)):
         return report
-    if isinstance(report, tuple):
-        return [_json(x) for x in report]
-    if isinstance(report, Enum):
-        return report.value
     if isinstance(report, (st.MonotypicString, st.PairString)):
         return str(report)
-    return {f.name: _json(getattr(report, f.name)) for f in fields(report)}
+    if isinstance(report, tuple):
+        keys = getattr(report, "_fields", None)
+        if keys is not None:
+            return {k: _json(v) for k, v in zip(keys, report)}
+        return [_json(x) for x in report]
+    return report.value
 
 
 # -- verbs: compute(args) -> object, render(object, args) -> text -----------
@@ -258,7 +262,7 @@ def _funcspace(args) -> dict:
     report = self_iso(word)
     obj = {
         "base": base_name,
-        "order_type": str(report.space_word),
+        "order_type": str(report.space.word),
         "self_isomorphic": report.is_iso,
         "reason": report.reason,
         "notes": list(report.notes),
@@ -266,7 +270,7 @@ def _funcspace(args) -> dict:
     if args.table:
         if c is None:
             raise BadLiteral("--table needs a catalogued --cpo for its labels")
-        obj["columns"], obj["rows"] = _funcspace_table(c, scott_opens(word), args.window)
+        obj["columns"], obj["rows"] = _funcspace_table(c, report.space, args.window)
     return obj
 
 

@@ -43,8 +43,8 @@ from __future__ import annotations
 
 import bisect
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .catalog import NamedCpo
 from .errors import BadElement, BadLiteral, InvalidSegment, NotIsomorphic
@@ -73,8 +73,7 @@ class SegmentKind(Enum):
     BLOCK_TAIL = "block_tail"
 
 
-@dataclass(frozen=True)
-class OpenSegment:
+class OpenSegment(NamedTuple):
     kind: SegmentKind
     at: Elem | None = None   # UP_FROM only
     block: int = -1          # BLOCK_TAIL only
@@ -176,8 +175,7 @@ def indicator_row(w: OrderWord, s: OpenSegment, xs: Sequence[Elem]) -> str:
 # -- positional enumeration ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Piece:
+class _Piece(NamedTuple):
     """A run of consecutive segments: one atom of the space word before normalization.
 
     role is the kind of its segments.  An EMPTY or BLOCK_TAIL piece holds
@@ -200,8 +198,7 @@ class _Piece:
         return OpenSegment(self.role, block=self.base)
 
 
-@dataclass(frozen=True)
-class FuncSpace:
+class FuncSpace(NamedTuple):
     base: OrderWord  # normalized
     word: OrderWord  # normalized order type of the space
     pieces: tuple[_Piece, ...]  # sorted by (block, start)
@@ -248,10 +245,8 @@ def scott_opens(w: OrderWord) -> FuncSpace:
 # -- self-isomorphism and the fixed point construction ---------------------
 
 
-@dataclass(frozen=True)
-class SelfIsoReport:
-    base_word: OrderWord
-    space_word: OrderWord
+class SelfIsoReport(NamedTuple):
+    space: FuncSpace  # its base is the normalized input, its word the space's order type
     is_iso: bool
     reason: str | None
     notes: tuple[str, ...]
@@ -274,16 +269,15 @@ def _top_pred_note(base: OrderWord, space: OrderWord) -> str | None:
 
 def self_iso(w: OrderWord) -> SelfIsoReport:
     """Is w order-isomorphic to its own space of monotone maps into 2?"""
-    base = normalize(w)
-    space = scott_opens(base).word
-    if base == space:
-        return SelfIsoReport(base, space, True, None, ())
-    notes = tuple(n for n in (_top_pred_note(base, space),) if n)
-    return SelfIsoReport(base, space, False, f"{base} vs {space}", notes)
+    space = scott_opens(w)
+    base, word = space.base, space.word
+    if base == word:
+        return SelfIsoReport(space, True, None, ())
+    notes = tuple(n for n in (_top_pred_note(base, word),) if n)
+    return SelfIsoReport(space, False, f"{base} vs {word}", notes)
 
 
-@dataclass(frozen=True)
-class CanonicalIso:
+class CanonicalIso(NamedTuple):
     cpo: NamedCpo
     space: FuncSpace
 
@@ -324,8 +318,7 @@ def mu_continuous(candidate: tuple[int, int]) -> bool:
     return not (f0 == 1 and f1 == 0)
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
+class FixedPointReport(NamedTuple):
     cpo: NamedCpo
     mu: Mu
     g: OpenSegment

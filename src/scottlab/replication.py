@@ -29,7 +29,7 @@ round trip and collisions on each layer's corners.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import strings as st
 from .adjunction import BOUNDARY_M, BOUNDARY_M_PRIME, build_pair_cpo, check_adjunction
@@ -39,8 +39,7 @@ from .funcspace import self_iso
 from .words import AtomKind, check_window, iso, neighbors
 
 
-@dataclass(frozen=True)
-class CollisionWitness:
+class CollisionWitness(NamedTuple):
     """The boundary and the two strings that claim it; the keys of decompose's `witness`."""
 
     element: st.PairString
@@ -48,8 +47,7 @@ class CollisionWitness:
     upper_claim: st.MonotypicString  # and in the lower half
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """One splitting into string families; the keys of a decompose.schema.json item."""
 
     parts: tuple[st.SpecKind, ...]
@@ -96,8 +94,7 @@ def decompositions(which: str | CpoName) -> tuple[Decomposition, ...]:
     )
 
 
-@dataclass(frozen=True)
-class LcrImage:
+class LcrImage(NamedTuple):
     """A string and its fold; the fields are lcr_forward.schema.json's keys."""
 
     source: st.MonotypicString
@@ -135,8 +132,7 @@ def lcr_backward(p: st.PairString, endpoint: st.Orientation | None = None) -> st
     return _unpin(v, p)
 
 
-@dataclass(frozen=True)
-class ReplicationResult:
+class ReplicationResult(NamedTuple):
     """The split of m; the fields are the keys of replicate.schema.json's positive verdict."""
 
     source: st.PairString
@@ -160,8 +156,7 @@ def replicate(p: st.PairString) -> ReplicationResult:
     return ReplicationResult(p, intent, lam_prime.to_label(ie), extent, lam_prime.to_label(ee), mutual)
 
 
-@dataclass(frozen=True)
-class Table8Row:
+class Table8Row(NamedTuple):
     """One row of Table 8; the fields are its columns, in order."""
 
     cpo: str
@@ -188,16 +183,14 @@ def table8(window: int = 20) -> tuple[Table8Row, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class DualizationEdge:
+class DualizationEdge(NamedTuple):
     source: str
     target: str
     isomorphic: bool
     order_type: str
 
 
-@dataclass(frozen=True)
-class ReplicationEdge:
+class ReplicationEdge(NamedTuple):
     source: str
     target: str
     intent_label: str
@@ -207,8 +200,7 @@ class ReplicationEdge:
     mutual_neighbors: bool
 
 
-@dataclass(frozen=True)
-class LcrEdge:
+class LcrEdge(NamedTuple):
     source: str
     target: str
     round_trip_ok: bool
@@ -217,8 +209,7 @@ class LcrEdge:
     isomorphic: bool
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(NamedTuple):
     """The three edges and Table 8; the fields are pipeline.schema.json's keys."""
 
     dualization: DualizationEdge

@@ -21,8 +21,8 @@ diagonal is the alternating growth pattern.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .words import OMEGA, OMEGA_STAR, OrderWord, check_range, fin, word_of
 
@@ -45,8 +45,7 @@ MAX_PATHS_DEPTH = 3000
 MAX_LIMIT_DEPTH = 1_000_000
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     n: int
     elements: tuple[str, ...]
 
@@ -76,8 +75,7 @@ class Scheme(Enum):
     ALTERNATIVE = "alternative"
 
 
-@dataclass(frozen=True)
-class LabelMap:
+class LabelMap(NamedTuple):
     from_stage: int
     to_stage: int
     mapping: tuple[int, ...]
@@ -86,8 +84,7 @@ class LabelMap:
         return self.mapping[k]
 
 
-@dataclass(frozen=True)
-class EpPair:
+class EpPair(NamedTuple):
     scheme: Scheme
     n: int
     e: LabelMap  # stage n -> stage n+1
@@ -106,8 +103,7 @@ def ep_pair(scheme: Scheme, n: int) -> EpPair:
     return EpPair(scheme, n, LabelMap(n, n + 1, e), LabelMap(n + 1, n, p))
 
 
-@dataclass(frozen=True)
-class EpLawReport:
+class EpLawReport(NamedTuple):
     """The section/retraction laws; the fields are the keys of ep.schema.json's `laws`."""
 
     p_after_e_is_id: bool
@@ -142,8 +138,7 @@ class PathClass(Enum):
     PRIMED = "primed"
 
 
-@dataclass(frozen=True)
-class LimitPath:
+class LimitPath(NamedTuple):
     entries: tuple[int, ...]  # label at stage 1, 2, ..., depth
     kind: PathClass
     index: int | None  # the n of a finite or primed path

@@ -25,8 +25,8 @@ re-reads the recipe from the other end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import BadIndex, BadLiteral
 from .words import check_range
@@ -35,6 +35,8 @@ from .words import check_range
 # about 0.9 s and 0.6 s at 1000000, ten times that at 10000000
 MAX_APPROX_STAGE = 1_000_000
 MAX_STABILITY_DEPTH = 1_000_000
+# realize writes index - 1 letters, 1 MB here; approx and limit take no larger index
+MAX_RECIPE_INDEX = MAX_APPROX_STAGE
 
 
 class _OmegaMany:
@@ -63,24 +65,28 @@ class Orientation(Enum):
     R = "R"
 
 
-@dataclass(frozen=True)
-class MonotypicString:
+class _Monotypic(NamedTuple):
     orientation: Orientation
     zeros: object  # int >= 0 or OMEGA_MANY
     ones: object
 
-    def __post_init__(self) -> None:
-        if is_omega(self.zeros) == is_omega(self.ones):
+
+class MonotypicString(_Monotypic):
+    __slots__ = ()
+
+    def __new__(cls, orientation: Orientation, zeros: object, ones: object) -> MonotypicString:
+        if is_omega(zeros) == is_omega(ones):
             raise ValueError("exactly one letter count must be infinite")
-        for c in (self.zeros, self.ones):
+        for c in (zeros, ones):
             if not is_omega(c) and (not isinstance(c, int) or c < 0):
                 raise ValueError(f"bad count {c!r}")
-        if self.orientation is Orientation.L:
-            if is_omega(self.zeros) and self.ones != 0:
+        if orientation is Orientation.L:
+            if is_omega(zeros) and ones != 0:
                 raise ValueError("a left-indexed string with infinite zeros has no ones")
         else:
-            if is_omega(self.ones) and self.zeros != 0:
+            if is_omega(ones) and zeros != 0:
                 raise ValueError("a right-indexed string with infinite ones has no zeros")
+        return super().__new__(cls, orientation, zeros, ones)
 
     def __str__(self) -> str:
         return render_literal(self)
@@ -100,24 +106,26 @@ class SpecKind(Enum):
     IV = "IV"
 
 
-@dataclass(frozen=True)
-class SpecifiedString:
+class _Specified(NamedTuple):
     kind: SpecKind
     index: int
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise BadIndex(f"index must be >= 1, got {self.index}")
+
+class SpecifiedString(_Specified):
+    __slots__ = ()
+
+    def __new__(cls, kind: SpecKind, index: int) -> SpecifiedString:
+        if index < 1:
+            raise BadIndex(f"index must be >= 1, got {index}")
+        return super().__new__(cls, kind, index)
 
 
-@dataclass(frozen=True)
-class StringClass:
+class StringClass(NamedTuple):
     family: SpecKind
     index: int | None  # None when the family makes the index indeterminate
 
 
-@dataclass(frozen=True)
-class PairString:
+class PairString(NamedTuple):
     left: MonotypicString
     right: MonotypicString
 

@@ -32,8 +32,8 @@ misreport a verdict.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import BadDepth, BadElement, BadLiteral
 
@@ -49,17 +49,22 @@ class AtomKind(Enum):
 _FIN, _OMEGA, _STAR = AtomKind.FIN, AtomKind.OMEGA, AtomKind.OMEGA_STAR
 
 
-@dataclass(frozen=True)
-class OrderAtom:
+# a NamedTuple body may not define __new__, so a checked record subclasses its fields
+class _Atom(NamedTuple):
     kind: AtomKind
     size: int = 0  # meaningful only for FIN, where it must be >= 1
 
-    def __post_init__(self) -> None:
-        if self.kind is AtomKind.FIN:
-            if self.size < 1:
+
+class OrderAtom(_Atom):
+    __slots__ = ()
+
+    def __new__(cls, kind: AtomKind, size: int = 0) -> OrderAtom:
+        if kind is AtomKind.FIN:
+            if size < 1:
                 raise ValueError("finite atom needs size >= 1")
-        elif self.size != 0:
+        elif size != 0:
             raise ValueError("only finite atoms carry a size")
+        return super().__new__(cls, kind, size)
 
     def __str__(self) -> str:
         if self.kind is AtomKind.FIN:
@@ -75,13 +80,17 @@ OMEGA = OrderAtom(AtomKind.OMEGA)
 OMEGA_STAR = OrderAtom(AtomKind.OMEGA_STAR)
 
 
-@dataclass(frozen=True)
-class OrderWord:
+class _Word(NamedTuple):
     atoms: tuple[OrderAtom, ...]
 
-    def __post_init__(self) -> None:
-        if not self.atoms:
+
+class OrderWord(_Word):
+    __slots__ = ()
+
+    def __new__(cls, atoms: tuple[OrderAtom, ...]) -> OrderWord:
+        if not atoms:
             raise ValueError("a word needs at least one atom")
+        return super().__new__(cls, atoms)
 
     def __str__(self) -> str:
         return "+".join(str(a) for a in self.atoms)
@@ -107,8 +116,7 @@ def parse_word(text: str) -> OrderWord:
     return OrderWord(tuple(atoms))
 
 
-@dataclass(frozen=True)
-class Elem:
+class Elem(NamedTuple):
     block: int
     offset: int
 

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import hypothesis.strategies as hs
 import pytest
 from hypothesis import given
@@ -157,13 +155,13 @@ def _rebuilt(name, lower=None, upper=None):
 
 def _with_start(cpo, layer, start):
     """The order, with the least count of one of its layers moved."""
-    cpo._runs = [replace(r, start=start) if r.layer is layer else r for r in cpo._runs]
+    cpo._runs = [r._replace(start=start) if r.layer is layer else r for r in cpo._runs]
     cpo._run_of = {(r.half, r.layer): r for r in cpo._runs}
     return cpo
 
 
 def _swapped(half):
-    return replace(half, blocks=half.blocks[::-1])
+    return half._replace(blocks=half.blocks[::-1])
 
 
 PRIME_LOW, PRIME_UP = named_cpo("lambda_prime").halves
@@ -175,18 +173,18 @@ MUTATED = [
     ("lambda_hat_prime, upper layers swapped", _rebuilt("lambda_hat_prime", upper=_swapped(HAT_UP)), {3}),
     ("v, upper layers swapped", _rebuilt("v", upper=_swapped(V_UP)), {3}),
     ("lambda_prime, lower omega layer swapped for omega*",
-     _rebuilt("lambda_prime", lower=replace(PRIME_LOW, blocks=((L_STRINGS, "n"), (ALL_ONES, "inf")))), {1, 2}),
+     _rebuilt("lambda_prime", lower=PRIME_LOW._replace(blocks=((L_STRINGS, "n"), (ALL_ONES, "inf")))), {1, 2}),
     ("lambda_prime, top ...111 of the lower half dropped",
-     _rebuilt("lambda_prime", lower=replace(PRIME_LOW, blocks=PRIME_LOW.blocks[:1])), {2}),
+     _rebuilt("lambda_prime", lower=PRIME_LOW._replace(blocks=PRIME_LOW.blocks[:1])), {2}),
     ("lambda_prime, bottom 000... of the upper half dropped",
-     _rebuilt("lambda_prime", upper=replace(PRIME_UP, blocks=PRIME_UP.blocks[1:])), {1}),
+     _rebuilt("lambda_prime", upper=PRIME_UP._replace(blocks=PRIME_UP.blocks[1:])), {1}),
     ("v, glued start moved down, so the lower half holds m'", _with_start(_rebuilt("v"), L_STRINGS, 0), set()),
 ]
 # mutations that leave an element or a dual outside the order: both raise
 BROKEN = [
     ("v, lower layers swapped", _rebuilt("v", lower=_swapped(V_LOW))),
     ("lambda_hat_prime, pinned end of the upper half dropped",
-     _rebuilt("lambda_hat_prime", upper=replace(HAT_UP, right=None))),
+     _rebuilt("lambda_hat_prime", upper=HAT_UP._replace(right=None))),
     ("v, glued start moved up", _with_start(_rebuilt("v"), L_STRINGS, 3)),
 ]
 
@@ -223,9 +221,9 @@ def mutated_orders(draw):
         blocks = list(halves[i].blocks)
         blocks[draw(hs.integers(0, len(blocks) - 1))] = draw(hs.sampled_from(
             [(R_STRINGS, "n"), (ALL_ONES, "inf"), (ALL_ZEROS, "inf'"), (L_STRINGS, "n'")]))
-        halves[i] = replace(halves[i], blocks=tuple(blocks))
+        halves[i] = halves[i]._replace(blocks=tuple(blocks))
     elif kind == "pin":
-        halves[i] = replace(halves[i], left=None, right=None)
+        halves[i] = halves[i]._replace(left=None, right=None)
     cpo = _rebuilt(name, *halves)
     if kind == "start":
         cpo = _with_start(cpo, draw(hs.sampled_from([layer for layer, _ in halves[i].blocks])), draw(hs.integers(0, 3)))
@@ -259,7 +257,7 @@ def test_broken_mutations_raise_as_the_scan_does(mutation, cpo):
 def test_string_half_under_a_pair_half_is_a_usage_error(name):
     """Positioning the upper half's pairs in the stack of strings raised an AttributeError."""
     lower, _ = named_cpo(name).halves
-    cpo = _rebuilt(name, lower=replace(lower, left=None, right=None))
+    cpo = _rebuilt(name, lower=lower._replace(left=None, right=None))
     for w in (0, 1, 5, 30):
         with pytest.raises(UnknownCpo, match="holds strings but the upper half .* holds pairs"):
             check_adjunction(cpo, w)

@@ -181,6 +181,8 @@ USAGE_ERRORS = [
     ["funcspace", "--cpo", "phi", "--table", "--window", "1001"],
     ["string", "approx", "--recipe", "II:3", "--n", "1000001"],
     ["string", "limit", "--recipe", "II:3", "--pos", "2", "--depth", "1000001"],
+    ["string", "realize", "--recipe", "II:1000001"],
+    ["string", "lr", "--recipe", "II:999999999999999999999999"],
     # a superscript digit passes str.isdigit but not int()
     ["normalize", "--word", "²"],
     ["string", "realize", "--recipe", "II:²"],
@@ -292,6 +294,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "00 01 11\n"
+
+
+def test_a_cold_start_imports_neither_dataclasses_nor_inspect():
+    """Records are tuples: a cold start never loads dataclasses or the inspect module it pulls in."""
+    script = ("import runpy, sys; import scottlab.cli; sys.argv = ['scottlab', 'stage', '--n', '4']\n"
+              "try:\n    runpy.run_module('scottlab', run_name='__main__')\n"
+              "except SystemExit as e:\n    print(e.code)\n"
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.stdout, proc.stderr) == ("000 001 011 111\n0\n[]\n", "")
 
 
 # -- fuzzing the argparse tree ----------------------------------------------

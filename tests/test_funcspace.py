@@ -8,7 +8,7 @@ import hypothesis.strategies as hs
 import pytest
 from hypothesis import assume, given
 
-from scottlab import funcspace
+from scottlab import cli, funcspace
 from scottlab.catalog import all_names, named_cpo
 from scottlab.cli import run
 from scottlab.errors import BadElement, InvalidSegment, NotIsomorphic
@@ -176,6 +176,22 @@ def test_the_table_validates_each_row_once_and_evaluates_no_cell(monkeypatch, ca
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert len(rows) == 2 * 94 + 3
     assert calls == {"validate_segment": len(rows)}
+
+
+@pytest.mark.parametrize("argv", [["funcspace", "--cpo", "v", "--table"], ["funcspace", "--cpo", "v"]],
+                         ids=["table", "verdict"])
+def test_the_space_is_built_once(monkeypatch, argv):
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return scott_opens(w)
+
+    monkeypatch.setattr(funcspace, "scott_opens", counting)
+    # the CLI module would hold a reference of its own if it imported the function
+    monkeypatch.setattr(cli, "scott_opens", counting, raising=False)
+    assert run(argv) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["phi", "lambda_prime", "v", "xi", "theta"])

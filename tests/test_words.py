@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given
 
 from conftest import assert_order_bijection, words
-from scottlab.errors import BadElement, BadLiteral
+from scottlab import strings as st
+from scottlab.errors import BadElement, BadIndex, BadLiteral
 from scottlab.words import (
     OMEGA,
     OMEGA_STAR,
     AtomKind,
     Elem,
+    OrderAtom,
     Ordering,
+    OrderWord,
     compare,
     extremes,
     fin,
@@ -44,6 +47,22 @@ def test_parse_and_render_round_trip():
 def test_parse_rejects_junk(bad):
     with pytest.raises(BadLiteral):
         parse_word(bad)
+
+
+@pytest.mark.parametrize(("make", "error", "message"), [
+    (lambda: OrderAtom(AtomKind.FIN, 0), ValueError, "finite atom needs size >= 1"),
+    (lambda: OrderAtom(AtomKind.OMEGA, 2), ValueError, "only finite atoms carry a size"),
+    (lambda: OrderWord(()), ValueError, "a word needs at least one atom"),
+    (lambda: st.MonotypicString(st.Orientation.L, 0, 0), ValueError,
+     "exactly one letter count must be infinite"),
+    (lambda: st.MonotypicString(st.Orientation.L, st.OMEGA_MANY, 3), ValueError,
+     "a left-indexed string with infinite zeros has no ones"),
+    (lambda: st.SpecifiedString(st.SpecKind.I, 0), BadIndex, "index must be >= 1, got 0"),
+], ids=["fin-0", "omega-sized", "empty-word", "no-infinite-count", "zeros-then-ones", "index-0"])
+def test_validated_constructors_reject_bad_fields(make, error, message):
+    with pytest.raises(error) as raised:
+        make()
+    assert str(raised.value) == message
 
 
 def test_normalize_merges_finite_runs():
