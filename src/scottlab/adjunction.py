@@ -67,9 +67,6 @@ def opp_element(x):
     return st.opp(x)
 
 
-global_string_rank = stack_position  # position in the whole stack of four families
-
-
 def build_pair_cpo(name: str | CpoName) -> NamedCpo:
     """A glued order: its lower and upper halves share the boundary."""
     cpo = named_cpo(name)

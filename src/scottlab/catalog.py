@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 from . import strings as st
 from .errors import BadElement, UnknownCpo
 from .words import (OMEGA, OMEGA_STAR, AtomKind, Elem, OrderAtom, check_range, fin, normal_layout,
-                    window_offsets, word_of)
+                    rank_key, read_decimal, window_offsets, word_of)
 
 
 class CpoName(Enum):
@@ -85,7 +85,7 @@ def _parse_count(style: str, t: str) -> int | None:
     m = _NUMERALS[style].match(t)
     if m is None:
         return None
-    c = int(m.group(1))
+    c = read_decimal(m.group(1))
     return c if style in ("n", "n'") or c >= 1 else None  # a signed 0 is spelled m' or 0
 
 
@@ -106,13 +106,9 @@ class Layer(NamedTuple):
     atom: OrderAtom
     string: Callable[[int], st.MonotypicString] | None
 
-    def counts(self, n: int) -> range:
-        """Counts in ascending order, up to n in an infinite layer: the layer's own offsets."""
-        return window_offsets(self.atom, n)
-
     def corners(self, n: int, reach: int) -> range | list[int]:
-        """The counts of `counts(n)` within `reach` of either end, in the same order."""
-        counts = self.counts(n)
+        """The layer's ascending counts up to n, its window offsets, within `reach` of either end."""
+        counts = window_offsets(self.atom, n)
         if len(counts) <= 2 * reach + 2:
             return counts
         return [*counts[:reach + 1], *counts[-reach - 1:]]
@@ -179,7 +175,7 @@ class Half(NamedTuple):
 
     def window(self, n: int) -> list:
         """Ascending, including the extreme strings."""
-        return [self.carry(layer.string(c)) for layer, _ in self.blocks for c in layer.counts(n)]
+        return [self.carry(layer.string(c)) for layer, _ in self.blocks for c in window_offsets(layer.atom, n)]
 
     def corners(self, n: int, reach: int) -> list:
         """The window's elements at counts within `reach` of either end of their layer."""
@@ -270,9 +266,7 @@ class NamedCpo:
 
     def position(self, x) -> tuple[int, int]:
         """Sort key of x's element, ascending in this order."""
-        run, c = self._find(x)
-        offset = run.first + run.step * (c - run.start)
-        return run.block, (-offset if self.word.atoms[run.block].kind is AtomKind.OMEGA_STAR else offset)
+        return rank_key(self.word, self.element(x))
 
     def to_elem(self, label: str) -> Elem:
         t = canonical_label_text(label)

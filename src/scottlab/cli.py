@@ -20,7 +20,8 @@ the later one wins.
 
 Exit codes: 0 for success, including negative mathematical verdicts
 (a failed isomorphism or adjunction is a result, not an error); 1 when
-stdout cannot encode the output; 2 for unusable input (a UsageError).
+stdout cannot take the output (it cannot encode it, or its reader
+closed it early); 2 for unusable input (a UsageError).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import strings as st
@@ -37,7 +39,8 @@ from .errors import BadLiteral, NotBoundary, NotIsomorphic, UnknownCpo, UsageErr
 from .funcspace import Mu, fpt, indicator_rows, mu_continuous, self_iso
 from .replication import decompositions, lcr_backward, lcr_forward, pipeline, replicate, table8
 from .stages import Scheme, check_ep_laws, diagram_dot, enumerate_monotone, ep_pair, limit_cpo, limit_paths, stage
-from .words import check_range, compare, extremes, iso as word_iso, neighbors, normalize, parse_word, window_elems
+from .words import (check_range, compare, extremes, iso as word_iso, neighbors, normalize, parse_word, read_decimal,
+                    window_elems)
 
 
 def _yes_no(flag: bool) -> str:
@@ -63,9 +66,9 @@ def _parse_recipe(text: str) -> st.SpecifiedString:
         k = st.SpecKind[kind]
     except KeyError:
         raise BadLiteral(f"unknown recipe family {parts[0]!r}") from None
-    if not parts[1].strip().isdecimal():
+    if (index := read_decimal(parts[1].strip())) is None:
         raise BadLiteral(f"recipe index must be a number, got {parts[1]!r}")
-    s = st.SpecifiedString(k, int(parts[1]))
+    s = st.SpecifiedString(k, index)
     check_range("recipe index", s.index, 1, st.MAX_RECIPE_INDEX)
     return s
 
@@ -623,8 +626,14 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     try:
         print(text)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
     except UnicodeEncodeError as e:
         print(f"error: stdout cannot encode the output: {e}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the unwritten rest would fail again in the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
         return 1
     return 0
 

@@ -167,11 +167,6 @@ def indicator_rows(w: OrderWord, segs: Sequence[OpenSegment], xs: Sequence[Elem]
     return rows
 
 
-def indicator_row(w: OrderWord, s: OpenSegment, xs: Sequence[Elem]) -> str:
-    """The indicator map of s on the ascending elements xs, as a bit string."""
-    return indicator_rows(w, (s,), xs)[0]
-
-
 # -- positional enumeration ------------------------------------------------
 
 
@@ -277,23 +272,12 @@ def self_iso(w: OrderWord) -> SelfIsoReport:
     return SelfIsoReport(space, False, f"{base} vs {word}", notes)
 
 
-class CanonicalIso(NamedTuple):
-    cpo: NamedCpo
-    space: FuncSpace
-
-    def to_segment(self, x: Elem) -> OpenSegment:
-        return self.space.segment_at(x)
-
-    def to_elem(self, s: OpenSegment) -> Elem:
-        return self.space.position_of(s)
-
-
-def canonical_iso(cpo: NamedCpo) -> CanonicalIso:
+def canonical_iso(cpo: NamedCpo) -> SelfIsoReport:
     """Positional isomorphism between a named order and its map space."""
-    space = scott_opens(cpo.word)
-    if space.word != cpo.word:
-        raise NotIsomorphic(f"{cpo.name.value}: {cpo.word} vs {space.word}")
-    return CanonicalIso(cpo, space)
+    report = self_iso(cpo.word)
+    if not report.is_iso:
+        raise NotIsomorphic(f"{cpo.name.value}: {report.reason}")
+    return report
 
 
 class Mu(Enum):

@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import strings as st
-from .adjunction import BOUNDARY_M, BOUNDARY_M_PRIME, build_pair_cpo, check_adjunction
+from .adjunction import BOUNDARY_M, BOUNDARY_M_PRIME, check_adjunction
 from .catalog import CpoName, named_cpo
 from .errors import BadElement, NotBoundary, UnknownCpo
 from .funcspace import self_iso
@@ -174,11 +174,7 @@ def table8(window: int = 20) -> tuple[Table8Row, ...]:
         cpo = named_cpo(name)
         adj = "yes" if check_adjunction(name, window).passed else "no"
         fp = "applicable" if self_iso(cpo.word).is_iso else "not applicable"
-        try:
-            glued = build_pair_cpo(name)
-            boundary = glued.to_label(glued.element(glued.boundary))
-        except UnknownCpo:
-            boundary = "n/a"
+        boundary = "n/a" if cpo.boundary is None else cpo.to_label(cpo.element(cpo.boundary))
         rows.append(Table8Row(name.value, adj, fp, boundary, str(cpo.display_word)))
     return tuple(rows)
 

@@ -116,20 +116,16 @@ class EpLawReport(NamedTuple):
 
 def check_ep_laws(pair: EpPair) -> EpLawReport:
     """Check the section/retraction laws on an explicit pair of maps."""
-    n = pair.n
-    witness = None
-    p_after_e = all(pair.p(pair.e(k)) == k for k in range(n))
-    if not p_after_e:
-        k = next(k for k in range(n) if pair.p(pair.e(k)) != k)
-        witness = f"p(e({k})) = {pair.p(pair.e(k))}"
-    e_after_p = all(pair.e(pair.p(k)) <= k for k in range(n + 1))
-    if e_after_p is False and witness is None:
-        k = next(k for k in range(n + 1) if pair.e(pair.p(k)) > k)
-        witness = f"e(p({k})) = {pair.e(pair.p(k))}"
-    e_mono = all(pair.e(k) <= pair.e(k + 1) for k in range(n - 1))
-    p_mono = all(pair.p(k) <= pair.p(k + 1) for k in range(n))
-    return EpLawReport(p_after_e, e_after_p, e_mono, p_mono,
-                       p_after_e and e_after_p and e_mono and p_mono, witness)
+    n, e, p = pair.n, pair.e, pair.p
+    # the first label that breaks each of the first two laws
+    pe = next((k for k in range(n) if p(e(k)) != k), None)
+    ep = next((k for k in range(n + 1) if e(p(k)) > k), None)
+    witness = (f"p(e({pe})) = {p(e(pe))}" if pe is not None  # p∘e's failure comes first
+               else None if ep is None else f"e(p({ep})) = {e(p(ep))}")
+    e_mono = all(e(k) <= e(k + 1) for k in range(n - 1))
+    p_mono = all(p(k) <= p(k + 1) for k in range(n))
+    return EpLawReport(pe is None, ep is None, e_mono, p_mono,
+                       pe is None and ep is None and e_mono and p_mono, witness)
 
 
 class PathClass(Enum):

@@ -100,6 +100,16 @@ def word_of(*atoms: OrderAtom) -> OrderWord:
     return OrderWord(tuple(atoms))
 
 
+def read_decimal(text: str) -> int | None:
+    """The value of a decimal numeral, None for other text; a usage error past Python's digit limit."""
+    if not text.isdecimal():
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits(), 4300 by default
+        raise BadLiteral(f"number too long to read: {len(text)} digits") from None
+
+
 def parse_word(text: str) -> OrderWord:
     """Parse "w+1+w*" (ASCII) or the same with the Greek letter."""
     atoms: list[OrderAtom] = []
@@ -109,8 +119,8 @@ def parse_word(text: str) -> OrderWord:
             atoms.append(OMEGA)
         elif tok == "w*":
             atoms.append(OMEGA_STAR)
-        elif tok.isdecimal() and tok != "0" and int(tok) > 0:
-            atoms.append(fin(int(tok)))
+        elif (size := read_decimal(tok)) is not None and size > 0:
+            atoms.append(fin(size))
         else:
             raise BadLiteral(f"bad order-word atom: {raw!r}")
     return OrderWord(tuple(atoms))

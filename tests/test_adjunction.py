@@ -16,10 +16,9 @@ from scottlab.adjunction import (
     boundary_report,
     build_pair_cpo,
     check_adjunction,
-    global_string_rank,
     opp_element,
 )
-from scottlab.catalog import ALL_ONES, ALL_ZEROS, L_STRINGS, R_STRINGS, NamedCpo, named_cpo
+from scottlab.catalog import ALL_ONES, ALL_ZEROS, L_STRINGS, R_STRINGS, NamedCpo, named_cpo, stack_position
 from scottlab.cli import run
 from scottlab.errors import BadElement, UnknownCpo
 
@@ -50,7 +49,7 @@ def test_global_rank_orders_the_four_families():
     ii_9 = st.realize(st.SpecifiedString(st.SpecKind.II, 9))
     ii_2 = st.realize(st.SpecifiedString(st.SpecKind.II, 2))
     chain = [iii_2, iii_9, st.ALL_ONES_R, st.ALL_ZEROS_L, ii_9, ii_2]
-    ranks = [global_string_rank(x) for x in chain]
+    ranks = [stack_position(x) for x in chain]
     assert ranks == sorted(ranks)
     assert len(set(ranks)) == len(ranks)
 

@@ -2,10 +2,9 @@ import hypothesis.strategies as hs
 from hypothesis import given
 
 from scottlab import strings as st
-from scottlab.adjunction import global_string_rank
 from scottlab.catalog import (ALL_ONES, ALL_ZEROS, CHAIN_2, L_STRINGS, CpoName, Half, NamedCpo,
-                              all_names, named_cpo)
-from scottlab.words import Ordering, compare, rank_key, window_elems
+                              all_names, named_cpo, stack_position)
+from scottlab.words import Ordering, compare, window_elems, window_offsets
 
 strings = hs.builds(
     lambda kind, i: st.realize(st.SpecifiedString(kind, i)),
@@ -25,7 +24,7 @@ def test_labels_round_trip_on_windows(name, k):
 def test_string_positions_follow_the_stack_order(a, b):
     lp = named_cpo("lambda_prime")
     rel = compare(lp.word, lp.to_elem(str(a)), lp.to_elem(str(b)))
-    ra, rb = global_string_rank(a), global_string_rank(b)
+    ra, rb = stack_position(a), stack_position(b)
     assert rel is (Ordering.LT if ra < rb else Ordering.EQ if ra == rb else Ordering.GT)
 
 
@@ -34,7 +33,7 @@ def test_corners_are_the_window_ends(name, n, reach):
     c = named_cpo(name)
     for half in c.halves:
         for layer, _ in half.blocks:
-            counts = list(layer.counts(n))
+            counts = list(window_offsets(layer.atom, n))
             corners = list(layer.corners(n, reach))
             # the window's order, both ends kept, nothing from the middle
             assert corners == [k for k in counts if k in corners]
@@ -61,5 +60,4 @@ def test_an_absorbed_finite_layer_counts_up_from_its_bottom():
     strung = NamedCpo(CpoName.TWO, (Half("t", ((L_STRINGS, "n'"), (ALL_ZEROS, "z"), (ALL_ONES, "o"))),))
     held = [st.ALL_ZEROS_L, st.ALL_ONES_R]
     assert [strung.to_label(strung.element(s)) for s in held] == ["z", "o"]
-    assert [strung.position(s) for s in held] == [rank_key(strung.word, strung.element(s)) for s in held]
-    assert strung.position(held[0]) < strung.position(held[1])
+    assert [strung.position(s) for s in held] == [(0, -1), (0, 0)]

@@ -186,10 +186,18 @@ USAGE_ERRORS = [
     # a superscript digit passes str.isdigit but not int()
     ["normalize", "--word", "²"],
     ["string", "realize", "--recipe", "II:²"],
+    # a numeral past Python's int-string digit limit (4300 by default)
+    ["normalize", "--word", "w+" + "9" * 5000],
+    ["compare", "--cpo", "phi", "--x", "9" * 5000, "--y", "1"],
+    ["string", "realize", "--recipe", "II:" + "9" * 5000],
 ]
 
 
-@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=[" ".join(a) for a in USAGE_ERRORS])
+def _argv_id(argv):
+    return " ".join(a if len(a) <= 40 else f"{a[:8]}...({len(a)} chars)" for a in argv)
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=[_argv_id(a) for a in USAGE_ERRORS])
 def test_usage_errors_exit_two(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert code == 2
@@ -267,6 +275,22 @@ def test_unencodable_output_exits_one():
     assert proc.stderr.startswith("error: stdout cannot encode the output: ")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+CLOSED_STDOUT = [["string", "realize", "--recipe", "II:1000000"], ["stage", "--n", "5000"]]
+
+
+@pytest.mark.parametrize("argv", CLOSED_STDOUT, ids=[_argv_id(a) for a in CLOSED_STDOUT])
+def test_closed_stdout_exits_one(argv):
+    """A reader that stops early, as `| head -c 80` does, gets exit 1 and one error line."""
+    proc = subprocess.Popen([sys.executable, "-m", "scottlab", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(80)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert len(head) == 80
+    assert err == "error: stdout was closed before the output was written\n"
 
 
 def test_argparse_failures_exit_two(capsys):

@@ -21,7 +21,6 @@ from scottlab.funcspace import (
     diagonal_map,
     eval_segment,
     fpt,
-    indicator_row,
     indicator_rows,
     mu_apply,
     mu_continuous,
@@ -112,14 +111,14 @@ def test_indicator_row_matches_the_per_cell_row(name):
         for pos in window_elems(space.word, window):
             seg = space.segment_at(pos)
             per_cell = "".join(str(eval_segment(w, seg, x)) for x in cols)
-            assert indicator_row(w, seg, cols) == per_cell, (window, str(seg))
+            assert indicator_rows(w, [seg], cols)[0] == per_cell, (window, str(seg))
 
 
 def test_indicator_row_validates_the_segment():
     theta = named_cpo("theta").word  # ω+1
     for seg in (up_from(Elem(1, 0)), block_tail(0)):
         with pytest.raises(InvalidSegment):
-            indicator_row(theta, seg, window_elems(theta, 3))
+            indicator_rows(theta, [seg], window_elems(theta, 3))
 
 
 small_words = hs.lists(hs.sampled_from([OMEGA, OMEGA_STAR, fin(1), fin(2), fin(3)]),

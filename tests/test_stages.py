@@ -97,6 +97,21 @@ def test_ep_law_checker_catches_a_broken_retraction():
     assert report.witness == "p(e(3)) = 2"
 
 
+def test_ep_law_witness_names_the_retraction_first():
+    good = ep_pair(Scheme.STANDARD, 4)
+    # p(2) = 3 breaks e∘p ⊆ id at 2 (e(3) = 4), and p(4) = 2 breaks p∘e = id at 3 (e(3) = 4);
+    # the witness names the p∘e failure although the e∘p one sits at a lower label
+    bad_p = list(good.p.mapping)
+    bad_p[2] = 3
+    bad_p[-1] = 2
+    broken = EpPair(good.scheme, good.n,
+                    good.e, LabelMap(good.p.from_stage, good.p.to_stage, tuple(bad_p)))
+    report = check_ep_laws(broken)
+    assert not report.p_after_e_is_id
+    assert not report.e_after_p_below_id
+    assert report.witness == "p(e(3)) = 2"
+
+
 def test_ep_law_checker_catches_a_broken_section():
     good = ep_pair(Scheme.STANDARD, 4)
     bad_e = list(good.e.mapping)
