@@ -264,6 +264,10 @@ class NamedCpo:
         """The element holding a string or pair x."""
         return self._elem(*self._find(x))
 
+    def held(self, x) -> st.MonotypicString:
+        """The string an element x holds, read off the half whose run holds x."""
+        return self.halves[self._find(x)[0].half].free(x)
+
     def position(self, x) -> tuple[int, int]:
         """Sort key of x's element, ascending in this order."""
         return rank_key(self.word, self.element(x))
@@ -273,6 +277,8 @@ class NamedCpo:
         for run in self._runs:
             c = _parse_count(run.style, t)
             if c is not None and c >= run.start:
+                if self.literal:  # its label is a literal of about c letters
+                    check_range("label count", c, 0, st.MAX_RECIPE_INDEX)
                 return self._elem(run, c)
         if not self.bare:
             if self.halves[0].pinned and t.startswith("("):
@@ -344,11 +350,14 @@ def all_names() -> list[str]:
 # the chain's text grows linearly with the window: about 1.7 MB in 0.5 s
 # at 100000, while 1000000 takes 5 s and prints 18 MB
 MAX_CHAIN_WINDOW = 100_000
+# a chain of literals grows as the window squared: lambda_hat_prime prints
+# about 4.1 MB at 2000, and would build about 10 GB at 100000
+MAX_LITERAL_WINDOW = 2000
 
 
 def chain_display(cpo: NamedCpo, depth: int) -> str:
     """Ascending window rendered as a chain with ellipses inside infinite blocks."""
-    check_range("window", depth, 0, MAX_CHAIN_WINDOW)
+    check_range("window", depth, 0, MAX_LITERAL_WINDOW if cpo.literal else MAX_CHAIN_WINDOW)
     parts: list[str] = []
     for j, atom in enumerate(cpo.word.atoms):
         if atom.kind is AtomKind.OMEGA_STAR:

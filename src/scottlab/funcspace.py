@@ -13,30 +13,41 @@ for these words means one of
 
 scott_opens() enumerates these segments in inclusion order and returns
 the resulting word together with the segment sitting at each position,
-so the space supports the same coordinate algebra as its base.  The
-construction scans the base right to left: high cuts give small
-segments.  Each base block contributes pieces, atoms of the space word
-before normalization: the EMPTY segment, each BLOCK_TAIL, and a run of
-UP_FROM cuts whose shape is dual to the block's own (an ascending block
-is cut in descending order and vice versa).  One normal_layout() call
+so the space supports the same coordinate algebra as its base.  It
+takes the base blocks from the top down, as high cuts give small
+segments, and each contributes pieces, atoms of the space word before
+normalization: the EMPTY segment, each BLOCK_TAIL, and a run of UP_FROM
+cuts whose shape is dual to the block's own.  One normal_layout() call
 gives the space word and where each piece lands in it, so the segment
 at each position of a piece is one formula, UP_FROM((base, first +
 step * i)), that position_of() inverts.
+
+A normal word has no two finite blocks in a row, no finite block right
+after an omega* block and none right before an omega block.  So, in the
+space's ascending order, a finite cut run comes right after the EMPTY
+or a BLOCK_TAIL and right before an omega* cut run or the end; an omega
+cut run comes right after one of those two 1s or an omega* cut run; and
+no finite run comes right after an omega* cut run.  Normalizing merges
+a finite cut run with the 1 below it, lets an omega cut run absorb the
+1 below it, and leaves an omega* cut run alone.  Hence, for every
+normal w, in [w -> 2]:
+
+  (1) each piece starts at offset 0 or 1 of its block;
+  (2) every omega* block is exactly one piece;
+  (3) every finite cut run lands in a finite block.
 
 fpt() runs the classical fixed-point construction: when the base is
 isomorphic to its own function space via the positional isomorphism,
 the diagonal d(x) = "is x in the segment at x's own position" is a
 monotone map, and composing with a continuous mu: 2 -> 2 yields the
 map g whose canonical preimage is the fixed point.  diagonal_map()
-decides g on one finite window, by a two-line proof:
-
-  An infinite piece cuts one base block and lands in a block of the
-  other kind, so its positions and its cuts lie in different blocks of
-  the one word, and d is constant on it.
-  A finite piece in an infinite block sits below the start of that
-  block's one infinite piece, so the base's window at the greatest piece
-  start holds every finite piece whole and a point of every infinite
-  piece: it decides d everywhere.
+decides g on the window of depth 1.  An infinite piece cuts one base
+block and lands in a block of the other kind, so its positions and its
+cuts lie in different blocks of the one word, and d is constant on it.
+A finite piece in an infinite block sits below that block's one
+infinite piece, so by (1) the window holds every finite piece whole and
+a point of every infinite piece.  By (2) a first 1 of g in an omega*
+block takes in the whole block.
 """
 
 from __future__ import annotations
@@ -185,7 +196,7 @@ class _Piece(NamedTuple):
     block: int
     start: int
     first: int
-    step: int   # -1 only for a finite cut run in an ascending space block
+    step: int   # -1 for a finite cut run, which lands in a finite block (3)
 
     def seg(self, offset: int) -> OpenSegment:
         if self.role is SegmentKind.UP_FROM:
@@ -227,13 +238,13 @@ def scott_opens(w: OrderWord) -> FuncSpace:
         elif atom.size > lo:
             runs.append((fin(atom.size - lo), SegmentKind.UP_FROM, j, lo))
     word, layout = normal_layout([atom for atom, _, _, _ in runs])
+    # ascending runs land at ascending (block, start): only an omega* block, read
+    # from its top, could reverse two, and it holds one piece (2)
     pieces = []
     for (atom, role, j, lo), (block, start) in zip(runs, layout):
-        # a finite cut run starts from its highest cut, unless an omega* block reads it from its top
-        down = (role is SegmentKind.UP_FROM and atom.kind is AtomKind.FIN
-                and word.atoms[block].kind is not AtomKind.OMEGA_STAR)
+        # a finite cut run lands in a finite block (3), which it fills from its highest cut
+        down = role is SegmentKind.UP_FROM and atom.kind is AtomKind.FIN
         pieces.append(_Piece(role, j, block, start, lo + atom.size - 1 if down else lo, -1 if down else 1))
-    pieces.sort(key=lambda p: (p.block, p.start))
     return FuncSpace(base, word, tuple(pieces), tuple((p.block, p.start) for p in pieces))
 
 
@@ -314,24 +325,19 @@ class FixedPointReport(NamedTuple):
 def diagonal_map(space: FuncSpace, mu: Mu) -> OpenSegment:
     """g = mu . d, d(x) = [x in segment_at(x)], for a space whose word is its base.
 
-    The window at the greatest piece start decides d (module docstring).
-    Its first 1 under mu is g's cut, unless it is the lowest point of an
-    omega* block in the window: below it d stays constant, so g holds the
-    whole block.
+    The window of depth 1 decides d, and a first 1 of g in an omega*
+    block takes in the whole block (module docstring).
     """
     w = space.base
-    xs = window_elems(w, max(p.start for p in space.pieces))
+    xs = window_elems(w, 1)
     d = [eval_segment(w, space.segment_at(x), x) for x in xs]
     if any(a > b for a, b in zip(d, d[1:])):
         raise RuntimeError(f"diagonal is not monotone on {w}: {d}")
     g = [mu_apply(mu, bit) for bit in d]
     if 1 not in g:
         return EMPTY_SEGMENT
-    i = g.index(1)
-    x = xs[i]
-    if w.atoms[x.block].kind is AtomKind.OMEGA_STAR and (i == 0 or xs[i - 1].block != x.block):
-        return block_tail(x.block)
-    return up_from(x)
+    x = xs[g.index(1)]
+    return block_tail(x.block) if w.atoms[x.block].kind is AtomKind.OMEGA_STAR else up_from(x)
 
 
 def fpt(cpo: NamedCpo, mu: Mu) -> FixedPointReport:

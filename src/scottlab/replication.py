@@ -60,16 +60,7 @@ class Decomposition(NamedTuple):
         """The string a pair element corresponds to under this splitting."""
         if not self.natural:
             raise NotBoundary("the valley order has no natural splitting to project along")
-        return self.boundary_image if p == BOUNDARY_M else _unpin(named_cpo(CpoName.LAMBDA_HAT_PRIME), p)
-
-
-def _unpin(cpo, p: st.PairString) -> st.MonotypicString:
-    """The string a pair holds against the pinned end of either half."""
-    for half in cpo.halves:
-        s = half.free(p)
-        if s is not None:
-            return s
-    raise BadElement(f"{p} is not in the {cpo.name.value} order")
+        return self.boundary_image if p == BOUNDARY_M else named_cpo(CpoName.LAMBDA_HAT_PRIME).held(p)
 
 
 def decompositions(which: str | CpoName) -> tuple[Decomposition, ...]:
@@ -128,8 +119,7 @@ def lcr_backward(p: st.PairString, endpoint: st.Orientation | None = None) -> st
         if endpoint is None:
             raise BadElement("the boundary has two preimages; pick endpoint L or R")
         return next(s for s in (half.free(p) for half in v.halves) if s.orientation is endpoint)
-    v.element(p)  # raises BadElement for a pair outside the valley order
-    return _unpin(v, p)
+    return v.held(p)
 
 
 class ReplicationResult(NamedTuple):

@@ -41,7 +41,8 @@ MAX_EP_STAGE = 100_000
 # limit_paths holds depth^2 labels: about 38 MB of text, 340 MB of
 # memory and 4 s at depth 3000
 MAX_PATHS_DEPTH = 3000
-# limit_cpo reads the depth final labels: 0.5-1 s at depth 1000000
+# limit_cpo classifies one label, about 5 µs at any depth (2-vCPU Xeon,
+# Python 3.11); the bound stays part of the verb's documented input range
 MAX_LIMIT_DEPTH = 1_000_000
 
 
@@ -177,20 +178,16 @@ def limit_paths(scheme: Scheme, depth: int) -> tuple[LimitPath, ...]:
 
 
 def limit_cpo(scheme: Scheme, depth: int = 12) -> OrderWord:
-    """Order type of the limit, read off the path families present.
+    """Order type of the limit: omega + 1, then omega* if any path is primed.
 
-    A path's kind depends only on its final label, so this reads the
-    kinds off the labels of stage `depth` without building any path,
-    in time linear in depth, which is bounded by MAX_LIMIT_DEPTH.
+    A path's kind rises with its final label (finite below the scheme's
+    diagonal, infinity on it, primed above), and the diagonal is a final
+    label, so the kind of the top label decides.
     """
     check_range("depth", depth, 2, MAX_LIMIT_DEPTH)
-    kinds = {_classify(scheme, depth, last)[0] for last in range(depth)}
-    atoms = [OMEGA]
-    if PathClass.INFINITY in kinds:
-        atoms.append(fin(1))
-    if PathClass.PRIMED in kinds:
-        atoms.append(OMEGA_STAR)
-    return word_of(*atoms)
+    if _classify(scheme, depth, depth - 1)[0] is PathClass.PRIMED:
+        return word_of(OMEGA, fin(1), OMEGA_STAR)
+    return word_of(OMEGA, fin(1))
 
 
 def _gvquote(s: str) -> str:

@@ -190,6 +190,13 @@ USAGE_ERRORS = [
     ["normalize", "--word", "w+" + "9" * 5000],
     ["compare", "--cpo", "phi", "--x", "9" * 5000, "--y", "1"],
     ["string", "realize", "--recipe", "II:" + "9" * 5000],
+    # a literal order prints a label of count c as a literal of about c letters
+    ["compare", "--cpo", "omega", "--x", "9999999999999999999", "--y", "1"],
+    ["neighbors", "--cpo", "lambda_hat_prime", "--x", "9999999999999999999"],
+    ["neighbors", "--cpo", "omega", "--x", "1000001"],
+    ["cpo", "--cpo", "lambda_hat_prime", "--window", "2001"],
+    # a depth below pos + index
+    ["string", "limit", "--recipe", "II:3", "--pos", "2", "--depth", "4"],
 ]
 
 
@@ -203,6 +210,26 @@ def test_usage_errors_exit_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+USAGE_MESSAGES = [
+    (["string", "limit", "--recipe", "II:3", "--pos", "2", "--depth", "4"], "depth must be >= 5, got 4"),
+    (["compare", "--cpo", "omega_prime", "--x", "9999999999999999999", "--y", "1"],
+     "label count must be <= 1000000, got 9999999999999999999"),
+    (["neighbors", "--cpo", "omega_opp", "--x", "1000001'"], "label count must be <= 1000000, got 1000001"),
+    (["cpo", "--cpo", "omega", "--window", "2001"], "window must be <= 2000, got 2001"),
+]
+
+
+@pytest.mark.parametrize(("argv", "message"), USAGE_MESSAGES, ids=[_argv_id(a) for a, _ in USAGE_MESSAGES])
+def test_usage_errors_name_the_bound(capsys, argv, message):
+    assert _run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+def test_only_literal_orders_bound_their_label_counts(capsys):
+    code, out, _ = _run(capsys, ["compare", "--cpo", "phi", "--x", "9999999999999999999", "--y", "1"])
+    assert (code, out) == (0, "9999999999999999999 > 1\n")
+    assert _run(capsys, ["neighbors", "--cpo", "omega", "--x", "1000000"])[0] == 0
 
 
 DEEP = 1100  # past Python's default recursion limit of 1000
@@ -340,7 +367,11 @@ CPOS = ["two", "phi", "theta", "omega", "omega_opp", "omega_prime", "omega_prime
         "lambda_prime", "lambda_hat_prime", "xi", "xi_opp", "v", "lam", "omega_set"]
 texts = hs.one_of(hs.sampled_from(HOSTILE + CPOS), hs.text(max_size=6))
 ints = hs.integers(-3, 40)
+# past the label count a literal order may print, plain, primed and signed
+BIG_LABELS = [f"{sign}{n}{prime}" for n in ("1000001", "9999999999999999999")
+              for sign, prime in (("", ""), ("", "'"), ("+", ""), ("-", ""))]
 OPTION = {"text": texts, "cpo": hs.one_of(hs.sampled_from(CPOS), texts), "int": ints,
+          "label": hs.one_of(texts, hs.sampled_from(BIG_LABELS)),
           # the decided verbs take a window of any size at the same cost
           "window": hs.one_of(ints, hs.integers(0, 10**9), hs.just(10**9)),
           "scheme": hs.sampled_from(["standard", "alternative"]),
@@ -348,22 +379,25 @@ OPTION = {"text": texts, "cpo": hs.one_of(hs.sampled_from(CPOS), texts), "int": 
 
 
 def _option(kind):
-    """The values of an option; a number kind is one step past a documented bound.
+    """The values of an option; a number kind is one step past a documented bound, a tuple past each.
 
     The bound itself is left out: it is valid but slow (funcs --m 20 takes seconds).
     """
     if isinstance(kind, int):
         return hs.one_of(ints, hs.just(kind))
+    if isinstance(kind, tuple):
+        return hs.one_of(ints, hs.sampled_from(kind))
     return OPTION[kind]
 
 
 # every verb and subverb: (argv prefix, required options, optional options)
 TREE = [
-    (["cpo"], {"--cpo": "cpo"}, {"--window": 100_001}),
+    # a chain of literals has its own bound
+    (["cpo"], {"--cpo": "cpo"}, {"--window": (2001, 100_001)}),
     (["normalize"], {"--word": "text"}, {}),
     (["iso"], {"--a": "cpo", "--b": "cpo"}, {}),
-    (["compare"], {"--cpo": "cpo", "--x": "text", "--y": "text"}, {}),
-    (["neighbors"], {"--cpo": "cpo", "--x": "text"}, {}),
+    (["compare"], {"--cpo": "cpo", "--x": "label", "--y": "label"}, {}),
+    (["neighbors"], {"--cpo": "cpo", "--x": "label"}, {}),
     (["stage"], {"--n": 5001}, {}),
     (["funcs"], {"--m": 21}, {}),
     (["mu"], {"--map": "text"}, {}),

@@ -415,6 +415,32 @@ def test_probed_classes_fail_where_the_window_decides():
     assert diagonal_map(space, Mu.ID) == up_from(Elem(1, 2))
 
 
+# the normal forms of the words of 1-6 atoms over {ω, ω*, 1, 2, 3}: 981 words
+NORMAL_WORDS = list(dict.fromkeys(
+    normalize(word_of(*atoms)) for n in range(1, 7)
+    for atoms in itertools.product((OMEGA, OMEGA_STAR, fin(1), fin(2), fin(3)), repeat=n)))
+
+
+def test_the_piece_facts_hold_on_every_small_normal_word():
+    """The three facts the funcspace docstring proves, piece by piece."""
+    assert len(NORMAL_WORDS) == 981
+    greatest = 0
+    for w in NORMAL_WORDS:
+        space = scott_opens(w)
+        kinds = [a.kind for a in space.word.atoms]
+        blocks = [p.block for p in space.pieces]
+        assert list(space.keys) == sorted(space.keys), str(w)  # so segment_at may bisect them
+        for p in space.pieces:
+            assert p.start in (0, 1), (str(w), p)  # (1)
+            if p.role is SegmentKind.UP_FROM and w.atoms[p.base].kind is AtomKind.FIN:
+                assert kinds[p.block] is AtomKind.FIN, (str(w), p)  # (3)
+            greatest = max(greatest, p.start)
+        for b, kind in enumerate(kinds):
+            if kind is AtomKind.OMEGA_STAR:
+                assert blocks.count(b) == 1, (str(w), b)  # (2)
+    assert greatest == 1
+
+
 def test_least_cut_matches_the_neighbour_rule():
     """validate_segment's openness rule against the bottom-or-predecessor definition."""
     for word in CENSUS_WORDS:

@@ -4,7 +4,7 @@ from scottlab import adjunction, replication
 from scottlab import strings as st
 from scottlab.adjunction import BOUNDARY_M, BOUNDARY_M_PRIME
 from scottlab.cli import run
-from scottlab.errors import NotBoundary, UnknownCpo
+from scottlab.errors import BadElement, NotBoundary, UnknownCpo
 from scottlab.replication import (
     decompositions,
     lcr_backward,
@@ -39,6 +39,15 @@ def test_hat_projection_sends_the_boundary_per_splitting():
     off_boundary = st.PairString(st.ALL_ZEROS_L, _string(st.SpecKind.III, 4))
     assert d1.project(off_boundary) == _string(st.SpecKind.III, 4)
     assert d2.project(off_boundary) == _string(st.SpecKind.III, 4)
+
+
+def test_hat_projection_rejects_pairs_outside_the_hat_order():
+    d1, d2 = decompositions("lambda_hat_prime")
+    # the pinned end matches the lower half, but 00011... is held by no lower layer
+    outside = st.parse_pair_literal("(000..., 00011...)")
+    for d in (d1, d2):
+        with pytest.raises(BadElement, match="not an element of lambda_hat_prime"):
+            d.project(outside)
 
 
 def test_valley_order_has_no_natural_splitting():

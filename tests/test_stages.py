@@ -237,16 +237,29 @@ def test_limit_paths_come_out_sorted(scheme):
         assert paths == tuple(sorted(paths, key=lambda p: p.entries)), depth
 
 
+def word_of_kinds(kinds):
+    """The limit's order type read off the path kinds present."""
+    atoms = [OMEGA]
+    if PathClass.INFINITY in kinds:
+        atoms.append(fin(1))
+    if PathClass.PRIMED in kinds:
+        atoms.append(OMEGA_STAR)
+    return word_of(*atoms)
+
+
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_limit_cpo_matches_the_kinds_of_the_searched_paths(scheme):
     for depth in ORACLE_DEPTHS:
         kinds = {_classify(scheme, depth, e[-1])[0] for e in grow_paths(scheme, depth)}
-        atoms = [OMEGA]
-        if PathClass.INFINITY in kinds:
-            atoms.append(fin(1))
-        if PathClass.PRIMED in kinds:
-            atoms.append(OMEGA_STAR)
-        assert limit_cpo(scheme, depth) == word_of(*atoms), depth
+        assert limit_cpo(scheme, depth) == word_of_kinds(kinds), depth
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_limit_cpo_matches_the_kinds_of_every_path(scheme):
+    """Oracle for the one-label decision: the kinds of all limit_paths paths, depths 2-200."""
+    for depth in range(2, 201):
+        kinds = {p.kind for p in limit_paths(scheme, depth)}
+        assert limit_cpo(scheme, depth) == word_of_kinds(kinds), depth
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))

@@ -42,6 +42,33 @@ def test_finite_approx_stage_words():
     assert st.finite_approx(st.SpecKind.II, 1, 2) == "1"
 
 
+def _native_bits(kind, i, n):
+    """The stage-n word of recipe i, letter by letter at native positions 1..n-1."""
+    bits = []
+    for j in range(1, n):
+        if kind is st.SpecKind.I:
+            bits.append(0 if j <= n - i else 1)
+        elif kind is st.SpecKind.II:
+            bits.append(0 if j < i else 1)
+        elif kind is st.SpecKind.III:
+            bits.append(1 if j < i else 0)
+        else:
+            bits.append(1 if j <= n - i else 0)
+    return bits
+
+
+def test_stage_words_match_the_letter_by_letter_build():
+    """Oracle for the zero count: families III and IV count their native positions from the right."""
+    for kind in st.SpecKind:
+        for n in range(2, 41):
+            for i in range(1, n + 1):
+                bits = _native_bits(kind, i, n)
+                assert [st.approx_bit(kind, i, n, j) for j in range(1, n)] == bits, (kind, i, n)
+                if kind in (st.SpecKind.III, st.SpecKind.IV):
+                    bits.reverse()
+                assert st.finite_approx(kind, i, n) == "".join(map(str, bits)), (kind, i, n)
+
+
 def test_approximations_and_limit_checks_are_bounded():
     assert len(st.finite_approx(st.SpecKind.II, 3, 1000)) == 999
     assert st.limit_check(st.SpecKind.II, 3, 2, 1000)

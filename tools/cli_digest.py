@@ -1,0 +1,90 @@
+"""Print one SHA-256 per verb of the CLI's answers over a fixed grid of argv, then a total.
+
+    PYTHONPATH=<checkout>/src python tools/cli_digest.py
+
+Each argv of the grid runs in-process through `scottlab.cli.run`, once
+as text and once with `--format json`; a verb's digest covers, in grid
+order, each run's stdout, stderr and exit code.  Run it on two checkouts
+and diff the outputs: a verb whose line differs answered some argv
+differently.  Without PYTHONPATH it runs this checkout's `src`.  The
+grid is written out here, not derived from the package, so that both
+checkouts answer the same argv.
+"""
+
+import contextlib
+import hashlib
+import io
+import itertools
+import sys
+from pathlib import Path
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
+
+from scottlab.cli import run  # noqa: E402
+
+ORDERS = ["two", "phi", "theta", "omega", "omega_opp", "omega_prime", "omega_prime_opp", "lambda",
+          "lambda_prime", "lambda_hat_prime", "xi", "xi_opp", "v"]
+COMPOSITES = ["lambda", "lambda_prime", "lambda_hat_prime", "v"]
+GLUED = ["lambda_hat_prime", "v"]
+WINDOWS = range(61)
+ATOMS = ["w", "w*", "1", "2", "3"]
+
+
+def _normal(atoms) -> bool:
+    """No two finite atoms in a row, none right after w* and none right before w."""
+    return not any((a not in ("w", "w*") and b not in ("w", "w*")) or (a == "w*" and b not in ("w", "w*"))
+                   or (a not in ("w", "w*") and b == "w") for a, b in zip(atoms, atoms[1:]))
+
+
+def _valley_pairs(depth: int) -> list[str]:
+    """The pairs of the valley order v up to count `depth`, ascending, the boundary once."""
+    lower = ["000..."] + [f"{'0' * u}11..." for u in range(depth, 0, -1)] + ["111..."]
+    upper = [f"...00{'1' * c}" for c in range(1, depth + 1)] + ["...111"]
+    return [f"(...000, {s})" for s in lower] + [f"({s}, 111...)" for s in upper]
+
+
+def grid() -> dict[str, list[list[str]]]:
+    """The argv of each verb, in a fixed order."""
+    big = [10**3, 10**6, 10**6 + 1]
+    return {
+        "string approx": [["string", "approx", "--recipe", f"{k}:{i}", "--n", str(n)]
+                          for k in ("I", "II", "III", "IV") for n in [*range(14), *big]
+                          for i in (0, 1, 2, 3, 7, 13)],
+        "string limit": [["string", "limit", "--recipe", f"II:{i}", "--pos", str(pos), "--depth", str(d)]
+                         for i in (1, 2, 5) for pos in range(5) for d in (0, 2, 3, 5, 9, 40, 10**6 + 1)],
+        "limit": [["limit", "--scheme", s, "--depth", str(d)]
+                  for s in ("standard", "alternative") for d in [*range(71), 999, 1000, 10**6, 10**6 + 1]],
+        "fpt": [["fpt", "--cpo", c, "--mu", mu] for c in ORDERS for mu in ("const0", "const1", "id")],
+        "funcspace": [["funcspace", "--cpo", c, "--table", "--window", str(w)] for c in ORDERS for w in range(31)]
+        + [["funcspace", "--word", "+".join(atoms)] for n in range(1, 6)
+           for atoms in itertools.product(ATOMS, repeat=n) if _normal(atoms)],
+        "adjunction": [["adjunction", "--cpo", c, "--window", str(w)] for c in COMPOSITES for w in WINDOWS],
+        "boundary": [["boundary", "--cpo", c, "--window", str(w)] for c in GLUED for w in WINDOWS],
+        "table8": [["table8", "--window", str(w)] for w in WINDOWS],
+        "pipeline": [["pipeline", "--window", str(w)] for w in WINDOWS],
+        "lcr backward": [["lcr", "backward", "--pair", p, *e] for p in _valley_pairs(10)
+                         for e in ([], ["--endpoint", "L"], ["--endpoint", "R"])],
+    }
+
+
+def _answer(argv: list[str]) -> bytes:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return f"{out.getvalue()}\0{err.getvalue()}\0{code}\0".encode()
+
+
+def main() -> None:
+    total = hashlib.sha256()
+    for verb, argvs in grid().items():
+        h = hashlib.sha256()
+        for argv in argvs:
+            for fmt in ("text", "json"):
+                h.update(_answer([*argv, "--format", fmt]))
+        total.update(h.digest())
+        print(f"{h.hexdigest()}  {2 * len(argvs):5d}  {verb}")
+    print(f"{total.hexdigest()}  {'':5}  total")
+
+
+if __name__ == "__main__":
+    main()
