@@ -13,27 +13,28 @@ Melton & Strecker 1993).  The checks run in the ambient composite
 order, so a failure of (1) or (2) does not prevent (3) from being
 evaluated.
 
-Each verdict is decided for the whole order, whatever the window.  A
-half is one or two catalogue layers, a layer holds one string per
-count c, and opp sends a layer to a layer, keeping c.  From the order's
-`settle` count on, an element sits at (block, ±(first + step·(c − start))) in
-one run, and the elements of one infinite block share its run.  So past
-`settle`, (1) and (2) do not depend on c, and each side of (3) depends
-only on whether c < d, c = d or c > d.  A failing count farther than
+Each verdict is decided for the whole order, whatever the window, in
+the catalogue's layer coordinates, (layer, count) per string.  opp turns
+the stack upside down, keeping counts, and moves a pair's pinned end to
+the other side, so whether the other half holds an element's dual
+depends only on its layer and the pins: (1) and (2) are decided once per
+layer.  From the order's `settle` count on, an element and its dual each
+lie in one run whatever the count c, at the key (block, ±(first +
+step·(c − start))), so each side of (3) depends only on the layer pair
+and on whether c < d, c = d or c > d.  A failing count farther than
 settle + 2 from both ends of its layer's window keeps failing when it
-(and its partner in (3)) moves one count towards the start of the scan.
-So the first failure of an ascending scan over the window lies on the
-counts within settle + 2 of a layer's ends, its corners, and only those
-are examined: the verdict and the witness are the scan's, and the
-window's size does not matter.  In an omega* layer the scan starts at
-the window's count w, so a witness there, 0^w 11..., spells w out.
+(and its partner in (3)) moves one count towards the start of the scan,
+so (3) compares the keys at the counts within settle + 2 of a layer's
+ends, its corners.  Verdicts and witnesses are an ascending scan's, and
+only a witness is spelled as a string; one in an omega* layer, where the
+scan starts at the window's count w, spells w out, as 0^w 11....
 
 The two pair-built orders carry a boundary element where the halves
 meet: m = (000..., ...111) is its own dual and has no immediate
 neighbors, while m' = (...000, 111...) is its own dual with immediate
-neighbors on both sides.  Ranks rise through each layer's window, so
-whether the boundary tops the lower half and bottoms the upper one is
-read off each layer's two ends.
+neighbors on both sides.  Stack keys rise through each layer's window,
+so whether the boundary tops the lower half and bottoms the upper one is
+read off the keys (stack index, ±count) of each layer's two end counts.
 
 The halves, the string ranks, the boundaries and the ambient positions
 are all read off the catalogue's table; nothing here restates an order.
@@ -41,21 +42,12 @@ are all read off the catalogue's table; nothing here restates an order.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import strings as st
-from .catalog import (  # the *_HALF names are re-exported for callers
-    OMEGA_HALF,
-    OMEGA_OPP_HALF,
-    OMEGA_PRIME_HALF,
-    OMEGA_PRIME_OPP_HALF,
-    XI_HALF,
-    XI_OPP_HALF,
-    CpoName,
-    NamedCpo,
-    named_cpo,
-    stack_position,
-)
+from .catalog import (OMEGA_HALF, OMEGA_OPP_HALF, OMEGA_PRIME_HALF,  # the *_HALF names are re-exported
+                      OMEGA_PRIME_OPP_HALF, XI_HALF, XI_OPP_HALF, CpoName, Layer, NamedCpo, ends_of, named_cpo,
+                      opp_ends, spell, stack_key)
 from .errors import UnknownCpo
 from .words import check_window, neighbors
 
@@ -99,50 +91,61 @@ class AdjunctionReport(NamedTuple):
 
 
 def _check_shapes(cpo: NamedCpo) -> None:
-    """Reject a pairing whose lower half holds strings and whose upper half holds pairs.
-
-    Condition (3) compares such a lower half in the stack of strings,
-    which holds no pairs, so the upper half's elements have no place there.
-    """
+    """Reject halves opp cannot exchange: strings under pairs, or pairs pinned at the same end."""
     a_half, b_half = cpo.halves
     if not a_half.pinned and b_half.pinned:
         raise UnknownCpo(f"{cpo.name.value}: the lower half {a_half.name} holds strings but the upper "
                          f"half {b_half.name} holds pairs, so no adjunction can compare them")
+    if a_half.pinned and b_half.pinned and (a_half.left is None) == (b_half.left is None):
+        raise UnknownCpo(f"{cpo.name.value}: both halves pin the same end of their pairs, "
+                         f"so opp cannot exchange them")
+
+
+def _first_outside(cpo: NamedCpo, i: int, window: int) -> str | None:
+    """The first element of half i's window whose dual the other half does not hold, spelled, per layer."""
+    (side, at), other = cpo.pins[1 - i], cpo.halves[1 - i]
+    for layer in cpo.halves[i].layers:
+        x = cpo.ends_at(i, layer, layer.corners(window, 0)[0])
+        dual = opp_ends(x)
+        if dual[side] != at or dual[1 - side][0] not in other.layers:
+            return str(spell(x))
+    return None
+
+
+def _corner_keys(cpo: NamedCpo, i: int, window: int) -> Iterator[tuple[Layer, int, tuple, tuple]]:
+    """Half i's corners in window order: (layer, count, the element's sort key, its dual's).
+
+    Keys are taken in the order, or for strings in the whole stack.  From `settle` on, an element and its
+    dual each lie in one run whatever the count, so a layer's runs are located below it and at its first count.
+    """
+    settle = cpo.settle
+    place, key = (cpo.locate, cpo.key) if cpo.halves[0].pinned else ((lambda ends: ends[1]), stack_key)
+    for layer in cpo.halves[i].layers:
+        runs = None
+        for c in layer.corners(window, settle + 2):
+            if c < settle or runs is None:
+                x = cpo.ends_at(i, layer, c)
+                (run, cx), (orun, co) = place(x), place(opp_ends(x))
+                runs = (run, orun) if c >= settle else None
+            else:
+                (run, orun), cx, co = runs, c, c
+            yield layer, c, key(run, cx), key(orun, co)
 
 
 def check_adjunction(which: str | CpoName | NamedCpo, window: int = 20) -> AdjunctionReport:
-    """Decide the three adjunction conditions for the order's pair of halves.
-
-    The witnesses are the first failures of an ascending scan over the
-    window, found on the layers' corners (see the module docstring).
-    """
+    """Decide the three adjunction conditions for the order's pair of halves (see the module docstring)."""
     check_window(window)
     cpo = which if isinstance(which, NamedCpo) else named_cpo(which)
     if len(cpo.halves) != 2 or cpo.bare:
         raise UnknownCpo(f"no half pairing attached to {cpo.name.value}")
-    a_half, b_half = cpo.halves
     _check_shapes(cpo)
-    reach = cpo.settle + 2
-    xs = a_half.corners(window, reach)
-    ys = b_half.corners(window, reach)
-    oxs = [opp_element(x) for x in xs]
-    oys = [opp_element(y) for y in ys]
-
-    c1 = next((x for x, ox in zip(xs, oxs) if not b_half.contains(ox)), None)
-    c2 = next((y for y, oy in zip(ys, oys) if not a_half.contains(oy)), None)
-    # compared in the order itself, or for strings in the whole stack,
-    # which also holds the duals that fall outside lambda
-    position = cpo.position if a_half.pinned else stack_position
-    px = [(position(x), position(ox)) for x, ox in zip(xs, oxs)]
-    py = [(position(y), position(oy)) for y, oy in zip(ys, oys)]
-    c3 = next((f"{x}, {y}" for x, (x_at, ox_at) in zip(xs, px) for y, (y_at, oy_at) in zip(ys, py)
+    xs, ys = list(_corner_keys(cpo, 0, window)), list(_corner_keys(cpo, 1, window))
+    c3 = next((f"{spell(cpo.ends_at(0, lx, cx))}, {spell(cpo.ends_at(1, ly, cy))}"
+               for lx, cx, x_at, ox_at in xs for ly, cy, y_at, oy_at in ys
                if (x_at <= oy_at) != (y_at <= ox_at)), None)
-    conds = (
-        ConditionReport(1, c1 is None, str(c1) if c1 is not None else None),
-        ConditionReport(2, c2 is None, str(c2) if c2 is not None else None),
-        ConditionReport(3, c3 is None, c3),
-    )
-    return AdjunctionReport(cpo.name, a_half.name, b_half.name, window, conds,
+    conds = tuple(ConditionReport(k, c is None, c)
+                  for k, c in enumerate((_first_outside(cpo, 0, window), _first_outside(cpo, 1, window), c3), 1))
+    return AdjunctionReport(cpo.name, cpo.halves[0].name, cpo.halves[1].name, window, conds,
                             all(c.passed for c in conds))
 
 
@@ -169,15 +172,10 @@ def boundary_report(which: str | CpoName, window: int = 20) -> BoundaryReport:
     b = cpo.boundary
     belem = cpo.element(b)
     pred, succ = neighbors(cpo.word, belem)
-    # ranks rise through a layer's window, so its two ends bound them
-    lower_ends = lower.corners(window, 0)
-    upper_ends = upper.corners(window, 0)
-    b_low, b_up = lower.rank(b), upper.rank(b)
-    join = lower_ends[-1] == b and all(lower.rank(x) <= b_low for x in lower_ends)
-    meet = upper_ends[0] == b and all(b_up <= upper.rank(y) for y in upper_ends)
-    return BoundaryReport(
-        cpo.name, b, cpo.to_label(belem), opp_element(b) == b,
-        cpo.to_label(pred) if pred is not None else None,
-        cpo.to_label(succ) if succ is not None else None,
-        lower.contains(b), upper.contains(b), join, meet, window,
-    )
+    # stack keys rise through a layer's window, so those of its end counts bound them
+    low, up = ([stack_key(layer, c) for layer in h.layers for c in layer.corners(window, 0)] for h in cpo.halves)
+    ends = ends_of(b)
+    return BoundaryReport(cpo.name, b, cpo.to_label(belem), opp_ends(ends) == ends,
+                          cpo.to_label(pred) if pred is not None else None,
+                          cpo.to_label(succ) if succ is not None else None, lower.contains(b), upper.contains(b),
+                          low[-1] == lower.rank(b) >= max(low), up[0] == upper.rank(b) <= min(up), window)

@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from . import strings as st
 from .errors import BadElement, UnknownCpo
 from .words import (OMEGA, OMEGA_STAR, AtomKind, Elem, OrderAtom, check_range, fin, normal_layout,
-                    rank_key, read_decimal, window_offsets, word_of)
+                    read_decimal, window_offsets, word_of)
 
 
 class CpoName(Enum):
@@ -70,8 +71,7 @@ _NUMERALS = {
 def canonical_label_text(label: str) -> str:
     """Fold unicode variants into the ASCII forms labelers understand."""
     t = label.strip()
-    for a, b in (("⋯", "..."), ("…", "..."), ("′", "'"),
-                 ("∞", "inf"), ("ω", "w")):
+    for a, b in (("⋯", "..."), ("…", "..."), ("′", "'"), ("∞", "inf"), ("ω", "w")):
         t = t.replace(a, b)
     return t
 
@@ -107,11 +107,10 @@ class Layer(NamedTuple):
     string: Callable[[int], st.MonotypicString] | None
 
     def corners(self, n: int, reach: int) -> range | list[int]:
-        """The layer's ascending counts up to n, its window offsets, within `reach` of either end."""
+        """The layer's counts up to n in window order, its window offsets, within `reach` of either end."""
         counts = window_offsets(self.atom, n)
-        if len(counts) <= 2 * reach + 2:
-            return counts
-        return [*counts[:reach + 1], *counts[-reach - 1:]]
+        # sliced, not measured: len() of a range fails from 2**63 counts on
+        return [*counts[:reach + 1], *counts[-reach - 1:]] if counts[reach + 1:-reach - 1] else counts
 
 
 R_STRINGS = Layer(OMEGA, lambda v: st.MonotypicString(st.Orientation.R, st.OMEGA_MANY, v))
@@ -129,10 +128,35 @@ def _layer_count(s: st.MonotypicString) -> tuple[Layer, int]:
     return _LAYER_OF[c.family], (0 if c.index is None else c.index - 1)
 
 
-def stack_position(s: st.MonotypicString) -> tuple[int, int]:
-    """Sort key of a string in the whole stack, which is the order lambda_prime."""
-    layer, c = _layer_count(s)
+# Layer coordinates: a string sits at (layer, count) in the stack, and an
+# element at its ends, the coordinates of its pair's left and right strings,
+# or None and the coordinates of its string.
+
+def ends_of(x) -> tuple:
+    if isinstance(x, st.PairString):
+        return _layer_count(x.left), _layer_count(x.right)
+    return None, (_layer_count(x) if isinstance(x, st.MonotypicString) else None)
+
+
+def spell(ends: tuple):
+    """The string or pair at these ends."""
+    left, right = (end and end[0].string(end[1]) for end in ends)
+    return right if left is None else st.PairString(left, right)
+
+
+def opp_ends(ends: tuple) -> tuple:
+    """The ends of the dual element: opp turns the stack upside down, keeping counts, and swaps a pair's ends."""
+    left, right = (end and (STACK[-1 - STACK.index(end[0])], end[1]) for end in ends)
+    return (None, right) if left is None else (right, left)
+
+
+def stack_key(layer: Layer, c: int) -> tuple[int, int]:
+    """Sort key of the string at (layer, c) in the whole stack, which is the order lambda_prime."""
     return STACK.index(layer), (-c if layer.atom.kind is AtomKind.OMEGA_STAR else c)
+
+
+def stack_position(s: st.MonotypicString) -> tuple[int, int]:
+    return stack_key(*_layer_count(s))
 
 
 class Half(NamedTuple):
@@ -165,9 +189,12 @@ class Half(NamedTuple):
             return x.right if x.left == self.left else None
         return x.left if x.right == self.right else None
 
+    @property
+    def layers(self) -> tuple[Layer, ...]:
+        return tuple(layer for layer, _ in self.blocks)
+
     def carries(self, s: st.MonotypicString) -> bool:
-        layer = _layer_count(s)[0]
-        return any(layer is b for b, _ in self.blocks)
+        return _layer_count(s)[0] in self.layers
 
     def contains(self, x) -> bool:
         s = self.free(x)
@@ -176,10 +203,6 @@ class Half(NamedTuple):
     def window(self, n: int) -> list:
         """Ascending, including the extreme strings."""
         return [self.carry(layer.string(c)) for layer, _ in self.blocks for c in window_offsets(layer.atom, n)]
-
-    def corners(self, n: int, reach: int) -> list:
-        """The window's elements at counts within `reach` of either end of their layer."""
-        return [self.carry(layer.string(c)) for layer, _ in self.blocks for c in layer.corners(n, reach)]
 
     def rank(self, x) -> tuple[int, int]:
         """Position of the held string in the whole stack."""
@@ -232,6 +255,12 @@ class NamedCpo:
         self._runs = sorted(runs, key=lambda r: (r.block, r.base))
         self._run_of = {(r.half, r.layer): r for r in self._runs}
 
+    @cached_property
+    def pins(self) -> tuple[tuple[int, tuple[Layer, int] | None], ...]:
+        """Per half, (i, end): each of its elements has `end` at index i of its ends; a half of strings has None at 0."""
+        return tuple((1, _layer_count(h.right)) if h.right is not None
+                     else (0, None if h.left is None else _layer_count(h.left)) for h in self.halves)
+
     @property
     def settle(self) -> int:
         """The least count from which on every layer is uniform.
@@ -241,24 +270,36 @@ class NamedCpo:
         run (the boundary, say).  From it on, the element at count c is
         held by one run for all c, at position (block, ±(first + step·(c − start))).
         """
-        pins = [h.left if h.left is not None else h.right for h in self.halves if h.pinned]
-        return 1 + max([r.start for r in self._runs] + [_layer_count(p)[1] for p in pins])
+        return 1 + max([r.start for r in self._runs] + [at[1] for _, at in self.pins if at is not None])
 
     def _elem(self, run: _Run, c: int) -> Elem:
         return Elem(run.block, run.first + run.step * (c - run.start))
 
+    def ends_at(self, half: int, layer: Layer, c: int) -> tuple:
+        """The ends of the element that half `half` carries at (layer, c)."""
+        side, at = self.pins[half]
+        return (at, (layer, c)) if side == 0 else ((layer, c), at)
+
+    def locate(self, ends: tuple, x=None) -> tuple[_Run, int]:
+        """The run holding the element at these ends, and its free end's count; BadElement, naming x, if none.
+
+        A half holds the element if its pin is one end and its run of the other end's layer reaches that count.
+        """
+        for i, (side, at) in enumerate(() if self.bare else self.pins):
+            free = ends[1 - side] if ends[side] == at else None
+            run = free and self._run_of.get((i, free[0]))
+            if run and free[1] >= run.start:
+                return run, free[1]
+        raise BadElement(f"{spell(ends) if x is None else x} is not an element of {self.name.value}")
+
+    def key(self, run: _Run, c: int) -> tuple[int, int]:
+        """Sort key of the element at count c of a run: `rank_key` of its Elem, which is not built."""
+        offset = run.first + run.step * (c - run.start)
+        return run.block, (-offset if self.word.atoms[run.block].kind is AtomKind.OMEGA_STAR else offset)
+
     def _find(self, x) -> tuple[_Run, int]:
         """The run holding a string or pair x, and x's count in it."""
-        if not self.bare:
-            for i, h in enumerate(self.halves):
-                s = h.free(x)
-                if s is None:
-                    continue
-                layer, c = _layer_count(s)
-                run = self._run_of.get((i, layer))
-                if run is not None and c >= run.start:
-                    return run, c
-        raise BadElement(f"{x} is not an element of {self.name.value}")
+        return self.locate(ends_of(x), x)
 
     def element(self, x) -> Elem:
         """The element holding a string or pair x."""
@@ -270,7 +311,7 @@ class NamedCpo:
 
     def position(self, x) -> tuple[int, int]:
         """Sort key of x's element, ascending in this order."""
-        return rank_key(self.word, self.element(x))
+        return self.key(*self._find(x))
 
     def to_elem(self, label: str) -> Elem:
         t = canonical_label_text(label)
@@ -335,12 +376,10 @@ def named_cpo(name: str | CpoName) -> NamedCpo:
     if isinstance(name, CpoName):
         return _CATALOG[name]
     key = name.strip().lower()
-    if key in _ALIASES:
-        return _CATALOG[_ALIASES[key]]
-    for cn in CpoName:
-        if cn.value == key:
-            return _CATALOG[cn]
-    raise UnknownCpo(f"no catalogued order named {name!r}")
+    try:
+        return _CATALOG[_ALIASES.get(key) or CpoName(key)]
+    except ValueError:
+        raise UnknownCpo(f"no catalogued order named {name!r}") from None
 
 
 def all_names() -> list[str]:

@@ -59,23 +59,8 @@ from typing import NamedTuple
 
 from .catalog import NamedCpo
 from .errors import BadElement, BadLiteral, InvalidSegment, NotIsomorphic
-from .words import (
-    OMEGA,
-    OMEGA_STAR,
-    AtomKind,
-    Elem,
-    Ordering,
-    OrderWord,
-    compare,
-    extremes,
-    fin,
-    neighbors,
-    normal_layout,
-    normalize,
-    rank_key,
-    validate_elem,
-    window_elems,
-)
+from .words import (OMEGA, OMEGA_STAR, AtomKind, Elem, Ordering, OrderWord, compare, extremes, fin, neighbors,
+                    normal_layout, normalize, rank_key, validate_elem, window_elems)
 
 
 class SegmentKind(Enum):

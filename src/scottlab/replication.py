@@ -24,7 +24,8 @@ order, the adjunction verdict, fixed point applicability, boundary
 element, and order type.  Every verdict holds for the whole order, so
 the window changes nothing but the `window` that table8 echoes: the
 adjunctions are decided as adjunction.py describes, and the fold's
-round trip and collisions on each layer's corners.
+round trip and collisions per lambda_prime layer, on its corner counts
+in the catalogue's layer coordinates, off the v runs holding the images.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 from . import strings as st
 from .adjunction import BOUNDARY_M, BOUNDARY_M_PRIME, check_adjunction
-from .catalog import CpoName, named_cpo
+from .catalog import CpoName, ends_of, named_cpo
 from .errors import BadElement, NotBoundary, UnknownCpo
 from .funcspace import self_iso
 from .words import AtomKind, check_window, iso, neighbors
@@ -79,10 +80,8 @@ def decompositions(which: str | CpoName) -> tuple[Decomposition, ...]:
     if lower.blocks[-1][0].atom.kind is not AtomKind.FIN:
         witness = CollisionWitness(b, upper.free(b), lower.free(b))
         return (Decomposition(tuple(low + up), False, None, None, witness),)
-    return (
-        Decomposition(tuple(low[:-1] + up), True, "phi1", upper.free(b), None),
-        Decomposition(tuple(low + up[1:]), True, "phi2", lower.free(b), None),
-    )
+    return (Decomposition(tuple(low[:-1] + up), True, "phi1", upper.free(b), None),
+            Decomposition(tuple(low + up[1:]), True, "phi2", lower.free(b), None))
 
 
 class LcrImage(NamedTuple):
@@ -214,28 +213,28 @@ def pipeline(window: int = 20) -> PipelineReport:
     dual = DualizationEdge(lam.name.value, hat.name.value, iso(lam.word, hat.word), str(hat.display_word))
 
     rep = replicate(BOUNDARY_M)
-    rep_edge = ReplicationEdge(
-        hat.name.value, lam_prime.name.value, rep.intent_label, rep.extent_label,
-        str(hat.display_word), str(lam_prime.display_word), rep.mutual_neighbors,
-    )
+    rep_edge = ReplicationEdge(hat.name.value, lam_prime.name.value, rep.intent_label, rep.extent_label,
+                               str(hat.display_word), str(lam_prime.display_word), rep.mutual_neighbors)
 
-    # from the settle counts on, the fold and its inverse treat each layer's
-    # strings alike, so each layer's corners decide the round trip, and the
-    # collisions are the count-0 strings ...000 and 111...
-    reach = max(lam_prime.settle, v.settle)
-    probe = [x for half in lam_prime.halves for x in half.corners(window, reach)]
-    ok = True
-    collisions = []
-    for x in probe:
-        img = lcr_forward(x)
-        if lcr_backward(img.image, x.orientation) != x:
-            ok = False
-        if img.collision:
-            collisions.append(x)
-    lcr_edge = LcrEdge(
-        lam_prime.name.value, v.name.value, ok and len(collisions) == 2,
-        v.to_label(v.element(BOUNDARY_M_PRIME)), tuple(str(c) for c in collisions),
-        iso(lam_prime.word, v.word),
-    )
+    # the fold carries each lambda_prime layer into the v half whose layers
+    # hold it, and unfolds an image off the v run that holds it; from the
+    # settle counts on both treat a layer's strings alike, so each layer's
+    # corner counts decide the round trip and the strings folded onto m'
+    reach, m = max(lam_prime.settle, v.settle), ends_of(BOUNDARY_M_PRIME)
+    ok, collisions = True, []
+    for layer in (layer for half in lam_prime.halves for layer in half.layers):
+        i = next(i for i, h in enumerate(v.halves) if layer in h.layers)
+        for c in layer.corners(window, reach):
+            image = v.ends_at(i, layer, c)
+            if image == m:
+                x = layer.string(c)
+                collisions.append(x)
+                ok = ok and lcr_backward(BOUNDARY_M_PRIME, x.orientation) == x
+            else:
+                run, held = v.locate(image)
+                ok = ok and (run.layer, held) == (layer, c)
+    lcr_edge = LcrEdge(lam_prime.name.value, v.name.value, ok and len(collisions) == 2,
+                       v.to_label(v.element(BOUNDARY_M_PRIME)), tuple(str(c) for c in collisions),
+                       iso(lam_prime.word, v.word))
 
     return PipelineReport(dual, rep_edge, lcr_edge, table8(window))

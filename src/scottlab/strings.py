@@ -17,7 +17,7 @@ in family III realizes ...000 1^(i-1).  Families I and IV ignore the
 index (every recipe yields the same string), so classify() reports
 their index as indeterminate.
 
-finite_approx gives the stage-n word of a recipe; limit_check verifies
+finite_approx gives the stage-n word of a recipe; limit_check decides
 bitwise convergence of those words to the realized string on a window.
 opp swaps letters and reading direction; lr keeps the letters but
 re-reads the recipe from the other end.
@@ -31,9 +31,9 @@ from typing import NamedTuple
 from .errors import BadIndex, BadLiteral
 from .words import check_range
 
-# finite_approx writes its n - 1 letters in about 1 ms at 1000000, and
-# limit_check reads one bit per stage, about 0.3 s at depth 1000000 and ten
-# times that at 10000000 (2-vCPU Xeon, Python 3.11)
+# finite_approx writes its n - 1 letters in about 1 ms at 1000000 (2-vCPU
+# Xeon, Python 3.11); limit_check reads one stage at any depth, and its
+# depth bound stays a part of the command's contract
 MAX_APPROX_STAGE = 1_000_000
 MAX_STABILITY_DEPTH = 1_000_000
 # realize writes index - 1 letters, 1 MB here; approx and limit take no larger index
@@ -156,8 +156,8 @@ def classify(x: MonotypicString) -> StringClass:
     return StringClass(SpecKind.III, x.ones + 1)
 
 
-# the families as module names: each SpecKind.X lookup costs about 0.2 µs, and
-# limit_check reads up to a million bits
+# the families as module names: each SpecKind.X lookup costs about 0.2 µs,
+# half of what the rest of approx_bit costs
 _I, _II, _III, _IV = SpecKind
 
 
@@ -203,14 +203,17 @@ def bit_at(x: MonotypicString, j: int) -> int:
 def limit_check(kind: SpecKind, i: int, j: int, depth: int) -> bool:
     """Does bit j stabilize to the realized string's bit across stages?
 
-    Checks every stage n with j + i <= n <= depth, so the window must
-    satisfy j + i <= depth <= MAX_STABILITY_DEPTH.
+    It asks of every stage n with j + i <= n <= depth <= MAX_STABILITY_DEPTH,
+    and stage j + i decides it: for n >= j + i, bit j of stage n, [left > zeros]
+    in `approx_bit`, is the realized string's bit in every family, so every
+    such stage has the bit of stage j + i.  I: [j > n - i] = 0 (000...);
+    II: [j > i - 1] = [j >= i] (0^(i-1) 11...); III: [n - j > n - i] = [j < i]
+    (...00 1^(i-1), read from the right); IV: [n - j > i - 1] = 1 (...111).
     """
     if i < 1 or j < 1:
         raise BadIndex("recipe index and position must be >= 1")
     check_range("depth", depth, j + i, MAX_STABILITY_DEPTH)
-    want = bit_at(realize(SpecifiedString(kind, i)), j)
-    return all(approx_bit(kind, i, n, j) == want for n in range(j + i, depth + 1))
+    return approx_bit(kind, i, j + i, j) == bit_at(realize(SpecifiedString(kind, i)), j)
 
 
 def opp(x: MonotypicString) -> MonotypicString:
@@ -224,12 +227,7 @@ def opp_pair(p: PairString) -> PairString:
     return PairString(opp(p.right), opp(p.left))
 
 
-_LR_TOGGLE = {
-    SpecKind.I: SpecKind.III,
-    SpecKind.III: SpecKind.I,
-    SpecKind.II: SpecKind.IV,
-    SpecKind.IV: SpecKind.II,
-}
+_LR_TOGGLE = {SpecKind.I: SpecKind.III, SpecKind.III: SpecKind.I, SpecKind.II: SpecKind.IV, SpecKind.IV: SpecKind.II}
 
 
 def lr(s: SpecifiedString) -> SpecifiedString:

@@ -1,6 +1,9 @@
 import hypothesis.strategies as hs
+import pytest
 from hypothesis import settings
 
+from scottlab import strings
+from scottlab.catalog import NamedCpo
 from scottlab.words import OMEGA, OMEGA_STAR, Elem, Ordering, compare, fin, window_elems, word_of
 
 settings.register_profile("suite", max_examples=60, deadline=None)
@@ -27,3 +30,25 @@ def assert_order_bijection(wa, wb, f, depth=30):
 
 def elem_window(w, depth=12) -> list[Elem]:
     return window_elems(w, depth)
+
+
+@pytest.fixture
+def work_count(monkeypatch):
+    """count(call): how many NamedCpo._find and strings.classify calls call() makes.
+
+    One warm-up call goes first, since an order derives some of its
+    structure on first use.
+    """
+    calls = {"_find": 0, "classify": 0}
+    for owner, name in ((NamedCpo, "_find"), (strings, "classify")):
+        def counted(*args, f=getattr(owner, name), name=name):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    def count(call) -> dict[str, int]:
+        call()
+        calls.update(dict.fromkeys(calls, 0))
+        call()
+        return dict(calls)
+    return count

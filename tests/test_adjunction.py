@@ -2,7 +2,6 @@ import hypothesis.strategies as hs
 import pytest
 from hypothesis import given
 
-from scottlab import adjunction
 from scottlab import strings as st
 from scottlab.adjunction import (
     BOUNDARY_M,
@@ -18,12 +17,13 @@ from scottlab.adjunction import (
     check_adjunction,
     opp_element,
 )
-from scottlab.catalog import ALL_ONES, ALL_ZEROS, L_STRINGS, R_STRINGS, NamedCpo, named_cpo, stack_position
+from scottlab.catalog import (ALL_ONES, ALL_ZEROS, L_STRINGS, R_STRINGS, CpoName, Half, NamedCpo, named_cpo,
+                              stack_position)
 from scottlab.cli import run
 from scottlab.errors import BadElement, UnknownCpo
 
 # the window scans these verdicts replaced, kept as their oracle
-from window_scan import COMPOSITE, golden_at_window, scan_adjunction, scan_boundary
+from window_scan import COMPOSITE, OUTPUTS, golden_at_window, scan_adjunction, scan_boundary
 
 
 def test_boundary_constants():
@@ -207,6 +207,16 @@ def test_an_omega_star_witness_spells_out_the_window():
         assert [c.witness for c in report.conditions[:2]] == ["0" * w + "11..."] * 2
 
 
+def test_a_pair_half_under_a_string_half_fails_the_first_condition_as_the_scan_does():
+    """opp pins no pair at the end a half of strings pins, whatever layers they hold: m's dual is m."""
+    cpo = NamedCpo(CpoName.LAMBDA_HAT_PRIME, (Half("m", ((ALL_ONES, "m"),), left=st.ALL_ZEROS_L),
+                                               Half("ends", ((ALL_ONES, "inf"), (ALL_ZEROS, "inf'")))))
+    for w in (0, 1, 5):
+        report = check_adjunction(cpo, w)
+        assert report == scan_adjunction(cpo, w), w
+        assert [c.witness for c in report.conditions] == ["(000..., ...111)", "...111", "(000..., ...111), ...111"]
+
+
 @hs.composite
 def mutated_orders(draw):
     """A composite order with one half's layers swapped, one layer replaced, its pin dropped, or a start moved."""
@@ -262,25 +272,28 @@ def test_string_half_under_a_pair_half_is_a_usage_error(name):
             check_adjunction(cpo, w)
 
 
-def test_the_work_does_not_grow_with_the_window(monkeypatch):
-    calls = []
-    opp = adjunction.opp_element
-    monkeypatch.setattr(adjunction, "opp_element", lambda x: calls.append(x) or opp(x))
-
-    def count(call, w):
-        calls.clear()
-        call(w)
-        return len(calls)
-
+def test_the_work_does_not_grow_with_the_window(work_count):
     for name in COMPOSITE:
-        assert count(lambda w: check_adjunction(name, w), 20) == count(lambda w: check_adjunction(name, w), 10**9)
+        assert work_count(lambda: check_adjunction(name, 20)) == work_count(lambda: check_adjunction(name, 10**9)) \
+            == {"_find": 0, "classify": 0}
     for name in ("lambda_hat_prime", "v"):
-        assert count(lambda w: boundary_report(name, w), 20) == count(lambda w: boundary_report(name, w), 10**9)
+        assert work_count(lambda: boundary_report(name, 20)) == work_count(lambda: boundary_report(name, 10**9))
 
 
-@pytest.mark.parametrize("argv", [["adjunction", "--cpo", "v"], ["boundary", "--cpo", "v"],
-                                  ["boundary", "--cpo", "lambda_hat_prime"]])
+def _golden(argv, fmt, window):
+    """golden_at_window, also for `adjunction --cpo lambda`, whose golden run is at window 30."""
+    if argv != ["adjunction", "--cpo", "lambda"]:
+        return golden_at_window(argv, fmt, window)
+    out = OUTPUTS["adjunction --cpo lambda --window 30"][fmt]
+    return out.replace(", window 30\n", f", window {window}\n").replace('"window":30,', f'"window":{window},')
+
+
+@pytest.mark.parametrize("argv", [["adjunction", "--cpo", "v"], ["adjunction", "--cpo", "lambda"],
+                                  ["boundary", "--cpo", "v"], ["boundary", "--cpo", "lambda_hat_prime"],
+                                  ["table8"], ["pipeline"]])
 def test_a_huge_window_prints_the_window_20_golden(capsys, argv):
-    for fmt in ("text", "json"):
-        assert run(argv + ["--window", "1000000", "--format", fmt]) == 0
-        assert capsys.readouterr().out == golden_at_window(argv, fmt, 1000000)
+    # from 2**63 on, a window's range has no len()
+    for window in (1000000, 2**63 - 1, 2**63, 10**30):
+        for fmt in ("text", "json"):
+            assert run(argv + ["--window", str(window), "--format", fmt]) == 0
+            assert capsys.readouterr().out == _golden(argv, fmt, window)

@@ -78,6 +78,28 @@ def test_approximations_and_limit_checks_are_bounded():
         st.limit_check(st.SpecKind.II, 3, 2, st.MAX_STABILITY_DEPTH + 1)
 
 
+def _scanned_limit_check(kind, i, j, depth):
+    """The stage-by-stage scan limit_check replaced: every stage n with j + i <= n <= depth."""
+    want = st.bit_at(st.realize(st.SpecifiedString(kind, i)), j)
+    return all(st.approx_bit(kind, i, n, j) == want for n in range(j + i, depth + 1))
+
+
+def test_limit_check_equals_the_stage_scan():
+    for kind in st.SpecKind:
+        for i in range(1, 12):
+            for j in range(1, 12):
+                want = st.bit_at(st.realize(st.SpecifiedString(kind, i)), j)
+                stable = True  # the scan's verdict, grown one stage at a time
+                for depth in range(j + i, j + i + 41):
+                    stable = stable and st.approx_bit(kind, i, depth, j) == want
+                    assert st.limit_check(kind, i, j, depth) == stable, (kind, i, j, depth)
+
+
+def test_limit_check_at_the_depth_bound_equals_the_stage_scan():
+    depth = st.MAX_STABILITY_DEPTH
+    assert st.limit_check(st.SpecKind.II, 7, 5, depth) == _scanned_limit_check(st.SpecKind.II, 7, 5, depth)
+
+
 def test_finite_approx_rejects_index_beyond_stage():
     with pytest.raises(BadIndex):
         st.finite_approx(st.SpecKind.II, 7, 5)

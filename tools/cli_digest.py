@@ -43,6 +43,23 @@ def _valley_pairs(depth: int) -> list[str]:
     return [f"(...000, {s})" for s in lower] + [f"({s}, 111...)" for s in upper]
 
 
+def _family_literals(depth: int) -> list[str]:
+    """One literal per string of the four families up to count `depth`, bottom of the stack first."""
+    return ([f"...0{'1' * c}" for c in range(depth + 1)] + ["...111", "000..."]
+            + [f"{'0' * u}1..." for u in range(depth, -1, -1)])
+
+
+# the elements of three composite orders, by label and by literal, and one non-element each
+NAMES = {
+    "lambda_prime": ["0", "1", "2", "inf", "inf'", "2'", "1'", "0'", "...000", "...001", "...0011", "...111",
+                     "000...", "0011...", "011...", "111...", "(000..., ...111)", "7''"],
+    "lambda_hat_prime": ["0", "1", "2", "m", "2'", "1'", "0'", "(000..., ...000)", "(000..., ...001)",
+                         "(000..., ...111)", "(0011..., ...111)", "(111..., ...111)", "(000..., 00011...)",
+                         "inf"],
+    "v": ["-inf", "-2", "-1", "m'", "0", "+1", "1", "+2", "+inf", *_valley_pairs(2), "(000..., 111...)", "-0"],
+}
+
+
 def grid() -> dict[str, list[list[str]]]:
     """The argv of each verb, in a fixed order."""
     big = [10**3, 10**6, 10**6 + 1]
@@ -64,6 +81,15 @@ def grid() -> dict[str, list[list[str]]]:
         "pipeline": [["pipeline", "--window", str(w)] for w in WINDOWS],
         "lcr backward": [["lcr", "backward", "--pair", p, *e] for p in _valley_pairs(10)
                          for e in ([], ["--endpoint", "L"], ["--endpoint", "R"])],
+        "lcr forward": [["lcr", "forward", "--x", x] for x in _family_literals(12)],
+        "decompose": [["decompose", "--cpo", c] for c in ORDERS],
+        "replicate": [["replicate", *pair] for pair in ([], ["--pair", "(000..., ...111)"],
+                                                        ["--pair", "(...000, 111...)"], ["--pair", "(000..., ...0011)"])],
+        "cpo": [["cpo", "--cpo", c, "--window", str(w)] for c in ORDERS for w in range(31)],
+        # --x=VALUE, since argparse reads a separate -inf as an option
+        "compare": [["compare", "--cpo", c, f"--x={x}", f"--y={y}"] for c, names in NAMES.items()
+                    for x in names for y in names],
+        "neighbors": [["neighbors", "--cpo", c, f"--x={x}"] for c, names in NAMES.items() for x in names],
     }
 
 
