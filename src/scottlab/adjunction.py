@@ -17,8 +17,8 @@ Each verdict is decided for the whole order, whatever the window, in
 the catalogue's layer coordinates, (layer, count) per string.  opp turns
 the stack upside down, keeping counts, and moves a pair's pinned end to
 the other side, so whether the other half holds an element's dual
-depends only on its layer and the pins: (1) and (2) are decided once per
-layer.  From the order's `settle` count on, an element and its dual each
+depends only on its layer and the pins, and the catalogue's one
+membership rule, NamedCpo.free, decides (1) and (2) once per layer.  From the order's `settle` count on, an element and its dual each
 lie in one run whatever the count c, at the key (block, ±(first +
 step·(c − start))), so each side of (3) depends only on the layer pair
 and on whether c < d, c = d or c > d.  A failing count farther than
@@ -34,7 +34,8 @@ meet: m = (000..., ...111) is its own dual and has no immediate
 neighbors, while m' = (...000, 111...) is its own dual with immediate
 neighbors on both sides.  Stack keys rise through each layer's window,
 so whether the boundary tops the lower half and bottoms the upper one is
-read off the keys (stack index, ±count) of each layer's two end counts.
+read off the keys (stack index, ±count) of each layer's two end counts
+and of the boundary's free end in each half.
 
 The halves, the string ranks, the boundaries and the ambient positions
 are all read off the catalogue's table; nothing here restates an order.
@@ -59,7 +60,7 @@ def opp_element(x):
     return st.opp(x)
 
 
-def build_pair_cpo(name: str | CpoName) -> NamedCpo:
+def build_pair_cpo(name: str | CpoName | NamedCpo) -> NamedCpo:
     """A glued order: its lower and upper halves share the boundary."""
     cpo = named_cpo(name)
     if cpo.boundary is None:
@@ -93,21 +94,20 @@ class AdjunctionReport(NamedTuple):
 def _check_shapes(cpo: NamedCpo) -> None:
     """Reject halves opp cannot exchange: strings under pairs, or pairs pinned at the same end."""
     a_half, b_half = cpo.halves
-    if not a_half.pinned and b_half.pinned:
+    (a_side, a_at), (b_side, b_at) = cpo.pins
+    if a_at is None and b_at is not None:
         raise UnknownCpo(f"{cpo.name.value}: the lower half {a_half.name} holds strings but the upper "
                          f"half {b_half.name} holds pairs, so no adjunction can compare them")
-    if a_half.pinned and b_half.pinned and (a_half.left is None) == (b_half.left is None):
+    if a_at is not None and b_at is not None and a_side == b_side:
         raise UnknownCpo(f"{cpo.name.value}: both halves pin the same end of their pairs, "
                          f"so opp cannot exchange them")
 
 
 def _first_outside(cpo: NamedCpo, i: int, window: int) -> str | None:
     """The first element of half i's window whose dual the other half does not hold, spelled, per layer."""
-    (side, at), other = cpo.pins[1 - i], cpo.halves[1 - i]
     for layer in cpo.halves[i].layers:
         x = cpo.ends_at(i, layer, layer.corners(window, 0)[0])
-        dual = opp_ends(x)
-        if dual[side] != at or dual[1 - side][0] not in other.layers:
+        if cpo.free(1 - i, opp_ends(x)) is None:
             return str(spell(x))
     return None
 
@@ -119,7 +119,7 @@ def _corner_keys(cpo: NamedCpo, i: int, window: int) -> Iterator[tuple[Layer, in
     dual each lie in one run whatever the count, so a layer's runs are located below it and at its first count.
     """
     settle = cpo.settle
-    place, key = (cpo.locate, cpo.key) if cpo.halves[0].pinned else ((lambda ends: ends[1]), stack_key)
+    place, key = (cpo.locate, cpo.key) if cpo.pins[0][1] is not None else ((lambda ends: ends[1]), stack_key)
     for layer in cpo.halves[i].layers:
         runs = None
         for c in layer.corners(window, settle + 2):
@@ -135,7 +135,7 @@ def _corner_keys(cpo: NamedCpo, i: int, window: int) -> Iterator[tuple[Layer, in
 def check_adjunction(which: str | CpoName | NamedCpo, window: int = 20) -> AdjunctionReport:
     """Decide the three adjunction conditions for the order's pair of halves (see the module docstring)."""
     check_window(window)
-    cpo = which if isinstance(which, NamedCpo) else named_cpo(which)
+    cpo = named_cpo(which)
     if len(cpo.halves) != 2 or cpo.bare:
         raise UnknownCpo(f"no half pairing attached to {cpo.name.value}")
     _check_shapes(cpo)
@@ -165,17 +165,18 @@ class BoundaryReport(NamedTuple):
     window: int
 
 
-def boundary_report(which: str | CpoName, window: int = 20) -> BoundaryReport:
+def boundary_report(which: str | CpoName | NamedCpo, window: int = 20) -> BoundaryReport:
     check_window(window)
     cpo = build_pair_cpo(which)
-    lower, upper = cpo.halves
     b = cpo.boundary
     belem = cpo.element(b)
     pred, succ = neighbors(cpo.word, belem)
     # stack keys rise through a layer's window, so those of its end counts bound them
     low, up = ([stack_key(layer, c) for layer in h.layers for c in layer.corners(window, 0)] for h in cpo.halves)
     ends = ends_of(b)
+    in_low, in_up = (cpo.free(i, ends) for i in (0, 1))
     return BoundaryReport(cpo.name, b, cpo.to_label(belem), opp_ends(ends) == ends,
                           cpo.to_label(pred) if pred is not None else None,
-                          cpo.to_label(succ) if succ is not None else None, lower.contains(b), upper.contains(b),
-                          low[-1] == lower.rank(b) >= max(low), up[0] == upper.rank(b) <= min(up), window)
+                          cpo.to_label(succ) if succ is not None else None, in_low is not None, in_up is not None,
+                          in_low is not None and low[-1] == stack_key(*in_low) >= max(low),
+                          in_up is not None and up[0] == stack_key(*in_up) <= min(up), window)

@@ -11,6 +11,10 @@ string families, listed from the bottom up:
 The whole stack is lambda_prime.  A Half is a run of consecutive
 layers, each block carrying a numeral label style; a pair half pins
 one end of every pair and lets the other end range over its layers.
+Pins and membership are in layer coordinates, (layer, count) per
+string: NamedCpo.free is the one rule for whether a half holds an
+element, and strings appear only when a label is parsed or an element
+spelled.
 The table at the end of this module gives each order once, as one half
 or as a lower half stacked under an upper half.  In a glued order the
 top of the lower half is the bottom of the upper half (the boundary)
@@ -36,7 +40,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from . import strings as st
 from .errors import BadElement, UnknownCpo
@@ -98,13 +102,18 @@ def _render_count(style: str, c: int) -> str:
 
 
 class Layer(NamedTuple):
-    """One block of the string stack: its atom and its string at each count.
-
-    Layers compare by value, and each has a `string` function of its own, so no two are equal.
-    """
+    """One block of the string stack: its atom and the family of its strings (None off the stack)."""
 
     atom: OrderAtom
-    string: Callable[[int], st.MonotypicString] | None
+    family: st.SpecKind | None
+
+    def __hash__(self) -> int:
+        # the family alone: a tuple's hash would go through two Enum.__hash__ calls, and layers key `locate`'s runs
+        return hash(self.family and self.family._name_)
+
+    def string(self, c: int) -> st.MonotypicString:
+        """The layer's string at count c: its family's recipe c + 1."""
+        return st.realize(st.SpecifiedString(self.family, c + 1))
 
     def corners(self, n: int, reach: int) -> range | list[int]:
         """The layer's counts up to n in window order, its window offsets, within `reach` of either end."""
@@ -113,14 +122,11 @@ class Layer(NamedTuple):
         return [*counts[:reach + 1], *counts[-reach - 1:]] if counts[reach + 1:-reach - 1] else counts
 
 
-R_STRINGS = Layer(OMEGA, lambda v: st.MonotypicString(st.Orientation.R, st.OMEGA_MANY, v))
-ALL_ONES = Layer(fin(1), lambda _: st.ALL_ONES_R)
-ALL_ZEROS = Layer(fin(1), lambda _: st.ALL_ZEROS_L)
-L_STRINGS = Layer(OMEGA_STAR, lambda u: st.MonotypicString(st.Orientation.L, u, st.OMEGA_MANY))
+R_STRINGS = Layer(OMEGA, st.SpecKind.III)
+ALL_ONES = Layer(fin(1), st.SpecKind.IV)
+ALL_ZEROS = Layer(fin(1), st.SpecKind.I)
+L_STRINGS = Layer(OMEGA_STAR, st.SpecKind.II)
 CHAIN_2 = Layer(fin(2), None)  # the two-point chain, outside the stack
-
-_LAYER_OF = {st.SpecKind.III: R_STRINGS, st.SpecKind.IV: ALL_ONES,
-             st.SpecKind.I: ALL_ZEROS, st.SpecKind.II: L_STRINGS}
 
 
 def _layer_count(s: st.MonotypicString) -> tuple[Layer, int]:
@@ -130,7 +136,8 @@ def _layer_count(s: st.MonotypicString) -> tuple[Layer, int]:
 
 # Layer coordinates: a string sits at (layer, count) in the stack, and an
 # element at its ends, the coordinates of its pair's left and right strings,
-# or None and the coordinates of its string.
+# or None and the coordinates of its string.  Strings are built only to
+# parse a label or to spell an element.
 
 def ends_of(x) -> tuple:
     if isinstance(x, st.PairString):
@@ -140,8 +147,8 @@ def ends_of(x) -> tuple:
 
 def spell(ends: tuple):
     """The string or pair at these ends."""
-    left, right = (end and end[0].string(end[1]) for end in ends)
-    return right if left is None else st.PairString(left, right)
+    left, (layer, c) = ends
+    return layer.string(c) if left is None else st.PairString(left[0].string(left[1]), layer.string(c))
 
 
 def opp_ends(ends: tuple) -> tuple:
@@ -155,8 +162,10 @@ def stack_key(layer: Layer, c: int) -> tuple[int, int]:
     return STACK.index(layer), (-c if layer.atom.kind is AtomKind.OMEGA_STAR else c)
 
 
-def stack_position(s: st.MonotypicString) -> tuple[int, int]:
-    return stack_key(*_layer_count(s))
+def _pinned(pin: tuple, end: tuple[Layer, int]) -> tuple:
+    """The ends of the element whose free end is `end`, under a half's pin (i, at): `at` goes to index i."""
+    side, at = pin
+    return (at, end) if side == 0 else (end, at)
 
 
 class Half(NamedTuple):
@@ -168,45 +177,19 @@ class Half(NamedTuple):
     right: st.MonotypicString | None = None
 
     @property
-    def pinned(self) -> bool:
-        return self.left is not None or self.right is not None
-
-    def carry(self, s: st.MonotypicString):
-        """The element that holds the string s."""
-        if self.left is not None:
-            return st.PairString(self.left, s)
-        if self.right is not None:
-            return st.PairString(s, self.right)
-        return s
-
-    def free(self, x) -> st.MonotypicString | None:
-        """The string x holds, or None if x is not shaped as this half's elements."""
-        if not self.pinned:
-            return x if isinstance(x, st.MonotypicString) else None
-        if not isinstance(x, st.PairString):
-            return None
-        if self.left is not None:
-            return x.right if x.left == self.left else None
-        return x.left if x.right == self.right else None
+    def pin(self) -> tuple[int, tuple[Layer, int] | None]:
+        """(i, end): each of the half's elements has `end` at index i of its ends; a half of strings has None at 0."""
+        pinned = self.left if self.right is None else self.right
+        return int(self.right is not None), pinned and _layer_count(pinned)
 
     @property
     def layers(self) -> tuple[Layer, ...]:
         return tuple(layer for layer, _ in self.blocks)
 
-    def carries(self, s: st.MonotypicString) -> bool:
-        return _layer_count(s)[0] in self.layers
-
-    def contains(self, x) -> bool:
-        s = self.free(x)
-        return s is not None and self.carries(s)
-
     def window(self, n: int) -> list:
         """Ascending, including the extreme strings."""
-        return [self.carry(layer.string(c)) for layer, _ in self.blocks for c in window_offsets(layer.atom, n)]
-
-    def rank(self, x) -> tuple[int, int]:
-        """Position of the held string in the whole stack."""
-        return stack_position(self.free(x))
+        pin = self.pin
+        return [spell(_pinned(pin, (layer, c))) for layer in self.layers for c in window_offsets(layer.atom, n)]
 
 
 class _Run(NamedTuple):
@@ -231,6 +214,8 @@ class NamedCpo:
         self.halves = halves
         self.literal = literal  # elements print as string or pair literals
         self.bare = bare        # elements are numerals only, not strings
+        # what `free` reads beside `pins`: tuples, whose `in` finds the same Layer object without hashing it
+        self._layers = tuple(h.layers for h in halves)
         blocks = [(i, layer, style, 0) for i, h in enumerate(halves) for layer, style in h.blocks]
         self.boundary = None
         if glued:
@@ -241,8 +226,7 @@ class NamedCpo:
                 del blocks[top]
             else:
                 blocks[top] = (i, layer, style, 1)
-            upper = halves[1]
-            self.boundary = upper.carry(upper.blocks[0][0].string(0))
+            self.boundary = spell(self.ends_at(1, halves[1].blocks[0][0], 0))
         self.display_word = word_of(*(layer.atom for _, layer, _, _ in blocks))
         self.word, layout = normal_layout(self.display_word.atoms)
         runs = []
@@ -257,9 +241,18 @@ class NamedCpo:
 
     @cached_property
     def pins(self) -> tuple[tuple[int, tuple[Layer, int] | None], ...]:
-        """Per half, (i, end): each of its elements has `end` at index i of its ends; a half of strings has None at 0."""
-        return tuple((1, _layer_count(h.right)) if h.right is not None
-                     else (0, None if h.left is None else _layer_count(h.left)) for h in self.halves)
+        """Each half's `Half.pin`."""
+        return tuple(h.pin for h in self.halves)
+
+    def free(self, i: int, ends: tuple) -> tuple[Layer, int] | None:
+        """Half i's free end of the element at these ends, or None if half i does not hold it.
+
+        The half holds it if its pin is the other end and its layers hold this one.  This is the one
+        membership rule; `locate` adds the glued start of the run.
+        """
+        side, at = self.pins[i]
+        end = ends[1 - side]
+        return end if ends[side] == at and end and end[0] in self._layers[i] else None
 
     @property
     def settle(self) -> int:
@@ -276,17 +269,16 @@ class NamedCpo:
         return Elem(run.block, run.first + run.step * (c - run.start))
 
     def ends_at(self, half: int, layer: Layer, c: int) -> tuple:
-        """The ends of the element that half `half` carries at (layer, c)."""
-        side, at = self.pins[half]
-        return (at, (layer, c)) if side == 0 else ((layer, c), at)
+        """The ends of the element that half `half` holds at (layer, c)."""
+        return _pinned(self.pins[half], (layer, c))
 
     def locate(self, ends: tuple, x=None) -> tuple[_Run, int]:
         """The run holding the element at these ends, and its free end's count; BadElement, naming x, if none.
 
-        A half holds the element if its pin is one end and its run of the other end's layer reaches that count.
+        The run is that of the free end's layer in a half that holds the element (`free`), if it reaches that count.
         """
-        for i, (side, at) in enumerate(() if self.bare else self.pins):
-            free = ends[1 - side] if ends[side] == at else None
+        for i in () if self.bare else range(len(self.halves)):
+            free = self.free(i, ends)
             run = free and self._run_of.get((i, free[0]))
             if run and free[1] >= run.start:
                 return run, free[1]
@@ -306,8 +298,9 @@ class NamedCpo:
         return self._elem(*self._find(x))
 
     def held(self, x) -> st.MonotypicString:
-        """The string an element x holds, read off the half whose run holds x."""
-        return self.halves[self._find(x)[0].half].free(x)
+        """The string an element x holds, read off the run that holds x."""
+        run, c = self._find(x)
+        return run.layer.string(c)
 
     def position(self, x) -> tuple[int, int]:
         """Sort key of x's element, ascending in this order."""
@@ -322,9 +315,9 @@ class NamedCpo:
                     check_range("label count", c, 0, st.MAX_RECIPE_INDEX)
                 return self._elem(run, c)
         if not self.bare:
-            if self.halves[0].pinned and t.startswith("("):
+            if self.pins[0][1] is not None and t.startswith("("):
                 return self.element(st.parse_pair_literal(t))
-            if not self.halves[0].pinned and "..." in t:
+            if self.pins[0][1] is None and "..." in t:
                 return self.element(st.parse_literal(t))
         raise BadElement(f"no element labelled {label!r} here")
 
@@ -332,7 +325,7 @@ class NamedCpo:
         run = next(r for r in reversed(self._runs) if r.block == x.block and r.base <= x.offset)
         c = run.start + run.step * (x.offset - run.first)
         if self.literal:
-            held = self.halves[run.half].carry(run.layer.string(c))
+            held = spell(self.ends_at(run.half, run.layer, c))
             if held != self.boundary:  # the boundary is named, not spelled
                 return str(held)
         return _render_count(run.style, c)
@@ -351,6 +344,7 @@ XI_OPP_HALF = Half("xi_opp", ((R_STRINGS, "+n"), (ALL_ONES, "+inf")), right=st.A
 
 # the whole stack, bottom to top: the layers of lambda_prime's two halves
 STACK = tuple(layer for h in (OMEGA_PRIME_HALF, OMEGA_PRIME_OPP_HALF) for layer, _ in h.blocks)
+_LAYER_OF = {layer.family: layer for layer in STACK}
 
 _CATALOG: dict[CpoName, NamedCpo] = {c.name: c for c in (
     NamedCpo(CpoName.TWO, (Half("two", ((CHAIN_2, "n"),)),), bare=True),
@@ -372,7 +366,10 @@ _CATALOG: dict[CpoName, NamedCpo] = {c.name: c for c in (
 _ALIASES = {"omega_set": CpoName.OMEGA_SET, "lam": CpoName.LAMBDA}
 
 
-def named_cpo(name: str | CpoName) -> NamedCpo:
+def named_cpo(name: str | CpoName | NamedCpo) -> NamedCpo:
+    """The catalogued order of this name; an order passes through unchanged."""
+    if isinstance(name, NamedCpo):
+        return name
     if isinstance(name, CpoName):
         return _CATALOG[name]
     key = name.strip().lower()

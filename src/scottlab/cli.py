@@ -247,22 +247,19 @@ def _funcspace_table(c, space, window: int):
     cols = window_elems(c.word, window)
     rows = window_elems(space.word, window)
     segs = [space.segment_at(r) for r in rows]
-    labels = [f"psi_{c.to_label(r)}" for r in rows] if space.word == c.word else [str(s) for s in segs]
+    columns = [c.to_label(x) for x in cols]
+    # a space of the base's own word has the base's window, so its rows take the column labels
+    labels = [f"psi_{label}" for label in columns] if space.word == c.word else [str(s) for s in segs]
     bits = indicator_rows(c.word, segs, cols)
-    return [c.to_label(x) for x in cols], [{"row": r, "bits": b} for r, b in zip(labels, bits)]
+    return columns, [{"row": r, "bits": b} for r, b in zip(labels, bits)]
 
 
 def _funcspace(args) -> dict:
-    if args.cpo:
-        c = named_cpo(args.cpo)
-        base_name = c.name.value
-        word = c.word
-    elif args.word:
-        c = None
-        word = parse_word(args.word)
-        base_name = str(word)
-    else:
-        raise BadLiteral("need --cpo or --word")
+    if bool(args.cpo) == bool(args.word):
+        raise BadLiteral("give --cpo or --word, not both" if args.cpo else "need --cpo or --word")
+    c = named_cpo(args.cpo) if args.cpo else None
+    word = parse_word(args.word) if c is None else c.word
+    base_name = str(word) if c is None else c.name.value
     report = self_iso(word)
     obj = {
         "base": base_name,

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from . import strings as st
 from .adjunction import BOUNDARY_M, BOUNDARY_M_PRIME, check_adjunction
-from .catalog import CpoName, ends_of, named_cpo
+from .catalog import CpoName, Layer, NamedCpo, ends_of, named_cpo, spell
 from .errors import BadElement, NotBoundary, UnknownCpo
 from .funcspace import self_iso
 from .words import AtomKind, check_window, iso, neighbors
@@ -74,14 +74,14 @@ def decompositions(which: str | CpoName) -> tuple[Decomposition, ...]:
     cpo = named_cpo(which)
     if cpo.boundary is None:
         raise UnknownCpo(f"{cpo.name.value} has no catalogued decomposition")
-    lower, upper = cpo.halves
     b = cpo.boundary
-    low, up = ([st.classify(layer.string(0)).family for layer, _ in h.blocks] for h in cpo.halves)
-    if lower.blocks[-1][0].atom.kind is not AtomKind.FIN:
-        witness = CollisionWitness(b, upper.free(b), lower.free(b))
-        return (Decomposition(tuple(low + up), False, None, None, witness),)
-    return (Decomposition(tuple(low[:-1] + up), True, "phi1", upper.free(b), None),
-            Decomposition(tuple(low + up[1:]), True, "phi2", lower.free(b), None))
+    ends = ends_of(b)
+    in_lower, in_upper = (spell((None, cpo.free(i, ends))) for i in (0, 1))
+    low, up = ([layer.family for layer in h.layers] for h in cpo.halves)
+    if cpo.halves[0].layers[-1].atom.kind is not AtomKind.FIN:
+        return (Decomposition(tuple(low + up), False, None, None, CollisionWitness(b, in_upper, in_lower)),)
+    return (Decomposition(tuple(low[:-1] + up), True, "phi1", in_upper, None),
+            Decomposition(tuple(low + up[1:]), True, "phi2", in_lower, None))
 
 
 class LcrImage(NamedTuple):
@@ -95,29 +95,36 @@ class LcrImage(NamedTuple):
     collision: bool
 
 
+def _fold_half(v: NamedCpo, layer: Layer) -> int:
+    """The v half lcr folds a stack layer into: the one whose layers hold it."""
+    return next(i for i in (0, 1) if v.free(i, v.ends_at(i, layer, 0)))
+
+
 def lcr_forward(x: st.MonotypicString) -> LcrImage:
     """Fold a string into the valley order."""
     lam_prime = named_cpo(CpoName.LAMBDA_PRIME)
     v = named_cpo(CpoName.V)
-    half = next(h for h in v.halves if h.carries(x))
-    image = half.carry(x)
-    return LcrImage(x, lam_prime.to_label(lam_prime.element(x)), image, half.name,
+    layer, c = ends_of(x)[1]
+    i = _fold_half(v, layer)
+    image = spell(v.ends_at(i, layer, c))
+    return LcrImage(x, lam_prime.to_label(lam_prime.element(x)), image, v.halves[i].name,
                     v.to_label(v.element(image)), image == BOUNDARY_M_PRIME)
 
 
 def lcr_backward(p: st.PairString, endpoint: st.Orientation | None = None) -> st.MonotypicString:
     """Unfold a valley pair back to its string.
 
-    At the boundary both preimages exist, one freed by each half;
-    endpoint picks the one of that orientation: R reads the
-    right-indexed ...000, L the left-indexed 111....  Away from the
-    boundary the preimage is unique and endpoint is ignored.
+    At the boundary both preimages exist: the halves pin opposite ends,
+    so each frees one of its two strings.  endpoint picks the one of
+    that orientation: R reads the right-indexed ...000, L the
+    left-indexed 111....  Away from the boundary the preimage is unique
+    and endpoint is ignored.
     """
     v = named_cpo(CpoName.V)
     if p == BOUNDARY_M_PRIME:
         if endpoint is None:
             raise BadElement("the boundary has two preimages; pick endpoint L or R")
-        return next(s for s in (half.free(p) for half in v.halves) if s.orientation is endpoint)
+        return next(s for s in p if s.orientation is endpoint)
     return v.held(p)
 
 
@@ -223,7 +230,7 @@ def pipeline(window: int = 20) -> PipelineReport:
     reach, m = max(lam_prime.settle, v.settle), ends_of(BOUNDARY_M_PRIME)
     ok, collisions = True, []
     for layer in (layer for half in lam_prime.halves for layer in half.layers):
-        i = next(i for i, h in enumerate(v.halves) if layer in h.layers)
+        i = _fold_half(v, layer)
         for c in layer.corners(window, reach):
             image = v.ends_at(i, layer, c)
             if image == m:

@@ -6,8 +6,6 @@ from scottlab import strings as st
 from scottlab.adjunction import (
     BOUNDARY_M,
     BOUNDARY_M_PRIME,
-    OMEGA_HALF,
-    OMEGA_OPP_HALF,
     OMEGA_PRIME_HALF,
     OMEGA_PRIME_OPP_HALF,
     XI_HALF,
@@ -17,13 +15,14 @@ from scottlab.adjunction import (
     check_adjunction,
     opp_element,
 )
-from scottlab.catalog import (ALL_ONES, ALL_ZEROS, L_STRINGS, R_STRINGS, CpoName, Half, NamedCpo, named_cpo,
-                              stack_position)
+from scottlab.catalog import (ALL_ONES, ALL_ZEROS, L_STRINGS, R_STRINGS, CpoName, Half, NamedCpo, all_names, ends_of,
+                              named_cpo)
 from scottlab.cli import run
 from scottlab.errors import BadElement, UnknownCpo
 
 # the window scans these verdicts replaced, kept as their oracle
-from window_scan import COMPOSITE, OUTPUTS, golden_at_window, scan_adjunction, scan_boundary
+from window_scan import (COMPOSITE, OUTPUTS, golden_at_window, held_string, holds, scan_adjunction, scan_boundary,
+                         stack_rank)
 
 
 def test_boundary_constants():
@@ -49,21 +48,29 @@ def test_global_rank_orders_the_four_families():
     ii_9 = st.realize(st.SpecifiedString(st.SpecKind.II, 9))
     ii_2 = st.realize(st.SpecifiedString(st.SpecKind.II, 2))
     chain = [iii_2, iii_9, st.ALL_ONES_R, st.ALL_ZEROS_L, ii_9, ii_2]
-    ranks = [stack_position(x) for x in chain]
+    ranks = [stack_rank(x) for x in chain]
     assert ranks == sorted(ranks)
     assert len(set(ranks)) == len(ranks)
 
 
-@pytest.mark.parametrize(
-    "half",
-    [OMEGA_HALF, OMEGA_OPP_HALF, OMEGA_PRIME_HALF, OMEGA_PRIME_OPP_HALF, XI_HALF, XI_OPP_HALF],
-)
-def test_windows_are_ascending_and_inside_the_half(half):
-    win = half.window(12)
-    assert len(win) >= 13
-    ranks = [half.rank(x) for x in win]
-    assert ranks == sorted(ranks)
-    assert all(half.contains(x) for x in win)
+@pytest.mark.parametrize("name", [n for n in all_names() if not named_cpo(n).bare])
+def test_windows_are_ascending_and_inside_the_half(name):
+    """free, the one membership rule, agrees with the scan's string rule on each window element and its dual.
+
+    The four composites hold every half's dual; the one-half orders cover omega and omega_opp's halves too.
+    """
+    cpo = named_cpo(name)
+    for half in cpo.halves:
+        win = half.window(12)
+        assert len(win) >= 13
+        ranks = [stack_rank(held_string(half, x)) for x in win]
+        assert ranks == sorted(ranks)
+        assert all(holds(half, x) for x in win)
+        for y in (*win, *map(opp_element, win)):
+            for j, other in enumerate(cpo.halves):
+                free = cpo.free(j, ends_of(y))
+                assert (free is not None) == holds(other, y), (y, j)
+                assert free is None or ends_of(held_string(other, y))[1] == free
 
 
 def test_prime_windows_reach_their_extremes():
@@ -186,6 +193,30 @@ BROKEN = [
      _rebuilt("lambda_hat_prime", upper=HAT_UP._replace(right=None))),
     ("v, glued start moved up", _with_start(_rebuilt("v"), L_STRINGS, 3)),
 ]
+
+
+# glued orders whose boundary is not the lower half's join, not the upper half's meet, or not in the lower half:
+# (mutation, order, (in_lower, join_of_lower, meet_of_upper))
+BOUNDARY_MUTATED = [
+    ("lambda_hat_prime, an omega* layer under the lower half",
+     _rebuilt("lambda_hat_prime", lower=HAT_LOW._replace(blocks=((L_STRINGS, "n'"), *HAT_LOW.blocks))),
+     (True, False, True)),
+    ("lambda_hat_prime, an omega layer over the upper half",
+     _rebuilt("lambda_hat_prime", upper=HAT_UP._replace(blocks=(*HAT_UP.blocks, (R_STRINGS, "n")))),
+     (True, True, False)),
+    ("lambda_hat_prime, top ...111 of the lower half dropped",
+     _rebuilt("lambda_hat_prime", lower=HAT_LOW._replace(blocks=HAT_LOW.blocks[:1])), (False, False, True)),
+    ("lambda_hat_prime, pinned end of the lower half dropped",
+     _rebuilt("lambda_hat_prime", lower=HAT_LOW._replace(left=None)), (False, False, True)),
+]
+
+
+@pytest.mark.parametrize(("mutation", "cpo", "verdicts"), BOUNDARY_MUTATED, ids=[m[0] for m in BOUNDARY_MUTATED])
+def test_mutated_glued_orders_report_the_boundary_as_the_scan_does(mutation, cpo, verdicts):
+    for w in range(31):
+        report = boundary_report(cpo, w)
+        assert report == scan_boundary(cpo, w), w
+        assert (report.in_lower, report.join_of_lower, report.meet_of_upper) == verdicts
 
 
 @pytest.mark.parametrize(("mutation", "cpo", "failing"), MUTATED, ids=[m[0] for m in MUTATED])

@@ -2,8 +2,8 @@ import hypothesis.strategies as hs
 from hypothesis import given
 
 from scottlab import strings as st
-from scottlab.catalog import (ALL_ONES, ALL_ZEROS, CHAIN_2, L_STRINGS, CpoName, Half, NamedCpo,
-                              all_names, named_cpo, stack_position)
+from scottlab.catalog import (ALL_ONES, ALL_ZEROS, CHAIN_2, L_STRINGS, R_STRINGS, CpoName, Half, Layer, NamedCpo,
+                              all_names, ends_of, named_cpo, stack_key)
 from scottlab.words import Ordering, compare, window_elems, window_offsets
 
 strings = hs.builds(
@@ -24,7 +24,7 @@ def test_labels_round_trip_on_windows(name, k):
 def test_string_positions_follow_the_stack_order(a, b):
     lp = named_cpo("lambda_prime")
     rel = compare(lp.word, lp.to_elem(str(a)), lp.to_elem(str(b)))
-    ra, rb = stack_position(a), stack_position(b)
+    ra, rb = stack_key(*ends_of(a)[1]), stack_key(*ends_of(b)[1])
     assert rel is (Ordering.LT if ra < rb else Ordering.EQ if ra == rb else Ordering.GT)
 
 
@@ -61,3 +61,21 @@ def test_an_absorbed_finite_layer_counts_up_from_its_bottom():
     held = [st.ALL_ZEROS_L, st.ALL_ONES_R]
     assert [strung.to_label(strung.element(s)) for s in held] == ["z", "o"]
     assert [strung.position(s) for s in held] == [(0, -1), (0, 0)]
+
+
+# the per-layer string constructors the catalogue wrote out before each layer named its family
+OLD_STRING = {
+    R_STRINGS: lambda v: st.MonotypicString(st.Orientation.R, st.OMEGA_MANY, v),
+    ALL_ONES: lambda _: st.ALL_ONES_R,
+    ALL_ZEROS: lambda _: st.ALL_ZEROS_L,
+    L_STRINGS: lambda u: st.MonotypicString(st.Orientation.L, u, st.OMEGA_MANY),
+}
+
+
+def test_a_layer_string_is_its_family_recipe():
+    for layer, old in OLD_STRING.items():
+        twin = Layer(layer.atom, layer.family)  # layers compare and hash by value
+        assert twin == layer and hash(twin) == hash(layer)
+        for c in [*range(51), 2**63]:
+            assert layer.string(c) == old(c), (layer, c)
+            assert ends_of(old(c))[1] == (layer, 0 if layer.atom.size == 1 else c)

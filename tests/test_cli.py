@@ -155,6 +155,7 @@ USAGE_ERRORS = [
     ["stage", "--n", "0"],
     ["funcspace"],
     ["funcspace", "--word", "w", "--table"],
+    ["funcspace", "--cpo", "v", "--word", "w"],
     ["string", "realize", "--recipe", "V:1"],
     ["string", "realize", "--recipe", "II-3"],
     ["mu", "--map", "012"],
@@ -224,6 +225,15 @@ USAGE_MESSAGES = [
 @pytest.mark.parametrize(("argv", "message"), USAGE_MESSAGES, ids=[_argv_id(a) for a, _ in USAGE_MESSAGES])
 def test_usage_errors_name_the_bound(capsys, argv, message):
     assert _run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+def test_a_label_starting_with_a_dash_is_passed_with_an_equals_sign(capsys):
+    assert _run(capsys, ["compare", "--cpo", "v", "--x=-inf", "--y", "+1"]) == (0, "-inf < +1\n", "")
+    # argparse reads a separate -inf as an option: its usage error, with no traceback
+    code, out, err = _run(capsys, ["compare", "--cpo", "v", "--x", "-inf", "--y", "+1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ") and err.endswith("error: argument --x: expected one argument\n")
+    assert "Traceback" not in err
 
 
 def test_only_literal_orders_bound_their_label_counts(capsys):

@@ -18,7 +18,7 @@ from scottlab.adjunction import (
     _check_shapes,
     opp_element,
 )
-from scottlab.catalog import CpoName, NamedCpo, named_cpo, stack_position
+from scottlab.catalog import CpoName, Half, NamedCpo, ends_of, named_cpo, stack_key
 from scottlab.errors import UnknownCpo
 from scottlab.funcspace import self_iso
 from scottlab.replication import (
@@ -48,6 +48,32 @@ def golden_at_window(argv: list[str], fmt: str, window: int) -> str:
     return re.sub(r'"window":20(?=[,}])', f'"window":{window}', out)
 
 
+def pinned(half: Half) -> bool:
+    return half.left is not None or half.right is not None
+
+
+def held_string(half: Half, x) -> st.MonotypicString | None:
+    """The string x holds if it is shaped as the half's elements: a pair with the half's pinned string, or a string."""
+    if not pinned(half):
+        return x if isinstance(x, st.MonotypicString) else None
+    if not isinstance(x, st.PairString):
+        return None
+    if half.left is not None:
+        return x.right if x.left == half.left else None
+    return x.left if x.right == half.right else None
+
+
+def holds(half: Half, x) -> bool:
+    """The string-level membership rule: x is shaped as the half's elements and its string's family is a layer's."""
+    s = held_string(half, x)
+    return s is not None and st.classify(s).family in {layer.family for layer in half.layers}
+
+
+def stack_rank(s: st.MonotypicString) -> tuple[int, int]:
+    """Position of a string in the whole stack."""
+    return stack_key(*ends_of(s)[1])
+
+
 def scan_adjunction(cpo: NamedCpo, window: int) -> AdjunctionReport:
     """The three conditions, over every pair of the halves' windows."""
     a_half, b_half = cpo.halves
@@ -57,9 +83,9 @@ def scan_adjunction(cpo: NamedCpo, window: int) -> AdjunctionReport:
     oxs = [opp_element(x) for x in xs]
     oys = [opp_element(y) for y in ys]
 
-    c1 = next((x for x, ox in zip(xs, oxs) if not b_half.contains(ox)), None)
-    c2 = next((y for y, oy in zip(ys, oys) if not a_half.contains(oy)), None)
-    position = cpo.position if a_half.pinned else stack_position
+    c1 = next((x for x, ox in zip(xs, oxs) if not holds(b_half, ox)), None)
+    c2 = next((y for y, oy in zip(ys, oys) if not holds(a_half, oy)), None)
+    position = cpo.position if pinned(a_half) else stack_rank
     px = [(position(x), position(ox)) for x, ox in zip(xs, oxs)]
     py = [(position(y), position(oy)) for y, oy in zip(ys, oys)]
     c3 = next((f"{x}, {y}" for x, (x_at, ox_at) in zip(xs, px) for y, (y_at, oy_at) in zip(ys, py)
@@ -82,14 +108,16 @@ def scan_boundary(which, window: int) -> BoundaryReport:
     pred, succ = neighbors(cpo.word, belem)
     lower_win = lower.window(window)
     upper_win = upper.window(window)
-    b_low, b_up = lower.rank(b), upper.rank(b)
-    join = lower_win[-1] == b and all(lower.rank(x) <= b_low for x in lower_win)
-    meet = upper_win[0] == b and all(b_up <= upper.rank(y) for y in upper_win)
+    # a window's end is b only if its half pins b's pinned string, so the ranks below exist
+    join = lower_win[-1] == b and all(stack_rank(held_string(lower, x)) <= stack_rank(held_string(lower, b))
+                                      for x in lower_win)
+    meet = upper_win[0] == b and all(stack_rank(held_string(upper, b)) <= stack_rank(held_string(upper, y))
+                                     for y in upper_win)
     return BoundaryReport(
         cpo.name, b, cpo.to_label(belem), opp_element(b) == b,
         cpo.to_label(pred) if pred is not None else None,
         cpo.to_label(succ) if succ is not None else None,
-        lower.contains(b), upper.contains(b), join, meet, window,
+        holds(lower, b), holds(upper, b), join, meet, window,
     )
 
 

@@ -79,7 +79,9 @@ def grid() -> dict[str, list[list[str]]]:
         "boundary": [["boundary", "--cpo", c, "--window", str(w)] for c in GLUED for w in WINDOWS],
         "table8": [["table8", "--window", str(w)] for w in WINDOWS],
         "pipeline": [["pipeline", "--window", str(w)] for w in WINDOWS],
-        "lcr backward": [["lcr", "backward", "--pair", p, *e] for p in _valley_pairs(10)
+        # the valley pairs, then three pairs that are not elements of v
+        "lcr backward": [["lcr", "backward", "--pair", p, *e]
+                         for p in [*_valley_pairs(10), "(000..., 111...)", "(...000, ...111)", "(000..., ...111)"]
                          for e in ([], ["--endpoint", "L"], ["--endpoint", "R"])],
         "lcr forward": [["lcr", "forward", "--x", x] for x in _family_literals(12)],
         "decompose": [["decompose", "--cpo", c] for c in ORDERS],
