@@ -25,9 +25,11 @@ and on whether c < d, c = d or c > d.  A failing count farther than
 settle + 2 from both ends of its layer's window keeps failing when it
 (and its partner in (3)) moves one count towards the start of the scan,
 so (3) compares the keys at the counts within settle + 2 of a layer's
-ends, its corners.  Verdicts and witnesses are an ascending scan's, and
-only a witness is spelled as a string; one in an omega* layer, where the
-scan starts at the window's count w, spells w out, as 0^w 11....
+ends, its corners.  Verdicts and witnesses are an ascending scan's.
+Elements are their ends here, and a string is built only to spell a
+witness or a report field: a witness in an omega* layer, where the scan
+starts at the window's count w, spells w out, as 0^w 11..., and the
+boundary report's `boundary` is the order's boundary, spelled once.
 
 The two pair-built orders carry a boundary element where the halves
 meet: m = (000..., ...111) is its own dual and has no immediate
@@ -47,8 +49,8 @@ from typing import Iterator, NamedTuple
 
 from . import strings as st
 from .catalog import (OMEGA_HALF, OMEGA_OPP_HALF, OMEGA_PRIME_HALF,  # the *_HALF names are re-exported
-                      OMEGA_PRIME_OPP_HALF, XI_HALF, XI_OPP_HALF, CpoName, Layer, NamedCpo, ends_of, named_cpo,
-                      opp_ends, spell, stack_key)
+                      OMEGA_PRIME_OPP_HALF, XI_HALF, XI_OPP_HALF, CpoName, Layer, NamedCpo, named_cpo, opp_ends,
+                      stack_key)
 from .errors import UnknownCpo
 from .words import check_window, neighbors
 
@@ -68,8 +70,8 @@ def build_pair_cpo(name: str | CpoName | NamedCpo) -> NamedCpo:
     return cpo
 
 
-BOUNDARY_M = build_pair_cpo(CpoName.LAMBDA_HAT_PRIME).boundary
-BOUNDARY_M_PRIME = build_pair_cpo(CpoName.V).boundary
+BOUNDARY_M = build_pair_cpo(CpoName.LAMBDA_HAT_PRIME).spelled_boundary
+BOUNDARY_M_PRIME = build_pair_cpo(CpoName.V).spelled_boundary
 
 
 class ConditionReport(NamedTuple):
@@ -106,9 +108,9 @@ def _check_shapes(cpo: NamedCpo) -> None:
 def _first_outside(cpo: NamedCpo, i: int, window: int) -> str | None:
     """The first element of half i's window whose dual the other half does not hold, spelled, per layer."""
     for layer in cpo.halves[i].layers:
-        x = cpo.ends_at(i, layer, layer.corners(window, 0)[0])
-        if cpo.free(1 - i, opp_ends(x)) is None:
-            return str(spell(x))
+        c = layer.corners(window, 0)[0]
+        if cpo.free(1 - i, opp_ends(cpo.ends_at(i, layer, c))) is None:
+            return str(cpo.halves[i].spelled(layer, c))
     return None
 
 
@@ -140,7 +142,7 @@ def check_adjunction(which: str | CpoName | NamedCpo, window: int = 20) -> Adjun
         raise UnknownCpo(f"no half pairing attached to {cpo.name.value}")
     _check_shapes(cpo)
     xs, ys = list(_corner_keys(cpo, 0, window)), list(_corner_keys(cpo, 1, window))
-    c3 = next((f"{spell(cpo.ends_at(0, lx, cx))}, {spell(cpo.ends_at(1, ly, cy))}"
+    c3 = next((f"{cpo.halves[0].spelled(lx, cx)}, {cpo.halves[1].spelled(ly, cy)}"
                for lx, cx, x_at, ox_at in xs for ly, cy, y_at, oy_at in ys
                if (x_at <= oy_at) != (y_at <= ox_at)), None)
     conds = tuple(ConditionReport(k, c is None, c)
@@ -168,14 +170,13 @@ class BoundaryReport(NamedTuple):
 def boundary_report(which: str | CpoName | NamedCpo, window: int = 20) -> BoundaryReport:
     check_window(window)
     cpo = build_pair_cpo(which)
-    b = cpo.boundary
-    belem = cpo.element(b)
+    ends = cpo.boundary
+    belem = cpo.element(ends)
     pred, succ = neighbors(cpo.word, belem)
     # stack keys rise through a layer's window, so those of its end counts bound them
     low, up = ([stack_key(layer, c) for layer in h.layers for c in layer.corners(window, 0)] for h in cpo.halves)
-    ends = ends_of(b)
     in_low, in_up = (cpo.free(i, ends) for i in (0, 1))
-    return BoundaryReport(cpo.name, b, cpo.to_label(belem), opp_ends(ends) == ends,
+    return BoundaryReport(cpo.name, cpo.spelled_boundary, cpo.to_label(belem), opp_ends(ends) == ends,
                           cpo.to_label(pred) if pred is not None else None,
                           cpo.to_label(succ) if succ is not None else None, in_low is not None, in_up is not None,
                           in_low is not None and low[-1] == stack_key(*in_low) >= max(low),

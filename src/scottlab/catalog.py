@@ -13,8 +13,10 @@ layers, each block carrying a numeral label style; a pair half pins
 one end of every pair and lets the other end range over its layers.
 Pins and membership are in layer coordinates, (layer, count) per
 string: NamedCpo.free is the one rule for whether a half holds an
-element, and strings appear only when a label is parsed or an element
-spelled.
+element.  Elements are their ends inside the package: `element`, `held`
+and `locate` take ends, and a string is built only to parse an input
+literal (`to_elem`) or to spell a label, a witness, a report field or a
+half's window.
 The table at the end of this module gives each order once, as one half
 or as a lower half stacked under an upper half.  In a glued order the
 top of the lower half is the bottom of the upper half (the boundary)
@@ -22,8 +24,8 @@ and is counted once.  The orders two, phi and theta borrow a shape and
 its numerals but carry no strings.
 
 Everything else is derived from the table: the word, the display word,
-the label parser and renderer, and the element and position of each
-string or pair.  Label styles, with c a string's finite letter count:
+the label parser and renderer, and the element at each pair of ends.
+Label styles, with c a string's finite letter count:
 
   n     numerals c            n'    primed numerals c'
   +n    +c, or c; 0 reads m'  -n    -c; 0 reads m'
@@ -136,8 +138,8 @@ def _layer_count(s: st.MonotypicString) -> tuple[Layer, int]:
 
 # Layer coordinates: a string sits at (layer, count) in the stack, and an
 # element at its ends, the coordinates of its pair's left and right strings,
-# or None and the coordinates of its string.  Strings are built only to
-# parse a label or to spell an element.
+# or None and the coordinates of its string.  `ends_of` reads them off a
+# string or pair that comes from outside the package.
 
 def ends_of(x) -> tuple:
     if isinstance(x, st.PairString):
@@ -162,12 +164,6 @@ def stack_key(layer: Layer, c: int) -> tuple[int, int]:
     return STACK.index(layer), (-c if layer.atom.kind is AtomKind.OMEGA_STAR else c)
 
 
-def _pinned(pin: tuple, end: tuple[Layer, int]) -> tuple:
-    """The ends of the element whose free end is `end`, under a half's pin (i, at): `at` goes to index i."""
-    side, at = pin
-    return (at, end) if side == 0 else (end, at)
-
-
 class Half(NamedTuple):
     """Consecutive stack layers; a pair half pins the left or right end."""
 
@@ -186,10 +182,16 @@ class Half(NamedTuple):
     def layers(self) -> tuple[Layer, ...]:
         return tuple(layer for layer, _ in self.blocks)
 
+    def spelled(self, layer: Layer, c: int):
+        """The half's element at (layer, c), spelled; a pair takes its pinned end from the half's own left or right."""
+        s = layer.string(c)
+        if self.right is not None:
+            return st.PairString(s, self.right)
+        return s if self.left is None else st.PairString(self.left, s)
+
     def window(self, n: int) -> list:
         """Ascending, including the extreme strings."""
-        pin = self.pin
-        return [spell(_pinned(pin, (layer, c))) for layer in self.layers for c in window_offsets(layer.atom, n)]
+        return [self.spelled(layer, c) for layer in self.layers for c in window_offsets(layer.atom, n)]
 
 
 class _Run(NamedTuple):
@@ -217,7 +219,7 @@ class NamedCpo:
         # what `free` reads beside `pins`: tuples, whose `in` finds the same Layer object without hashing it
         self._layers = tuple(h.layers for h in halves)
         blocks = [(i, layer, style, 0) for i, h in enumerate(halves) for layer, style in h.blocks]
-        self.boundary = None
+        self.boundary = self.spelled_boundary = None  # the boundary's ends, and the boundary spelled for reports
         if glued:
             # the lower half gives up its top; the upper half's bottom is the boundary
             top = len(halves[0].blocks) - 1
@@ -226,7 +228,8 @@ class NamedCpo:
                 del blocks[top]
             else:
                 blocks[top] = (i, layer, style, 1)
-            self.boundary = spell(self.ends_at(1, halves[1].blocks[0][0], 0))
+            self.boundary = self.ends_at(1, halves[1].layers[0], 0)
+            self.spelled_boundary = spell(self.boundary)
         self.display_word = word_of(*(layer.atom for _, layer, _, _ in blocks))
         self.word, layout = normal_layout(self.display_word.atoms)
         runs = []
@@ -269,11 +272,12 @@ class NamedCpo:
         return Elem(run.block, run.first + run.step * (c - run.start))
 
     def ends_at(self, half: int, layer: Layer, c: int) -> tuple:
-        """The ends of the element that half `half` holds at (layer, c)."""
-        return _pinned(self.pins[half], (layer, c))
+        """The ends of the element that half `half` holds at (layer, c): its pin (i, at) puts `at` at index i."""
+        side, at = self.pins[half]
+        return (at, (layer, c)) if side == 0 else ((layer, c), at)
 
-    def locate(self, ends: tuple, x=None) -> tuple[_Run, int]:
-        """The run holding the element at these ends, and its free end's count; BadElement, naming x, if none.
+    def locate(self, ends: tuple) -> tuple[_Run, int]:
+        """The run holding the element at these ends, and its free end's count; BadElement if none.
 
         The run is that of the free end's layer in a half that holds the element (`free`), if it reaches that count.
         """
@@ -282,29 +286,21 @@ class NamedCpo:
             run = free and self._run_of.get((i, free[0]))
             if run and free[1] >= run.start:
                 return run, free[1]
-        raise BadElement(f"{spell(ends) if x is None else x} is not an element of {self.name.value}")
+        raise BadElement(f"{spell(ends)} is not an element of {self.name.value}")
 
     def key(self, run: _Run, c: int) -> tuple[int, int]:
         """Sort key of the element at count c of a run: `rank_key` of its Elem, which is not built."""
         offset = run.first + run.step * (c - run.start)
         return run.block, (-offset if self.word.atoms[run.block].kind is AtomKind.OMEGA_STAR else offset)
 
-    def _find(self, x) -> tuple[_Run, int]:
-        """The run holding a string or pair x, and x's count in it."""
-        return self.locate(ends_of(x), x)
+    def element(self, ends: tuple) -> Elem:
+        """The element at these ends."""
+        return self._elem(*self.locate(ends))
 
-    def element(self, x) -> Elem:
-        """The element holding a string or pair x."""
-        return self._elem(*self._find(x))
-
-    def held(self, x) -> st.MonotypicString:
-        """The string an element x holds, read off the run that holds x."""
-        run, c = self._find(x)
+    def held(self, ends: tuple) -> st.MonotypicString:
+        """The string the element at these ends holds, read off the run that holds it."""
+        run, c = self.locate(ends)
         return run.layer.string(c)
-
-    def position(self, x) -> tuple[int, int]:
-        """Sort key of x's element, ascending in this order."""
-        return self.key(*self._find(x))
 
     def to_elem(self, label: str) -> Elem:
         t = canonical_label_text(label)
@@ -316,18 +312,16 @@ class NamedCpo:
                 return self._elem(run, c)
         if not self.bare:
             if self.pins[0][1] is not None and t.startswith("("):
-                return self.element(st.parse_pair_literal(t))
+                return self.element(ends_of(st.parse_pair_literal(t)))
             if self.pins[0][1] is None and "..." in t:
-                return self.element(st.parse_literal(t))
+                return self.element(ends_of(st.parse_literal(t)))
         raise BadElement(f"no element labelled {label!r} here")
 
     def to_label(self, x: Elem) -> str:
         run = next(r for r in reversed(self._runs) if r.block == x.block and r.base <= x.offset)
         c = run.start + run.step * (x.offset - run.first)
-        if self.literal:
-            held = spell(self.ends_at(run.half, run.layer, c))
-            if held != self.boundary:  # the boundary is named, not spelled
-                return str(held)
+        if self.literal and self.ends_at(run.half, run.layer, c) != self.boundary:  # the boundary is named, not spelled
+            return str(self.halves[run.half].spelled(run.layer, c))
         return _render_count(run.style, c)
 
 

@@ -26,6 +26,11 @@ the window changes nothing but the `window` that table8 echoes: the
 adjunctions are decided as adjunction.py describes, and the fold's
 round trip and collisions per lambda_prime layer, on its corner counts
 in the catalogue's layer coordinates, off the v runs holding the images.
+
+Elements are their ends here, as in the catalogue: a string is read in
+only where it comes from outside the package (the string lcr_forward
+folds, the pair lcr_backward unfolds or a splitting projects), and built
+only to spell a label or a report field.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import strings as st
-from .adjunction import BOUNDARY_M, BOUNDARY_M_PRIME, check_adjunction
-from .catalog import CpoName, Layer, NamedCpo, ends_of, named_cpo, spell
+from .adjunction import BOUNDARY_M, check_adjunction
+from .catalog import CpoName, Layer, NamedCpo, ends_of, named_cpo
 from .errors import BadElement, NotBoundary, UnknownCpo
 from .funcspace import self_iso
 from .words import AtomKind, check_window, iso, neighbors
@@ -61,7 +66,7 @@ class Decomposition(NamedTuple):
         """The string a pair element corresponds to under this splitting."""
         if not self.natural:
             raise NotBoundary("the valley order has no natural splitting to project along")
-        return self.boundary_image if p == BOUNDARY_M else named_cpo(CpoName.LAMBDA_HAT_PRIME).held(p)
+        return self.boundary_image if p == BOUNDARY_M else named_cpo(CpoName.LAMBDA_HAT_PRIME).held(ends_of(p))
 
 
 def decompositions(which: str | CpoName) -> tuple[Decomposition, ...]:
@@ -74,9 +79,8 @@ def decompositions(which: str | CpoName) -> tuple[Decomposition, ...]:
     cpo = named_cpo(which)
     if cpo.boundary is None:
         raise UnknownCpo(f"{cpo.name.value} has no catalogued decomposition")
-    b = cpo.boundary
-    ends = ends_of(b)
-    in_lower, in_upper = (spell((None, cpo.free(i, ends))) for i in (0, 1))
+    b = cpo.spelled_boundary
+    in_lower, in_upper = (b[1 - side] for side, _ in cpo.pins)  # the string each half frees: the end it does not pin
     low, up = ([layer.family for layer in h.layers] for h in cpo.halves)
     if cpo.halves[0].layers[-1].atom.kind is not AtomKind.FIN:
         return (Decomposition(tuple(low + up), False, None, None, CollisionWitness(b, in_upper, in_lower)),)
@@ -104,11 +108,12 @@ def lcr_forward(x: st.MonotypicString) -> LcrImage:
     """Fold a string into the valley order."""
     lam_prime = named_cpo(CpoName.LAMBDA_PRIME)
     v = named_cpo(CpoName.V)
-    layer, c = ends_of(x)[1]
+    ends = ends_of(x)
+    layer, c = ends[1]
     i = _fold_half(v, layer)
-    image = spell(v.ends_at(i, layer, c))
-    return LcrImage(x, lam_prime.to_label(lam_prime.element(x)), image, v.halves[i].name,
-                    v.to_label(v.element(image)), image == BOUNDARY_M_PRIME)
+    image, half = v.ends_at(i, layer, c), v.halves[i]
+    return LcrImage(x, lam_prime.to_label(lam_prime.element(ends)), half.spelled(layer, c), half.name,
+                    v.to_label(v.element(image)), image == v.boundary)
 
 
 def lcr_backward(p: st.PairString, endpoint: st.Orientation | None = None) -> st.MonotypicString:
@@ -121,11 +126,11 @@ def lcr_backward(p: st.PairString, endpoint: st.Orientation | None = None) -> st
     and endpoint is ignored.
     """
     v = named_cpo(CpoName.V)
-    if p == BOUNDARY_M_PRIME:
+    if p == v.spelled_boundary:
         if endpoint is None:
             raise BadElement("the boundary has two preimages; pick endpoint L or R")
         return next(s for s in p if s.orientation is endpoint)
-    return v.held(p)
+    return v.held(ends_of(p))
 
 
 class ReplicationResult(NamedTuple):
@@ -144,12 +149,10 @@ def replicate(p: st.PairString) -> ReplicationResult:
     if p != BOUNDARY_M:
         raise NotBoundary(f"replication applies only to {BOUNDARY_M}, got {p}")
     lam_prime = named_cpo(CpoName.LAMBDA_PRIME)
-    intent, extent = p.left, p.right
-    ie = lam_prime.element(intent)
-    ee = lam_prime.element(extent)
+    ie, ee = (lam_prime.element((None, end)) for end in named_cpo(CpoName.LAMBDA_HAT_PRIME).boundary)
     mutual = (neighbors(lam_prime.word, ee)[1] == ie
               and neighbors(lam_prime.word, ie)[0] == ee)
-    return ReplicationResult(p, intent, lam_prime.to_label(ie), extent, lam_prime.to_label(ee), mutual)
+    return ReplicationResult(p, p.left, lam_prime.to_label(ie), p.right, lam_prime.to_label(ee), mutual)
 
 
 class Table8Row(NamedTuple):
@@ -227,7 +230,7 @@ def pipeline(window: int = 20) -> PipelineReport:
     # hold it, and unfolds an image off the v run that holds it; from the
     # settle counts on both treat a layer's strings alike, so each layer's
     # corner counts decide the round trip and the strings folded onto m'
-    reach, m = max(lam_prime.settle, v.settle), ends_of(BOUNDARY_M_PRIME)
+    reach, m = max(lam_prime.settle, v.settle), v.boundary
     ok, collisions = True, []
     for layer in (layer for half in lam_prime.halves for layer in half.layers):
         i = _fold_half(v, layer)
@@ -236,12 +239,12 @@ def pipeline(window: int = 20) -> PipelineReport:
             if image == m:
                 x = layer.string(c)
                 collisions.append(x)
-                ok = ok and lcr_backward(BOUNDARY_M_PRIME, x.orientation) == x
+                ok = ok and lcr_backward(v.spelled_boundary, x.orientation) == x
             else:
                 run, held = v.locate(image)
                 ok = ok and (run.layer, held) == (layer, c)
     lcr_edge = LcrEdge(lam_prime.name.value, v.name.value, ok and len(collisions) == 2,
-                       v.to_label(v.element(BOUNDARY_M_PRIME)), tuple(str(c) for c in collisions),
+                       v.to_label(v.element(m)), tuple(str(c) for c in collisions),
                        iso(lam_prime.word, v.word))
 
     return PipelineReport(dual, rep_edge, lcr_edge, table8(window))

@@ -32,8 +32,9 @@ from .errors import BadIndex, BadLiteral
 from .words import check_range
 
 # finite_approx writes its n - 1 letters in about 1 ms at 1000000 (2-vCPU
-# Xeon, Python 3.11); limit_check reads one stage at any depth, and its
-# depth bound stays a part of the command's contract
+# Xeon, Python 3.11), and approx_bit takes the same stages; limit_check reads
+# one stage, no deeper than its depth bound, which stays a part of the
+# command's contract
 MAX_APPROX_STAGE = 1_000_000
 MAX_STABILITY_DEPTH = 1_000_000
 # realize writes index - 1 letters, 1 MB here; approx and limit take no larger index
@@ -167,7 +168,7 @@ def _zeros(kind: SpecKind, i: int, n: int) -> int:
 
 
 def approx_bit(kind: SpecKind, i: int, n: int, j: int) -> int:
-    """Bit at native position j (1-based) of the stage-n word of recipe i."""
+    """Bit at native position j (1-based) of the stage-n word of recipe i; n <= MAX_APPROX_STAGE."""
     _check_stage(i, n)
     if not 1 <= j <= n - 1:
         raise BadIndex(f"position {j} outside stage {n}")
@@ -179,14 +180,12 @@ def approx_bit(kind: SpecKind, i: int, n: int, j: int) -> int:
 def finite_approx(kind: SpecKind, i: int, n: int) -> str:
     """Stage-n word (length n-1) of recipe i, written left to right; n <= MAX_APPROX_STAGE."""
     _check_stage(i, n)
-    check_range("stage", n, 2, MAX_APPROX_STAGE)
     z = _zeros(kind, i, n)
     return "0" * z + "1" * (n - 1 - z)
 
 
 def _check_stage(i: int, n: int) -> None:
-    if n < 2:
-        raise BadIndex(f"stage must be >= 2, got {n}")
+    check_range("stage", n, 2, MAX_APPROX_STAGE)
     if not 1 <= i <= n:
         raise BadIndex(f"recipe index {i} outside stage {n}")
 

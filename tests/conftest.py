@@ -34,13 +34,13 @@ def elem_window(w, depth=12) -> list[Elem]:
 
 @pytest.fixture
 def work_count(monkeypatch):
-    """count(call): how many NamedCpo._find and strings.classify calls call() makes.
+    """count(call): how many NamedCpo.locate and strings.classify calls call() makes.
 
     One warm-up call goes first, since an order derives some of its
     structure on first use.
     """
-    calls = {"_find": 0, "classify": 0}
-    for owner, name in ((NamedCpo, "_find"), (strings, "classify")):
+    calls = {"locate": 0, "classify": 0}
+    for owner, name in ((NamedCpo, "locate"), (strings, "classify")):
         def counted(*args, f=getattr(owner, name), name=name):
             calls[name] += 1
             return f(*args)

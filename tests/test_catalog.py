@@ -56,11 +56,11 @@ def test_an_absorbed_finite_layer_counts_up_from_its_bottom():
     assert compare(c.word, c.to_elem("0'"), c.to_elem("0")) is Ordering.LT
     for x in window_elems(c.word, 8):
         assert c.to_elem(c.to_label(x)) == x
-    # with strings: position sorts like the element, in the omega* block's direction
+    # with strings: the key sorts like the element, in the omega* block's direction
     strung = NamedCpo(CpoName.TWO, (Half("t", ((L_STRINGS, "n'"), (ALL_ZEROS, "z"), (ALL_ONES, "o"))),))
-    held = [st.ALL_ZEROS_L, st.ALL_ONES_R]
-    assert [strung.to_label(strung.element(s)) for s in held] == ["z", "o"]
-    assert [strung.position(s) for s in held] == [(0, -1), (0, 0)]
+    held = [ends_of(st.ALL_ZEROS_L), ends_of(st.ALL_ONES_R)]
+    assert [strung.to_label(strung.element(ends)) for ends in held] == ["z", "o"]
+    assert [strung.key(*strung.locate(ends)) for ends in held] == [(0, -1), (0, 0)]
 
 
 # the per-layer string constructors the catalogue wrote out before each layer named its family
@@ -70,6 +70,13 @@ OLD_STRING = {
     ALL_ZEROS: lambda _: st.ALL_ZEROS_L,
     L_STRINGS: lambda u: st.MonotypicString(st.Orientation.L, u, st.OMEGA_MANY),
 }
+
+
+def test_an_input_literal_is_read_once(work_count):
+    """to_elem classifies each string of a literal once, and then locates its ends."""
+    for name, literal, strings_read in (("lambda_prime", "...0011", 1), ("omega_opp", "0011...", 1),
+                                        ("lambda_hat_prime", "(000..., ...0011)", 2), ("v", "(...000, 0011...)", 2)):
+        assert work_count(lambda: named_cpo(name).to_elem(literal)) == {"locate": 1, "classify": strings_read}
 
 
 def test_a_layer_string_is_its_family_recipe():

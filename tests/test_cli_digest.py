@@ -8,7 +8,8 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_digest.py"
 VERBS = ["string approx", "string limit", "limit", "fpt", "funcspace", "adjunction", "boundary",
          "table8", "pipeline", "lcr backward", "lcr forward", "decompose", "replicate", "cpo", "compare",
-         "neighbors"]
+         "neighbors", "stage", "funcs", "mu", "ep", "paths", "diagram", "normalize", "iso", "string realize",
+         "string opp", "string opp-pair", "string lr", "string lr-pair", "string classify"]
 
 
 def test_prints_one_digest_per_verb_and_a_total():

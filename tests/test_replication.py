@@ -1,7 +1,8 @@
 import pytest
 
-from scottlab import strings as st
+from scottlab import replication, strings as st
 from scottlab.adjunction import BOUNDARY_M, BOUNDARY_M_PRIME
+from scottlab.catalog import ALL_ONES, R_STRINGS, CpoName, NamedCpo, named_cpo
 from scottlab.cli import run
 from scottlab.errors import BadElement, NotBoundary, UnknownCpo
 from scottlab.replication import (
@@ -14,7 +15,8 @@ from scottlab.replication import (
 )
 
 # the window scans these verdicts replaced, kept as their oracle
-from window_scan import golden_at_window, scan_pipeline, scan_table8
+import window_scan
+from window_scan import golden_at_window, scan_lcr, scan_pipeline, scan_table8
 
 
 def _string(kind, i):
@@ -173,10 +175,58 @@ def test_decided_table8_and_pipeline_equal_the_scan():
 
 
 def test_the_work_does_not_grow_with_the_window(work_count):
+    """The same work at any window, and no string read back: the boundary and the fold stay in their ends."""
     for call in (table8, pipeline):
         counts = work_count(lambda: call(20))
         assert counts == work_count(lambda: call(10**9))
-        assert counts["_find"] > 0 and counts["classify"] > 0  # the boundary labels still go through _find
+        assert counts["locate"] > 0 and counts["classify"] == 0
+    for name in ("lambda_hat_prime", "v"):
+        assert work_count(lambda: decompositions(name))["classify"] == 0
+
+
+@pytest.mark.parametrize("x", ["...000", "...0011", "...111", "000...", "0011...", "111..."])
+def test_lcr_forward_reads_its_string_once(work_count, x):
+    assert work_count(lambda: lcr_forward(st.parse_literal(x)))["classify"] == 1
+    assert work_count(lambda: run(["lcr", "forward", "--x", x]))["classify"] == 1
+
+
+# -- the fold's round trip on valley orders that break it ----------------------
+
+V_LOW, V_UP = named_cpo("v").halves
+
+
+def _valley(lower=V_LOW, upper=V_UP):
+    return NamedCpo(CpoName.V, (lower, upper), glued=True)
+
+
+def _runs_traded(cpo, half, a, b):
+    """The order, with the runs `locate` finds for two layers of one half traded."""
+    cpo._run_of[half, a], cpo._run_of[half, b] = cpo._run_of[half, b], cpo._run_of[half, a]
+    return cpo
+
+
+# valley orders that fold lambda_prime onto exactly two strings at their boundary but do not round-trip
+BROKEN_FOLDS = [
+    ("v, the runs of the upper layers traded, so an image unfolds to another layer's string",
+     _runs_traded(_valley(), 1, R_STRINGS, ALL_ONES)),
+    ("v, ...111 moved from the top of the upper half to its pin, so both ends of the boundary (...000, ...111) "
+     "read from the right and unfold to ...000",
+     _valley(V_LOW._replace(blocks=(*V_LOW.blocks, (ALL_ONES, "+inf"))),
+             V_UP._replace(blocks=V_UP.blocks[:1], right=st.ALL_ONES_R))),
+]
+
+
+@pytest.mark.parametrize(("mutation", "v"), BROKEN_FOLDS, ids=[m[0] for m in BROKEN_FOLDS])
+def test_a_broken_fold_fails_the_round_trip_as_the_scan_does(monkeypatch, mutation, v):
+    """The first order breaks only the fold's round trip, the second only the collisions'."""
+    def lookup(name):
+        return v if name is CpoName.V else named_cpo(name)
+    for module in (replication, window_scan):
+        monkeypatch.setattr(module, "named_cpo", lookup)
+    for w in range(31):
+        edge = pipeline(w).lcr
+        assert edge == scan_lcr(w), w
+        assert not edge.round_trip_ok and len(edge.collision_preimages) == 2
 
 
 @pytest.mark.parametrize("argv", [["table8"], ["pipeline"]])

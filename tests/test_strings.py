@@ -76,6 +76,10 @@ def test_approximations_and_limit_checks_are_bounded():
         st.finite_approx(st.SpecKind.II, 3, st.MAX_APPROX_STAGE + 1)
     with pytest.raises(BadDepth, match="must be <= "):
         st.limit_check(st.SpecKind.II, 3, 2, st.MAX_STABILITY_DEPTH + 1)
+    with pytest.raises(BadDepth, match="must be <= "):
+        st.approx_bit(st.SpecKind.II, 3, st.MAX_APPROX_STAGE + 1, 1)
+    # the deepest stage limit_check reads is one approx_bit takes
+    assert st.limit_check(st.SpecKind.II, st.MAX_STABILITY_DEPTH - 1, 1, st.MAX_STABILITY_DEPTH)
 
 
 def _scanned_limit_check(kind, i, j, depth):
@@ -103,7 +107,7 @@ def test_limit_check_at_the_depth_bound_equals_the_stage_scan():
 def test_finite_approx_rejects_index_beyond_stage():
     with pytest.raises(BadIndex):
         st.finite_approx(st.SpecKind.II, 7, 5)
-    with pytest.raises(BadIndex):
+    with pytest.raises(BadDepth, match="^stage must be >= 2, got 1$"):
         st.finite_approx(st.SpecKind.I, 1, 1)
 
 

@@ -18,12 +18,11 @@ from scottlab.adjunction import (
     _check_shapes,
     opp_element,
 )
-from scottlab.catalog import CpoName, Half, NamedCpo, ends_of, named_cpo, stack_key
+from scottlab.catalog import CpoName, Half, NamedCpo, ends_of, named_cpo, spell, stack_key
 from scottlab.errors import UnknownCpo
 from scottlab.funcspace import self_iso
 from scottlab.replication import (
     BOUNDARY_M,
-    BOUNDARY_M_PRIME,
     DualizationEdge,
     LcrEdge,
     PipelineReport,
@@ -85,7 +84,7 @@ def scan_adjunction(cpo: NamedCpo, window: int) -> AdjunctionReport:
 
     c1 = next((x for x, ox in zip(xs, oxs) if not holds(b_half, ox)), None)
     c2 = next((y for y, oy in zip(ys, oys) if not holds(a_half, oy)), None)
-    position = cpo.position if pinned(a_half) else stack_rank
+    position = (lambda x: cpo.key(*cpo.locate(ends_of(x)))) if pinned(a_half) else stack_rank
     px = [(position(x), position(ox)) for x, ox in zip(xs, oxs)]
     py = [(position(y), position(oy)) for y, oy in zip(ys, oys)]
     c3 = next((f"{x}, {y}" for x, (x_at, ox_at) in zip(xs, px) for y, (y_at, oy_at) in zip(ys, py)
@@ -103,8 +102,8 @@ def scan_boundary(which, window: int) -> BoundaryReport:
     """The boundary report, with the join and meet checked on every window element."""
     cpo = build_pair_cpo(which)
     lower, upper = cpo.halves
-    b = cpo.boundary
-    belem = cpo.element(b)
+    b = spell(cpo.boundary)
+    belem = cpo.element(cpo.boundary)
     pred, succ = neighbors(cpo.word, belem)
     lower_win = lower.window(window)
     upper_win = upper.window(window)
@@ -137,11 +136,10 @@ def scan_table8(window: int) -> tuple[Table8Row, ...]:
 
 
 def scan_pipeline(window: int) -> PipelineReport:
-    """The pipeline, with the lcr round trip and collisions probed on every window element."""
+    """The pipeline, with the scanned fold edge and Table 8."""
     lam = named_cpo(CpoName.LAMBDA)
     hat = named_cpo(CpoName.LAMBDA_HAT_PRIME)
     lam_prime = named_cpo(CpoName.LAMBDA_PRIME)
-    v = named_cpo(CpoName.V)
 
     dual = DualizationEdge(lam.name.value, hat.name.value, iso(lam.word, hat.word), str(hat.display_word))
 
@@ -150,7 +148,13 @@ def scan_pipeline(window: int) -> PipelineReport:
         hat.name.value, lam_prime.name.value, rep.intent_label, rep.extent_label,
         str(hat.display_word), str(lam_prime.display_word), rep.mutual_neighbors,
     )
+    return PipelineReport(dual, rep_edge, scan_lcr(window), scan_table8(window))
 
+
+def scan_lcr(window: int) -> LcrEdge:
+    """The pipeline's fold edge, with the lcr round trip and collisions probed on every window element."""
+    lam_prime = named_cpo(CpoName.LAMBDA_PRIME)
+    v = named_cpo(CpoName.V)
     probe = [x for half in lam_prime.halves for x in half.window(window)]
     ok = True
     collisions = []
@@ -161,10 +165,8 @@ def scan_pipeline(window: int) -> PipelineReport:
             ok = False
         if img.collision:
             collisions.append(x)
-    lcr_edge = LcrEdge(
+    return LcrEdge(
         lam_prime.name.value, v.name.value, ok and len(collisions) == 2,
-        v.to_label(v.element(BOUNDARY_M_PRIME)), tuple(str(c) for c in collisions),
+        v.to_label(v.element(v.boundary)), tuple(str(c) for c in collisions),
         iso(lam_prime.word, v.word),
     )
-
-    return PipelineReport(dual, rep_edge, lcr_edge, scan_table8(window))

@@ -7,8 +7,8 @@ as text and once with `--format json`; a verb's digest covers, in grid
 order, each run's stdout, stderr and exit code.  Run it on two checkouts
 and diff the outputs: a verb whose line differs answered some argv
 differently.  Without PYTHONPATH it runs this checkout's `src`.  The
-grid is written out here, not derived from the package, so that both
-checkouts answer the same argv.
+grid covers every verb and subverb; it is written out here, not derived
+from the package, so that both checkouts answer the same argv.
 """
 
 import contextlib
@@ -28,6 +28,13 @@ COMPOSITES = ["lambda", "lambda_prime", "lambda_hat_prime", "v"]
 GLUED = ["lambda_hat_prime", "v"]
 WINDOWS = range(61)
 ATOMS = ["w", "w*", "1", "2", "3"]
+SCHEMES = ["standard", "alternative"]
+WORDS = ["w+1", "1+w", "w*+w", "w+w*", "w+1+w*", "2+w*+w+2", "w*+1+w"]
+BAD_WORDS = ["", "x", "w+", "w**", "0", "+1"]
+RECIPES = [f"{k}:{i}" for k in ("I", "II", "III", "IV") for i in (1, 2, 3, 7, 13, 10**6)] + [
+    "I:0", "II:1000001", "V:1", "II", "II:x", "II:3:1"]
+BAD_LITERALS = ["...", "0011", "...0101", "...0011...", "0x1...", "10..."]
+BAD_PAIRS = ["000..., ...111", "(000...)", "(000..., ...111, 111...)", "(000..., ...101)"]
 
 
 def _normal(atoms) -> bool:
@@ -92,6 +99,25 @@ def grid() -> dict[str, list[list[str]]]:
         "compare": [["compare", "--cpo", c, f"--x={x}", f"--y={y}"] for c, names in NAMES.items()
                     for x in names for y in names],
         "neighbors": [["neighbors", "--cpo", c, f"--x={x}"] for c, names in NAMES.items() for x in names],
+        # small sizes from below each lower bound, then each upper bound's first rejected value, refused before any work
+        "stage": [["stage", "--n", str(n)] for n in [*range(-1, 21), 5001]],
+        "funcs": [["funcs", "--m", str(m)] for m in [*range(-1, 11), 21]],
+        "mu": [["mu", "--map", m] for m in ("00", "01", "10", "11", "0", "011", "02", "ab", " 01 ")],
+        "ep": [["ep", "--scheme", s, "--n", str(n), *check] for s in SCHEMES for n in [*range(-1, 21), 100001]
+               for check in ([], ["--check"])],
+        "paths": [["paths", "--scheme", s, "--depth", str(d)] for s in SCHEMES for d in [*range(-1, 16), 3001]],
+        "diagram": [["diagram", "--scheme", s, "--depth", str(d)] for s in SCHEMES for d in [*range(-1, 9), 301]],
+        "normalize": [["normalize", "--word", "+".join(atoms)] for n in range(1, 4)
+                      for atoms in itertools.product(ATOMS, repeat=n)]
+        + [["normalize", "--word", w] for w in BAD_WORDS],
+        "iso": [["iso", "--a", a, "--b", b] for a in [*ORDERS, *WORDS, "x"] for b in [*ORDERS, *WORDS, "w+"]],
+        "string realize": [["string", "realize", "--recipe", r] for r in RECIPES],
+        "string opp": [["string", "opp", "--x", x] for x in [*_family_literals(6), *BAD_LITERALS]],
+        "string opp-pair": [["string", "opp-pair", "--pair", p]
+                            for p in [*_valley_pairs(4), "(000..., ...111)", "(0011..., ...0011)", *BAD_PAIRS]],
+        "string lr": [["string", "lr", "--recipe", r] for r in RECIPES],
+        "string lr-pair": [["string", "lr-pair", "--a", a, "--b", b] for a in RECIPES[::3] for b in RECIPES[1::3]],
+        "string classify": [["string", "classify", "--x", x] for x in [*_family_literals(6), *BAD_LITERALS]],
     }
 
 
