@@ -169,7 +169,8 @@ def _stage(args) -> dict:
 
 
 def _stage_text(obj, args) -> str:
-    return " ".join(e or "λ" for e in obj["elements"])
+    # only stage 1's one word is empty
+    return " ".join(obj["elements"]) or "λ"
 
 
 def _funcs(args) -> dict:
@@ -199,7 +200,7 @@ def _ep(args) -> dict:
 
 
 def _ep_text(obj, args) -> str:
-    lines = [f"{m}: " + " ".join(f"{k}->{v}" for k, v in enumerate(obj[m])) for m in ("e", "p")]
+    lines = [f"{m}: " + " ".join(map("{}->{}".format, range(len(obj[m])), obj[m])) for m in ("e", "p")]
     if args.check:
         laws = obj["laws"]
         lines.append(f"laws: {'ok' if laws['ok'] else 'VIOLATED (' + str(laws['witness']) + ')'}")
@@ -213,7 +214,9 @@ def _paths(args) -> dict:
 
 
 def _paths_text(obj, args) -> str:
-    return "\n".join(",".join(map(str, p["entries"])) + f" <-> {p['label']}" for p in obj["paths"])
+    # every entry is a label below depth: one table of their texts, not a str() per entry
+    text = list(map(str, range(obj["depth"]))).__getitem__
+    return "\n".join(",".join(map(text, p["entries"])) + f" <-> {p['label']}" for p in obj["paths"])
 
 
 def _limit(args) -> dict:

@@ -100,8 +100,11 @@ class LcrImage(NamedTuple):
 
 
 def _fold_half(v: NamedCpo, layer: Layer) -> int:
-    """The v half lcr folds a stack layer into: the one whose layers hold it."""
-    return next(i for i in (0, 1) if v.free(i, v.ends_at(i, layer, 0)))
+    """The v half lcr folds a stack layer into: the one whose layers hold it; BadElement if neither does."""
+    for i in (0, 1):
+        if v.free(i, v.ends_at(i, layer, 0)):
+            return i
+    raise BadElement(f"no half of {v.name.value} holds lambda_prime's layer {layer.family.name} ({layer.atom})")
 
 
 def lcr_forward(x: st.MonotypicString) -> LcrImage:

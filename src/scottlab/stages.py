@@ -20,7 +20,9 @@ diagonal is the alternating growth pattern.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 from enum import Enum
 from typing import NamedTuple
 
@@ -29,17 +31,19 @@ from .words import OMEGA, OMEGA_STAR, OrderWord, check_range, fin, word_of
 # enumerate_monotone walks all 2^m assignments: about 2 s at m = 20,
 # doubling with each step
 MAX_MONOTONE_CHAIN = 20
-# diagram_dot's text grows as depth^3 bytes: about 38 MB at depth 300,
-# while depth 1100 would be 1.36 GB held in memory before it is written
+# diagram_dot's text grows as depth^3 bytes: about 38 MB in 0.2 s and a
+# 165 MB peak at depth 300 (2-vCPU Xeon, Python 3.11), while depth 1100
+# would be 1.36 GB held in memory before it is written
 MAX_DIAGRAM_DEPTH = 300
 # a stage's text grows as n^2 bytes: about 25 MB at n = 5000, while
 # n = 100000 would be about 10 GB held in memory before it is written
 MAX_STAGE = 5000
 # an ep pair and its law check are linear in n: at n = 100000 the
-# checked pair prints about 2.6 MB of text in 0.2-0.5 s
+# checked pair prints about 2.6 MB of text in about 0.2 s
 MAX_EP_STAGE = 100_000
-# limit_paths holds depth^2 labels: about 38 MB of text, 340 MB of
-# memory and 4 s at depth 3000
+# limit_paths holds depth^2 labels: at depth 3000 it builds them in
+# 0.2 s with an 86 MB peak, and `paths` prints about 38 MB of text in
+# about 1 s with a 160 MB peak
 MAX_PATHS_DEPTH = 3000
 # limit_cpo classifies one label, about 5 µs at any depth (2-vCPU Xeon,
 # Python 3.11); the bound stays part of the verb's documented input range
@@ -52,8 +56,10 @@ class Stage(NamedTuple):
 
 
 def stage(n: int) -> Stage:
+    """Word k is the window of n-1 letters at offset k of 0^(n-1) 1^(n-1)."""
     check_range("stage", n, 1, MAX_STAGE)
-    return Stage(n, tuple("0" * (n - 1 - k) + "1" * k for k in range(n)))
+    letters = "0" * (n - 1) + "1" * (n - 1)
+    return Stage(n, tuple([letters[k:k + n - 1] for k in range(n)]))
 
 
 def enumerate_monotone(m: int) -> tuple[str, ...]:
@@ -92,15 +98,17 @@ class EpPair(NamedTuple):
     p: LabelMap  # stage n+1 -> stage n
 
 
+def _diagonal(scheme: Scheme, n: int) -> int:
+    """The scheme's threshold at stage n: the last label that e and p both fix."""
+    return (n - 1) // 2 if scheme is Scheme.STANDARD else n - 1
+
+
 def ep_pair(scheme: Scheme, n: int) -> EpPair:
+    """e keeps labels up to the diagonal t and shifts the rest up; p undoes it, sending t+1 to t too."""
     check_range("stage", n, 1, MAX_EP_STAGE)
-    if scheme is Scheme.STANDARD:
-        t = (n - 1) // 2
-        e = tuple(k if k <= t else k + 1 for k in range(n))
-        p = tuple(k if k <= t else k - 1 for k in range(n + 1))
-    else:
-        e = tuple(range(n))
-        p = tuple(min(k, n - 1) for k in range(n + 1))
+    t = _diagonal(scheme, n)
+    e = (*range(t + 1), *range(t + 2, n + 1))
+    p = (*range(t + 1), *range(t, n))
     return EpPair(scheme, n, LabelMap(n, n + 1, e), LabelMap(n + 1, n, p))
 
 
@@ -116,15 +124,16 @@ class EpLawReport(NamedTuple):
 
 
 def check_ep_laws(pair: EpPair) -> EpLawReport:
-    """Check the section/retraction laws on an explicit pair of maps."""
-    n, e, p = pair.n, pair.e, pair.p
+    """Check the section/retraction laws on an explicit pair of maps, each law one scan of their tuples."""
+    n, e, p = pair.n, pair.e.mapping.__getitem__, pair.p.mapping.__getitem__
+    below, upto = range(n), range(n + 1)
     # the first label that breaks each of the first two laws
-    pe = next((k for k in range(n) if p(e(k)) != k), None)
-    ep = next((k for k in range(n + 1) if e(p(k)) > k), None)
+    pe = next(itertools.compress(below, map(operator.ne, map(p, map(e, below)), below)), None)
+    ep = next(itertools.compress(upto, map(operator.gt, map(e, map(p, upto)), upto)), None)
     witness = (f"p(e({pe})) = {p(e(pe))}" if pe is not None  # p∘e's failure comes first
                else None if ep is None else f"e(p({ep})) = {e(p(ep))}")
-    e_mono = all(e(k) <= e(k + 1) for k in range(n - 1))
-    p_mono = all(p(k) <= p(k + 1) for k in range(n))
+    e_mono = all(map(operator.le, map(e, range(n - 1)), map(e, range(1, n))))
+    p_mono = all(map(operator.le, map(p, below), map(p, range(1, n + 1))))
     return EpLawReport(pe is None, ep is None, e_mono, p_mono,
                        pe is None and ep is None and e_mono and p_mono, witness)
 
@@ -149,7 +158,7 @@ class LimitPath(NamedTuple):
 
 def _classify(scheme: Scheme, depth: int, last: int) -> tuple[PathClass, int | None]:
     """Kind and index of the path that ends at label `last` of stage `depth`."""
-    diagonal = (depth - 1) // 2 if scheme is Scheme.STANDARD else depth - 1
+    diagonal = _diagonal(scheme, depth)
     if last == diagonal:
         return PathClass.INFINITY, None
     if last < diagonal:
@@ -161,20 +170,32 @@ def limit_paths(scheme: Scheme, depth: int) -> tuple[LimitPath, ...]:
     """Every projection-consistent label path through stages 1..depth.
 
     Every projection is onto, so a path is the chain of projections of
-    its final label: there is exactly one path per label of stage
-    `depth`, and walking each of them down costs O(depth^2) in all.
-    The p maps are monotone, so walks from increasing final labels are
-    pointwise increasing and come out already sorted.  The labels
-    number depth^2, so depth is bounded by MAX_PATHS_DEPTH.
+    its final label L: there is exactly one path per label of stage
+    `depth`.  The p into stage n fixes the labels up to the diagonal t_n
+    and moves the rest down by one, so the path's label at stage n is
+    max(min(L, t_n), L - (depth - n)) in closed form.  A row is thus a
+    prefix of the diagonal sequence followed by a tail: the constant L
+    for a finite path or inf (L <= t_depth), labels rising by one to L
+    for a primed path.  Bisection finds the cut, and each row is two
+    tuple slices.  The p maps are monotone, so rows from increasing
+    final labels are pointwise increasing and come out already sorted.
+    The labels number depth^2, so depth is bounded by MAX_PATHS_DEPTH.
     """
     check_range("depth", depth, 2, MAX_PATHS_DEPTH)
-    labels = list(range(depth))
-    columns = [labels]  # labels of stage depth, depth-1, ..., 1
-    for n in range(depth - 1, 0, -1):
-        p = ep_pair(scheme, n).p.mapping
-        labels = [p[k] for k in labels]
-        columns.append(labels)
-    return tuple(LimitPath(e, *_classify(scheme, depth, e[-1])) for e in zip(*reversed(columns)))
+    identity = tuple(range(depth))
+    diagonal = tuple(_diagonal(scheme, n) for n in range(1, depth + 1))  # t_1, ..., t_depth
+    rise = tuple(map(operator.sub, identity, diagonal))  # n - 1 - t_n, non-decreasing
+    paths = []
+    for last in identity:
+        if last <= diagonal[-1]:
+            cut = bisect.bisect_left(diagonal, last)
+            entries = diagonal[:cut] + (last,) * (depth - cut)
+        else:  # the tail L - (depth - n) wins once n - 1 - t_n exceeds depth - 1 - L
+            slack = depth - 1 - last
+            cut = bisect.bisect_right(rise, slack)
+            entries = diagonal[:cut] + identity[cut - slack:last + 1]
+        paths.append(LimitPath(entries, *_classify(scheme, depth, last)))
+    return tuple(paths)
 
 
 def limit_cpo(scheme: Scheme, depth: int = 12) -> OrderWord:
@@ -190,40 +211,34 @@ def limit_cpo(scheme: Scheme, depth: int = 12) -> OrderWord:
     return word_of(OMEGA, fin(1))
 
 
-def _gvquote(s: str) -> str:
-    return '"' + s.replace('"', '\\"') + '"'
-
-
 def diagram_dot(scheme: Scheme, depth: int) -> str:
     """Stage diagram in dot form: columns of stages, e/p arrows between.
 
     A label fixed by both maps gets a single two-headed edge; a shifted
     embedding or collapsing projection gets its own labelled arrow.
     Following the p arrows down from a label of the last stage traces
-    that label's limit path, the chain of its projections.  Each stage's
-    node names are built once, so the O(depth^2) nodes and edges cost
-    one `stage` call per stage.  The text itself grows as depth^3 bytes,
-    so depth is bounded by MAX_DIAGRAM_DEPTH.
+    that label's limit path, the chain of its projections.  From stage n
+    to stage n+1 the edges come in three runs around the diagonal t_n:
+    a two-headed edge for each label j <= t_n, one lone p arrow from
+    t_n+1, and an e/p pair for each label j > t_n+1.  Each run is one
+    `%` on a repeated template, over node names built once per stage.
+    The text grows as depth^3 bytes, so depth is bounded by
+    MAX_DIAGRAM_DEPTH.
     """
     check_range("depth", depth, 2, MAX_DIAGRAM_DEPTH)
-    lines = [f"digraph stages_{scheme.value} {{", "  rankdir=LR;", "  node [shape=plaintext];"]
-    nodes = [[_gvquote(f"s{n}_{text or 'λ'}") for text in stage(n).elements]
-             for n in range(1, depth + 1)]
-    for members in nodes:
-        lines.append(f"  {{ rank=same; {' '.join(members)} }}")
+    # one join and one split name a whole stage's nodes; only stage 1's word is empty
+    nodes = [['"s1_λ"']] + [(f'"s{n}_' + f'"\n"s{n}_'.join(stage(n).elements) + '"').split("\n")
+                            for n in range(2, depth + 1)]
+    out = [f"digraph stages_{scheme.value} {{\n  rankdir=LR;\n  node [shape=plaintext];\n"]
+    out += [f"  {{ rank=same; {' '.join(members)} }}\n" for members in nodes]
+    chain = itertools.chain.from_iterable
     for n in range(1, depth):
-        pair = ep_pair(scheme, n)
-        e, p = pair.e.mapping, pair.p.mapping
+        t = _diagonal(scheme, n)
         lower, upper = nodes[n - 1], nodes[n]
-        for j in range(n + 1):
-            k = p[j]
-            if e[k] == j:
-                if k == j:
-                    lines.append(f"  {lower[k]} -> {upper[j]} [dir=both];")
-                else:
-                    lines.append(f"  {lower[k]} -> {upper[j]} [label=\"e\"];")
-                    lines.append(f"  {upper[j]} -> {lower[k]} [label=\"p\"];")
-            else:
-                lines.append(f"  {upper[j]} -> {lower[k]} [label=\"p\"];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        out.append("  %s -> %s [dir=both];\n" * (t + 1) % tuple(chain(zip(lower, upper[:t + 1]))))
+        out.append(f'  {upper[t + 1]} -> {lower[t]} [label="p"];\n')
+        pairs = n - 1 - t  # the labels j = t+2, ..., n
+        out.append('  %s -> %s [label="e"];\n  %s -> %s [label="p"];\n' * pairs
+                   % tuple(chain(zip(lower[t + 1:], upper[t + 2:], upper[t + 2:], lower[t + 1:]))))
+    out.append("}\n")
+    return "".join(out)

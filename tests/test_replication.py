@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from scottlab import replication, strings as st
@@ -227,6 +229,21 @@ def test_a_broken_fold_fails_the_round_trip_as_the_scan_does(monkeypatch, mutati
         edge = pipeline(w).lcr
         assert edge == scan_lcr(w), w
         assert not edge.round_trip_ok and len(edge.collision_preimages) == 2
+
+
+def test_a_valley_order_without_a_layer_refuses_the_fold(monkeypatch):
+    """A lambda_prime layer that no half of v holds is a BadElement that names the order and the layer."""
+    v = _valley(upper=V_UP._replace(blocks=V_UP.blocks[1:]))  # xi_opp without its omega layer of family III
+    for module in (replication, window_scan):
+        monkeypatch.setattr(module, "named_cpo", lambda name: v if name is CpoName.V else named_cpo(name))
+    message = re.escape("no half of v holds lambda_prime's layer III (ω)")
+    with pytest.raises(BadElement, match=message):
+        lcr_forward(R_STRINGS.string(0))
+    for w in (0, 1, 20):
+        for verdict in (pipeline, scan_lcr):
+            with pytest.raises(BadElement, match=message):
+                verdict(w)
+    assert run(["lcr", "forward", "--x", str(R_STRINGS.string(3))]) == 2
 
 
 @pytest.mark.parametrize("argv", [["table8"], ["pipeline"]])

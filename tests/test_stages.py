@@ -8,6 +8,7 @@ from scottlab.stages import (
     MAX_MONOTONE_CHAIN,
     MAX_PATHS_DEPTH,
     MAX_STAGE,
+    EpLawReport,
     EpPair,
     LabelMap,
     PathClass,
@@ -172,7 +173,8 @@ def test_diagram_shape():
         diagram_dot(Scheme.STANDARD, 1)
 
 
-# -- oracles: the recursive path search and the per-node diagram -------------
+# -- oracles: the recursive path search, the column walk, the per-label law
+# check, and the per-node and ep-map-driven diagrams --------------------------
 
 def grow_paths(scheme, depth):
     """Every projection-consistent path, grown up from stage 1 by search."""
@@ -218,6 +220,68 @@ def per_node_diagram(scheme, depth):
                 lines.append(f"  {node(n + 1, j)} -> {node(n, k)} [label=\"p\"];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def ep_map_diagram(scheme, depth):
+    """The stage diagram drawn label by label off the explicit ep maps, node names built once per stage."""
+    lines = [f"digraph stages_{scheme.value} {{", "  rankdir=LR;", "  node [shape=plaintext];"]
+    nodes = [['"' + f"s{n}_{text or 'λ'}".replace('"', '\\"') + '"' for text in stage(n).elements]
+             for n in range(1, depth + 1)]
+    for members in nodes:
+        lines.append(f"  {{ rank=same; {' '.join(members)} }}")
+    for n in range(1, depth):
+        pair = ep_pair(scheme, n)
+        e, p = pair.e.mapping, pair.p.mapping
+        lower, upper = nodes[n - 1], nodes[n]
+        for j in range(n + 1):
+            k = p[j]
+            if e[k] == j:
+                if k == j:
+                    lines.append(f"  {lower[k]} -> {upper[j]} [dir=both];")
+                else:
+                    lines.append(f"  {lower[k]} -> {upper[j]} [label=\"e\"];")
+                    lines.append(f"  {upper[j]} -> {lower[k]} [label=\"p\"];")
+            else:
+                lines.append(f"  {upper[j]} -> {lower[k]} [label=\"p\"];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def walk_paths(scheme, depth):
+    """Every path, each final label walked down through the explicit p maps one stage at a time."""
+    labels = list(range(depth))
+    columns = [labels]  # labels of stage depth, depth-1, ..., 1
+    for n in range(depth - 1, 0, -1):
+        p = ep_pair(scheme, n).p.mapping
+        labels = [p[k] for k in labels]
+        columns.append(labels)
+    return list(zip(*reversed(columns)))
+
+
+def per_label_laws(pair):
+    """The section/retraction laws, each label probed through the LabelMaps one call at a time."""
+    n, e, p = pair.n, pair.e, pair.p
+    pe = next((k for k in range(n) if p(e(k)) != k), None)
+    ep = next((k for k in range(n + 1) if e(p(k)) > k), None)
+    witness = (f"p(e({pe})) = {p(e(pe))}" if pe is not None
+               else None if ep is None else f"e(p({ep})) = {e(p(ep))}")
+    e_mono = all(e(k) <= e(k + 1) for k in range(n - 1))
+    p_mono = all(p(k) <= p(k + 1) for k in range(n))
+    return EpLawReport(pe is None, ep is None, e_mono, p_mono,
+                       pe is None and ep is None and e_mono and p_mono, witness)
+
+
+def single_entry_mutations(pair):
+    """The pair with one entry of e, or of p, moved to each other label of its codomain."""
+    e, p = pair.e, pair.p
+    for i, old in enumerate(e.mapping):
+        for new in range(pair.n + 1):
+            if new != old:
+                yield pair._replace(e=e._replace(mapping=(*e.mapping[:i], new, *e.mapping[i + 1:])))
+    for i, old in enumerate(p.mapping):
+        for new in range(pair.n):
+            if new != old:
+                yield pair._replace(p=p._replace(mapping=(*p.mapping[:i], new, *p.mapping[i + 1:])))
 
 
 ORACLE_DEPTHS = range(2, 31)
@@ -266,6 +330,52 @@ def test_limit_cpo_matches_the_kinds_of_every_path(scheme):
 def test_diagram_matches_the_per_node_build(scheme):
     for depth in ORACLE_DEPTHS:
         assert diagram_dot(scheme, depth) == per_node_diagram(scheme, depth), depth
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_diagram_matches_the_ep_map_drawing(scheme):
+    for depth in [*range(2, 121), MAX_DIAGRAM_DEPTH]:
+        assert diagram_dot(scheme, depth) == ep_map_diagram(scheme, depth), depth
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_closed_form_paths_match_the_column_walk(scheme):
+    for depth in range(2, 301):
+        assert [p.entries for p in limit_paths(scheme, depth)] == walk_paths(scheme, depth), depth
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_ep_laws_match_the_per_label_check_on_every_single_entry_mutation(scheme):
+    for n in range(1, 9):
+        pair = ep_pair(scheme, n)
+        assert check_ep_laws(pair) == per_label_laws(pair)
+        mutations = list(single_entry_mutations(pair))
+        assert len(mutations) == n * n + (n + 1) * (n - 1)
+        for broken in mutations:
+            report = check_ep_laws(broken)
+            assert report == per_label_laws(broken), broken
+            assert not report.ok, broken
+
+
+def per_label_ep_maps(scheme, n):
+    """The e and p mappings, each label computed on its own."""
+    if scheme is Scheme.STANDARD:
+        t = (n - 1) // 2
+        return (tuple(k if k <= t else k + 1 for k in range(n)),
+                tuple(k if k <= t else k - 1 for k in range(n + 1)))
+    return tuple(range(n)), tuple(min(k, n - 1) for k in range(n + 1))
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_ep_pair_from_ranges_matches_the_per_label_maps(scheme):
+    for n in [*range(1, 301), MAX_EP_STAGE]:
+        pair = ep_pair(scheme, n)
+        assert (pair.e.mapping, pair.p.mapping) == per_label_ep_maps(scheme, n), n
+
+
+def test_stage_by_slicing_matches_the_per_word_build():
+    for n in [*range(1, 301), MAX_STAGE]:
+        assert stage(n).elements == tuple("0" * (n - 1 - k) + "1" * k for k in range(n)), n
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))

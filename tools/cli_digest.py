@@ -99,14 +99,16 @@ def grid() -> dict[str, list[list[str]]]:
         "compare": [["compare", "--cpo", c, f"--x={x}", f"--y={y}"] for c, names in NAMES.items()
                     for x in names for y in names],
         "neighbors": [["neighbors", "--cpo", c, f"--x={x}"] for c, names in NAMES.items() for x in names],
-        # small sizes from below each lower bound, then each upper bound's first rejected value, refused before any work
-        "stage": [["stage", "--n", str(n)] for n in [*range(-1, 21), 5001]],
+        # small sizes from below each lower bound, one size of the benchmark's stage tower, then each upper
+        # bound's first rejected value, refused before any work
+        "stage": [["stage", "--n", str(n)] for n in [*range(-1, 21), 200, 5001]],
         "funcs": [["funcs", "--m", str(m)] for m in [*range(-1, 11), 21]],
         "mu": [["mu", "--map", m] for m in ("00", "01", "10", "11", "0", "011", "02", "ab", " 01 ")],
-        "ep": [["ep", "--scheme", s, "--n", str(n), *check] for s in SCHEMES for n in [*range(-1, 21), 100001]
+        "ep": [["ep", "--scheme", s, "--n", str(n), *check] for s in SCHEMES for n in [*range(-1, 21), 200, 100001]
                for check in ([], ["--check"])],
-        "paths": [["paths", "--scheme", s, "--depth", str(d)] for s in SCHEMES for d in [*range(-1, 16), 3001]],
-        "diagram": [["diagram", "--scheme", s, "--depth", str(d)] for s in SCHEMES for d in [*range(-1, 9), 301]],
+        "paths": [["paths", "--scheme", s, "--depth", str(d)] for s in SCHEMES for d in [*range(-1, 16), 150, 3001]],
+        "diagram": [["diagram", "--scheme", s, "--depth", str(d)]
+                    for s in SCHEMES for d in [*range(-1, 9), 92, 101, 301]],
         "normalize": [["normalize", "--word", "+".join(atoms)] for n in range(1, 4)
                       for atoms in itertools.product(ATOMS, repeat=n)]
         + [["normalize", "--word", w] for w in BAD_WORDS],
