@@ -43,8 +43,6 @@ The halves, the string ranks, the boundaries and the ambient positions
 are all read off the catalogue's table; nothing here restates an order.
 """
 
-from __future__ import annotations
-
 from typing import Iterator, NamedTuple
 
 from . import strings as st

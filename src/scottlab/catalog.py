@@ -37,8 +37,6 @@ string literals such as "...0011" and pair literals such as
 the literal itself in orders that print literals.
 """
 
-from __future__ import annotations
-
 import re
 from enum import Enum
 from functools import cached_property

@@ -6,7 +6,7 @@ the same invocation always produces the same bytes.  --format json
 emits one compact JSON object per run; the schemas shipped in
 scottlab/schemas describe each verb's object.
 
-Each verb and subverb is a pair of functions that `add()` attaches to
+Each verb and subverb is a pair of functions that `_add()` attaches to
 its parser: compute(args) returns the verb's JSON object, exactly as
 its schema describes it, and render(obj, args) builds the text from
 that object alone.  `run()` prints one or the other, so the text is
@@ -18,6 +18,15 @@ only function that turns a report into JSON.
 `--format` may be given to a group (`string`, `lcr`) or to its subverb;
 the later one wins.
 
+A cold start pays only for the verb it runs.  Importing this module
+runs none of the layers: each is registered lazily and its body runs
+the first time a verb reads a name from it, so `stage` runs `stages`
+and `words` only, `boundary` runs `adjunction`, `catalog`, `strings`
+and `words`, and only `decompose`, `lcr`, `replicate`, `table8` and
+`pipeline` run `replication`.  `run()` builds the parser of the verb
+that argv names, not all of them, and `json` is imported only for
+`--format json`.
+
 Exit codes: 0 for success, including negative mathematical verdicts
 (a failed isomorphism or adjunction is a result, not an error); 1 when
 stdout cannot take the output (it cannot encode it, or its reader
@@ -28,19 +37,33 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import importlib.util
 import os
 import sys
 
-from . import strings as st
-from .adjunction import BOUNDARY_M, boundary_report, check_adjunction
-from .catalog import chain_display, named_cpo
 from .errors import BadLiteral, NotBoundary, NotIsomorphic, UnknownCpo, UsageError
-from .funcspace import Mu, fpt, indicator_rows, mu_continuous, self_iso
-from .replication import decompositions, lcr_backward, lcr_forward, pipeline, replicate, table8
-from .stages import Scheme, check_ep_laws, diagram_dot, enumerate_monotone, ep_pair, limit_cpo, limit_paths, stage
-from .words import (check_range, compare, extremes, iso as word_iso, neighbors, normalize, parse_word, read_decimal,
-                    window_elems)
+
+
+def _lazy(name: str):
+    """The layer `scottlab.<name>`, in sys.modules and on the package, its body not yet run.
+
+    LazyLoader runs the body on the first attribute read, so the verbs call the
+    layers through these module objects and a verb runs only the layers it reads.
+    """
+    fullname = f"{__package__}.{name}"
+    if (module := sys.modules.get(fullname)) is not None:
+        return module
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+words, st, catalog, funcspace, stages, adjunction, replication = map(
+    _lazy, ("words", "strings", "catalog", "funcspace", "stages", "adjunction", "replication"))
 
 
 def _yes_no(flag: bool) -> str:
@@ -50,10 +73,10 @@ def _yes_no(flag: bool) -> str:
 def _word_or_cpo(token: str):
     """A catalogue name, or failing that an order-word literal."""
     try:
-        c = named_cpo(token)
+        c = catalog.named_cpo(token)
         return c.word, str(c.display_word)
     except UnknownCpo:
-        w = parse_word(token)
+        w = words.parse_word(token)
         return w, str(w)
 
 
@@ -66,10 +89,10 @@ def _parse_recipe(text: str) -> st.SpecifiedString:
         k = st.SpecKind[kind]
     except KeyError:
         raise BadLiteral(f"unknown recipe family {parts[0]!r}") from None
-    if (index := read_decimal(parts[1].strip())) is None:
+    if (index := words.read_decimal(parts[1].strip())) is None:
         raise BadLiteral(f"recipe index must be a number, got {parts[1]!r}")
     s = st.SpecifiedString(k, index)
-    check_range("recipe index", s.index, 1, st.MAX_RECIPE_INDEX)
+    words.check_range("recipe index", s.index, 1, st.MAX_RECIPE_INDEX)
     return s
 
 
@@ -100,15 +123,15 @@ def _json(report):
 
 
 def _cpo(args) -> dict:
-    c = named_cpo(args.cpo)
-    bottom, top = extremes(c.word)
+    c = catalog.named_cpo(args.cpo)
+    bottom, top = words.extremes(c.word)
     return {
         "cpo": c.name.value,
         "order_type": str(c.display_word),
         "normal_type": str(c.word),
         "bottom": c.to_label(bottom) if bottom else None,
         "top": c.to_label(top) if top else None,
-        "chain": chain_display(c, args.window),
+        "chain": catalog.chain_display(c, args.window),
     }
 
 
@@ -119,8 +142,8 @@ def _cpo_text(obj, args) -> str:
 
 
 def _normalize(args) -> dict:
-    w = parse_word(args.word)
-    return {"input": str(w), "normal": str(normalize(w))}
+    w = words.parse_word(args.word)
+    return {"input": str(w), "normal": str(words.normalize(w))}
 
 
 def _normalize_text(obj, args) -> str:
@@ -130,8 +153,8 @@ def _normalize_text(obj, args) -> str:
 def _iso(args) -> dict:
     wa, da = _word_or_cpo(args.a)
     wb, db = _word_or_cpo(args.b)
-    return {"a": da, "b": db, "isomorphic": word_iso(wa, wb),
-            "a_normal": str(normalize(wa)), "b_normal": str(normalize(wb))}
+    return {"a": da, "b": db, "isomorphic": words.iso(wa, wb),
+            "a_normal": str(words.normalize(wa)), "b_normal": str(words.normalize(wb))}
 
 
 def _iso_text(obj, args) -> str:
@@ -139,10 +162,10 @@ def _iso_text(obj, args) -> str:
 
 
 def _compare(args) -> dict:
-    c = named_cpo(args.cpo)
+    c = catalog.named_cpo(args.cpo)
     x = c.to_elem(args.x)
     y = c.to_elem(args.y)
-    rel = compare(c.word, x, y).value
+    rel = words.compare(c.word, x, y).value
     return {"cpo": c.name.value, "x": c.to_label(x), "y": c.to_label(y), "relation": rel}
 
 
@@ -151,9 +174,9 @@ def _compare_text(obj, args) -> str:
 
 
 def _neighbors(args) -> dict:
-    c = named_cpo(args.cpo)
+    c = catalog.named_cpo(args.cpo)
     x = c.to_elem(args.x)
-    pred, succ = neighbors(c.word, x)
+    pred, succ = words.neighbors(c.word, x)
     return {"cpo": c.name.value, "x": c.to_label(x),
             "predecessor": c.to_label(pred) if pred else None,
             "successor": c.to_label(succ) if succ else None}
@@ -164,7 +187,7 @@ def _neighbors_text(obj, args) -> str:
 
 
 def _stage(args) -> dict:
-    s = stage(args.n)
+    s = stages.stage(args.n)
     return {"n": s.n, "elements": list(s.elements)}
 
 
@@ -174,7 +197,7 @@ def _stage_text(obj, args) -> str:
 
 
 def _funcs(args) -> dict:
-    fs = enumerate_monotone(args.m)
+    fs = stages.enumerate_monotone(args.m)
     return {"m": args.m, "count": len(fs), "functions": list(fs)}
 
 
@@ -186,7 +209,7 @@ def _mu(args) -> dict:
     bits = args.map.strip()
     if len(bits) != 2 or set(bits) - {"0", "1"}:
         raise BadLiteral(f"candidate must be two bits, got {args.map!r}")
-    return {"candidate": bits, "continuous": mu_continuous((int(bits[0]), int(bits[1])))}
+    return {"candidate": bits, "continuous": funcspace.mu_continuous((int(bits[0]), int(bits[1])))}
 
 
 def _mu_text(obj, args) -> str:
@@ -194,9 +217,9 @@ def _mu_text(obj, args) -> str:
 
 
 def _ep(args) -> dict:
-    pair = ep_pair(Scheme(args.scheme), args.n)
+    pair = stages.ep_pair(stages.Scheme(args.scheme), args.n)
     return {"scheme": pair.scheme.value, "n": pair.n, "e": list(pair.e.mapping),
-            "p": list(pair.p.mapping), "laws": _json(check_ep_laws(pair))}
+            "p": list(pair.p.mapping), "laws": _json(stages.check_ep_laws(pair))}
 
 
 def _ep_text(obj, args) -> str:
@@ -208,7 +231,7 @@ def _ep_text(obj, args) -> str:
 
 
 def _paths(args) -> dict:
-    paths = limit_paths(Scheme(args.scheme), args.depth)
+    paths = stages.limit_paths(stages.Scheme(args.scheme), args.depth)
     return {"scheme": args.scheme, "depth": args.depth,
             "paths": [{"entries": list(p.entries), "label": p.label} for p in paths]}
 
@@ -220,7 +243,7 @@ def _paths_text(obj, args) -> str:
 
 
 def _limit(args) -> dict:
-    w = limit_cpo(Scheme(args.scheme), args.depth)
+    w = stages.limit_cpo(stages.Scheme(args.scheme), args.depth)
     return {"scheme": args.scheme, "depth": args.depth, "order_type": str(w)}
 
 
@@ -230,7 +253,7 @@ def _limit_text(obj, args) -> str:
 
 def _diagram(args) -> dict:
     return {"scheme": args.scheme, "depth": args.depth,
-            "dot": diagram_dot(Scheme(args.scheme), args.depth)}
+            "dot": stages.diagram_dot(stages.Scheme(args.scheme), args.depth)}
 
 
 def _diagram_text(obj, args) -> str:
@@ -246,24 +269,24 @@ MAX_TABLE_WINDOW = 1000
 
 def _funcspace_table(c, space, window: int):
     """Rows are the space's windowed segments, columns the base window."""
-    check_range("window", window, 0, MAX_TABLE_WINDOW)
-    cols = window_elems(c.word, window)
-    rows = window_elems(space.word, window)
+    words.check_range("window", window, 0, MAX_TABLE_WINDOW)
+    cols = words.window_elems(c.word, window)
+    rows = words.window_elems(space.word, window)
     segs = [space.segment_at(r) for r in rows]
     columns = [c.to_label(x) for x in cols]
     # a space of the base's own word has the base's window, so its rows take the column labels
     labels = [f"psi_{label}" for label in columns] if space.word == c.word else [str(s) for s in segs]
-    bits = indicator_rows(c.word, segs, cols)
+    bits = funcspace.indicator_rows(c.word, segs, cols)
     return columns, [{"row": r, "bits": b} for r, b in zip(labels, bits)]
 
 
 def _funcspace(args) -> dict:
     if bool(args.cpo) == bool(args.word):
         raise BadLiteral("give --cpo or --word, not both" if args.cpo else "need --cpo or --word")
-    c = named_cpo(args.cpo) if args.cpo else None
-    word = parse_word(args.word) if c is None else c.word
+    c = catalog.named_cpo(args.cpo) if args.cpo else None
+    word = words.parse_word(args.word) if c is None else c.word
     base_name = str(word) if c is None else c.name.value
-    report = self_iso(word)
+    report = funcspace.self_iso(word)
     obj = {
         "base": base_name,
         "order_type": str(report.space.word),
@@ -290,9 +313,9 @@ def _funcspace_text(obj, args) -> str:
 
 
 def _fpt(args) -> dict:
-    c = named_cpo(args.cpo)
+    c = catalog.named_cpo(args.cpo)
     try:
-        r = fpt(c, Mu(args.mu))
+        r = funcspace.fpt(c, funcspace.Mu(args.mu))
     except NotIsomorphic as e:
         return {"cpo": c.name.value, "mu": args.mu, "applicable": False, "reason": str(e)}
     return {"g": r.g_label, "preimage": r.preimage_label, "value": r.value}
@@ -377,7 +400,7 @@ def _string_classify_text(obj, args) -> str:
 
 
 def _adjunction(args) -> dict:
-    return _json(check_adjunction(args.cpo, args.window))
+    return _json(adjunction.check_adjunction(args.cpo, args.window))
 
 
 def _adjunction_text(obj, args) -> str:
@@ -389,7 +412,7 @@ def _adjunction_text(obj, args) -> str:
 
 
 def _boundary(args) -> dict:
-    return _json(boundary_report(args.cpo, args.window))
+    return _json(adjunction.boundary_report(args.cpo, args.window))
 
 
 def _boundary_text(obj, args) -> str:
@@ -404,7 +427,8 @@ def _boundary_text(obj, args) -> str:
 
 
 def _decompose(args) -> dict:
-    return {"cpo": named_cpo(args.cpo).name.value, "decompositions": _json(decompositions(args.cpo))}
+    return {"cpo": catalog.named_cpo(args.cpo).name.value,
+            "decompositions": _json(replication.decompositions(args.cpo))}
 
 
 def _decompose_text(obj, args) -> str:
@@ -421,7 +445,7 @@ def _decompose_text(obj, args) -> str:
 
 
 def _lcr_forward(args) -> dict:
-    return _json(lcr_forward(st.parse_literal(args.x)))
+    return _json(replication.lcr_forward(st.parse_literal(args.x)))
 
 
 def _lcr_forward_text(obj, args) -> str:
@@ -432,7 +456,7 @@ def _lcr_forward_text(obj, args) -> str:
 def _lcr_backward(args) -> dict:
     pair = st.parse_pair_literal(args.pair)
     endpoint = st.Orientation[args.endpoint] if args.endpoint else None
-    out = lcr_backward(pair, endpoint)
+    out = replication.lcr_backward(pair, endpoint)
     return {"pair": str(pair), "endpoint": args.endpoint, "preimage": str(out)}
 
 
@@ -441,9 +465,9 @@ def _lcr_backward_text(obj, args) -> str:
 
 
 def _replicate(args) -> dict:
-    pair = st.parse_pair_literal(args.pair) if args.pair else BOUNDARY_M
+    pair = st.parse_pair_literal(args.pair) if args.pair else adjunction.BOUNDARY_M
     try:
-        return _json(replicate(pair))
+        return _json(replication.replicate(pair))
     except NotBoundary as e:
         return {"source": str(pair), "replicable": False, "reason": str(e)}
 
@@ -469,7 +493,7 @@ def _matrix_text(rows) -> str:
 
 
 def _table8(args) -> dict:
-    return {"window": args.window, "rows": _json(table8(args.window))}
+    return {"window": args.window, "rows": _json(replication.table8(args.window))}
 
 
 def _table8_text(obj, args) -> str:
@@ -477,7 +501,7 @@ def _table8_text(obj, args) -> str:
 
 
 def _pipeline(args) -> dict:
-    return _json(pipeline(args.window))
+    return _json(replication.pipeline(args.window))
 
 
 def _pipeline_text(obj, args) -> str:
@@ -498,120 +522,148 @@ def _pipeline_text(obj, args) -> str:
 
 # -- parser ----------------------------------------------------------------
 
+# in the order of the top-level help
+VERBS = ("cpo", "normalize", "iso", "compare", "neighbors", "stage", "funcs", "mu", "ep", "paths", "limit",
+         "diagram", "funcspace", "fpt", "string", "adjunction", "boundary", "decompose", "lcr", "replicate",
+         "table8", "pipeline")
+
+
+def _add(group, name, compute=None, render=None, *required, **kwargs):
+    """A parser that takes --format and the `required` string options.
+
+    A verb or subverb also gets its compute and render functions.
+    """
+    p = group.add_parser(name, **kwargs)
+    # given at a group and at its subverb, the later one wins
+    p.add_argument("--format", choices=("text", "json", "dot"), default=argparse.SUPPRESS)
+    for option in required:
+        p.add_argument(option, required=True)
+    if compute:
+        p.set_defaults(compute=compute, render=render)
+    return p
+
+
+def _add_verb(subs, verb: str) -> None:
+    """Attach one verb's parser to subs; a group (`string`, `lcr`) comes with all its subverbs.
+
+    Only the stage tower's verbs read Scheme and only `fpt` reads Mu, so no other
+    verb's parser runs `stages` or `funcspace`.
+    """
+    match verb:
+        case "cpo":
+            p = _add(subs, verb, _cpo, _cpo_text, "--cpo", help="describe a catalogued order")
+            p.add_argument("--window", type=int, default=20)
+        case "normalize":
+            _add(subs, verb, _normalize, _normalize_text, "--word", help="normal form of an order word")
+        case "iso":
+            _add(subs, verb, _iso, _iso_text, "--a", "--b", help="isomorphism verdict for two orders")
+        case "compare":
+            _add(subs, verb, _compare, _compare_text, "--cpo", "--x", "--y", help="order two elements")
+        case "neighbors":
+            _add(subs, verb, _neighbors, _neighbors_text, "--cpo", "--x", help="immediate neighbors of an element")
+        case "stage":
+            p = _add(subs, verb, _stage, _stage_text, help="the finite stage of monotone words")
+            p.add_argument("--n", type=int, required=True)
+        case "funcs":
+            p = _add(subs, verb, _funcs, _funcs_text, help="monotone maps from an m-chain into 2")
+            p.add_argument("--m", type=int, required=True)
+        case "mu":
+            p = _add(subs, verb, _mu, _mu_text, help="continuity of a candidate map 2 -> 2")
+            p.add_argument("--map", required=True, help="two bits: f(0)f(1)")
+        case "ep":
+            p = _add(subs, verb, _ep, _ep_text, help="embedding/projection pair between stages")
+            p.add_argument("--scheme", choices=[s.value for s in stages.Scheme], default="standard")
+            p.add_argument("--n", type=int, required=True)
+            p.add_argument("--check", action="store_true")
+        case "paths" | "limit" | "diagram":
+            compute, render, depth, help = {
+                "paths": (_paths, _paths_text, 10, "projection-consistent label paths"),
+                "limit": (_limit, _limit_text, 12, "order type of the stage limit"),
+                "diagram": (_diagram, _diagram_text, 5, "stage diagram in dot form"),
+            }[verb]
+            p = _add(subs, verb, compute, render, help=help)
+            p.add_argument("--scheme", choices=[s.value for s in stages.Scheme], default="standard")
+            p.add_argument("--depth", type=int, default=depth)
+        case "funcspace":
+            p = _add(subs, verb, _funcspace, _funcspace_text, help="space of monotone maps into 2")
+            p.add_argument("--cpo")
+            p.add_argument("--word")
+            p.add_argument("--window", type=int, default=5)
+            p.add_argument("--table", action="store_true")
+        case "fpt":
+            p = _add(subs, verb, _fpt, _fpt_text, "--cpo", help="fixed point of a continuous mu")
+            p.add_argument("--mu", choices=[m.value for m in funcspace.Mu], required=True)
+        case "string":
+            group = _add(subs, verb, help="monotypic string operations").add_subparsers(dest="string_cmd",
+                                                                                        required=True)
+            _add(group, "realize", _string_realize, _string_realize_text, "--recipe")
+            p = _add(group, "approx", _string_approx, _string_approx_text, "--recipe")
+            p.add_argument("--n", type=int, required=True)
+            p = _add(group, "limit", _string_limit, _string_limit_text, "--recipe")
+            p.add_argument("--pos", type=int, required=True)
+            p.add_argument("--depth", type=int, default=20)
+            _add(group, "opp", _string_opp, _output_text, "--x")
+            _add(group, "opp-pair", _string_opp_pair, _output_text, "--pair")
+            _add(group, "lr", _string_lr, _output_text, "--recipe")
+            _add(group, "lr-pair", _string_lr_pair, _string_lr_pair_text, "--a", "--b")
+            _add(group, "classify", _string_classify, _string_classify_text, "--x")
+        case "adjunction":
+            p = _add(subs, verb, _adjunction, _adjunction_text, "--cpo", help="the three adjunction conditions")
+            p.add_argument("--window", type=int, default=20)
+        case "boundary":
+            p = _add(subs, verb, _boundary, _boundary_text, "--cpo", help="boundary element of a glued order")
+            p.add_argument("--window", type=int, default=20)
+        case "decompose":
+            _add(subs, verb, _decompose, _decompose_text, "--cpo", help="string family decompositions")
+        case "lcr":
+            group = _add(subs, verb, help="fold strings into the valley order").add_subparsers(dest="lcr_cmd",
+                                                                                               required=True)
+            _add(group, "forward", _lcr_forward, _lcr_forward_text, "--x")
+            p = _add(group, "backward", _lcr_backward, _lcr_backward_text, "--pair")
+            p.add_argument("--endpoint", choices=("L", "R"))
+        case "replicate":
+            p = _add(subs, verb, _replicate, _replicate_text, help="split the self-dual boundary")
+            p.add_argument("--pair")
+        case "table8":
+            p = _add(subs, verb, _table8, _table8_text, help="summary matrix of the composite orders")
+            p.add_argument("--window", type=int, default=20)
+        case "pipeline":
+            p = _add(subs, verb, _pipeline, _pipeline_text, help="dualization, replication, and folding, chained")
+            p.add_argument("--window", type=int, default=20)
+
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser for every verb, built once per process.
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser of one verb, or of every verb when none is named.
 
-    Building it is most of the cost of a cheap in-process `run()`, so
-    the first call's parser is kept and reused.  Callers must not
-    modify it: `parse_args` returns a fresh namespace on every call, so
-    nothing carries over from one parse to the next.
+    `run()` asks for the verb that argv names, so a cold start builds one
+    verb's parser and runs only the layers that parser reads; any other
+    argv (none, -h, an unknown verb) gets the parser of every verb.  A
+    verb's parser parses and fails on that verb's argv with the same bytes
+    as the full one.  Each is built once per process and reused, since
+    building it is most of the cost of a cheap in-process `run()`.
+    Callers must not modify it: `parse_args` returns a fresh namespace on
+    every call, so nothing carries over from one parse to the next.
     """
     parser = argparse.ArgumentParser(
         prog="scottlab",
         description="countable chain-complete orders, their map spaces, and the fixed point construction",
     )
     parser.set_defaults(format="text")
-    subs = parser.add_subparsers(dest="verb", required=True)
-    schemes = [s.value for s in Scheme]
-
-    def add(group, name, compute=None, render=None, *required, **kwargs):
-        """A parser that takes --format and the `required` string options.
-
-        A verb or subverb also gets its compute and render functions.
-        """
-        p = group.add_parser(name, **kwargs)
-        # given at a group and at its subverb, the later one wins
-        p.add_argument("--format", choices=("text", "json", "dot"), default=argparse.SUPPRESS)
-        for option in required:
-            p.add_argument(option, required=True)
-        if compute:
-            p.set_defaults(compute=compute, render=render)
-        return p
-
-    p = add(subs, "cpo", _cpo, _cpo_text, "--cpo", help="describe a catalogued order")
-    p.add_argument("--window", type=int, default=20)
-    add(subs, "normalize", _normalize, _normalize_text, "--word", help="normal form of an order word")
-    add(subs, "iso", _iso, _iso_text, "--a", "--b", help="isomorphism verdict for two orders")
-    add(subs, "compare", _compare, _compare_text, "--cpo", "--x", "--y", help="order two elements")
-    add(subs, "neighbors", _neighbors, _neighbors_text, "--cpo", "--x",
-        help="immediate neighbors of an element")
-
-    p = add(subs, "stage", _stage, _stage_text, help="the finite stage of monotone words")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add(subs, "funcs", _funcs, _funcs_text, help="monotone maps from an m-chain into 2")
-    p.add_argument("--m", type=int, required=True)
-
-    p = add(subs, "mu", _mu, _mu_text, help="continuity of a candidate map 2 -> 2")
-    p.add_argument("--map", required=True, help="two bits: f(0)f(1)")
-
-    p = add(subs, "ep", _ep, _ep_text, help="embedding/projection pair between stages")
-    p.add_argument("--scheme", choices=schemes, default="standard")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--check", action="store_true")
-
-    p = add(subs, "paths", _paths, _paths_text, help="projection-consistent label paths")
-    p.add_argument("--scheme", choices=schemes, default="standard")
-    p.add_argument("--depth", type=int, default=10)
-
-    p = add(subs, "limit", _limit, _limit_text, help="order type of the stage limit")
-    p.add_argument("--scheme", choices=schemes, default="standard")
-    p.add_argument("--depth", type=int, default=12)
-
-    p = add(subs, "diagram", _diagram, _diagram_text, help="stage diagram in dot form")
-    p.add_argument("--scheme", choices=schemes, default="standard")
-    p.add_argument("--depth", type=int, default=5)
-
-    p = add(subs, "funcspace", _funcspace, _funcspace_text, help="space of monotone maps into 2")
-    p.add_argument("--cpo")
-    p.add_argument("--word")
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--table", action="store_true")
-
-    p = add(subs, "fpt", _fpt, _fpt_text, "--cpo", help="fixed point of a continuous mu")
-    p.add_argument("--mu", choices=[m.value for m in Mu], required=True)
-
-    group = add(subs, "string", help="monotypic string operations").add_subparsers(dest="string_cmd", required=True)
-    add(group, "realize", _string_realize, _string_realize_text, "--recipe")
-    p = add(group, "approx", _string_approx, _string_approx_text, "--recipe")
-    p.add_argument("--n", type=int, required=True)
-    p = add(group, "limit", _string_limit, _string_limit_text, "--recipe")
-    p.add_argument("--pos", type=int, required=True)
-    p.add_argument("--depth", type=int, default=20)
-    add(group, "opp", _string_opp, _output_text, "--x")
-    add(group, "opp-pair", _string_opp_pair, _output_text, "--pair")
-    add(group, "lr", _string_lr, _output_text, "--recipe")
-    add(group, "lr-pair", _string_lr_pair, _string_lr_pair_text, "--a", "--b")
-    add(group, "classify", _string_classify, _string_classify_text, "--x")
-
-    p = add(subs, "adjunction", _adjunction, _adjunction_text, "--cpo", help="the three adjunction conditions")
-    p.add_argument("--window", type=int, default=20)
-    p = add(subs, "boundary", _boundary, _boundary_text, "--cpo", help="boundary element of a glued order")
-    p.add_argument("--window", type=int, default=20)
-    add(subs, "decompose", _decompose, _decompose_text, "--cpo", help="string family decompositions")
-
-    group = add(subs, "lcr", help="fold strings into the valley order").add_subparsers(dest="lcr_cmd", required=True)
-    add(group, "forward", _lcr_forward, _lcr_forward_text, "--x")
-    p = add(group, "backward", _lcr_backward, _lcr_backward_text, "--pair")
-    p.add_argument("--endpoint", choices=("L", "R"))
-
-    p = add(subs, "replicate", _replicate, _replicate_text, help="split the self-dual boundary")
-    p.add_argument("--pair")
-
-    p = add(subs, "table8", _table8, _table8_text, help="summary matrix of the composite orders")
-    p.add_argument("--window", type=int, default=20)
-
-    p = add(subs, "pipeline", _pipeline, _pipeline_text, help="dualization, replication, and folding, chained")
-    p.add_argument("--window", type=int, default=20)
-
+    # the usage line above a top-level error lists every verb, also from one verb's parser; the full
+    # parser leaves metavar unset, since its "invalid choice" error would name the argument by it
+    subs = parser.add_subparsers(dest="verb", required=True,
+                                 metavar=None if verb is None else "{" + ",".join(VERBS) + "}")
+    for name in VERBS if verb is None else (verb,):
+        _add_verb(subs, name)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
     """Parse argv, compute the verb's object, and print it as JSON or as text."""
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0]) if argv and argv[0] in VERBS else build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
@@ -619,6 +671,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         obj = args.compute(args)
         if args.format == "json":
+            import json  # only here: a text answer never loads it
             text = json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
         else:
             text = args.render(obj, args)

@@ -50,8 +50,6 @@ a point of every infinite piece.  By (2) a first 1 of g in an omega*
 block takes in the whole block.
 """
 
-from __future__ import annotations
-
 import bisect
 from collections.abc import Sequence
 from enum import Enum

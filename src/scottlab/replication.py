@@ -33,8 +33,6 @@ folds, the pair lcr_backward unfolds or a splitting projects), and built
 only to spell a label or a report field.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from . import strings as st

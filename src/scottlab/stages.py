@@ -18,8 +18,6 @@ strictly above means the path tracks "top minus n", and riding the
 diagonal is the alternating growth pattern.
 """
 
-from __future__ import annotations
-
 import bisect
 import itertools
 import operator
@@ -124,8 +122,16 @@ class EpLawReport(NamedTuple):
 
 
 def check_ep_laws(pair: EpPair) -> EpLawReport:
-    """Check the section/retraction laws on an explicit pair of maps, each law one scan of their tuples."""
-    n, e, p = pair.n, pair.e.mapping.__getitem__, pair.p.mapping.__getitem__
+    """Check the section/retraction laws on an explicit pair of maps, each law one scan of their tuples.
+
+    e must map stage n's n labels and p stage n+1's n+1: a map of any other
+    length is no map between the two stages, and raises ValueError.
+    """
+    n = pair.n
+    if (len(pair.e.mapping), len(pair.p.mapping)) != (n, n + 1):
+        raise ValueError(f"e and p must map {n} and {n + 1} labels, "
+                         f"got {len(pair.e.mapping)} and {len(pair.p.mapping)}")
+    e, p = pair.e.mapping.__getitem__, pair.p.mapping.__getitem__
     below, upto = range(n), range(n + 1)
     # the first label that breaks each of the first two laws
     pe = next(itertools.compress(below, map(operator.ne, map(p, map(e, below)), below)), None)

@@ -23,8 +23,6 @@ opp swaps letters and reading direction; lr keeps the letters but
 re-reads the recipe from the other end.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from typing import NamedTuple
 
@@ -76,7 +74,7 @@ class _Monotypic(NamedTuple):
 class MonotypicString(_Monotypic):
     __slots__ = ()
 
-    def __new__(cls, orientation: Orientation, zeros: object, ones: object) -> MonotypicString:
+    def __new__(cls, orientation: Orientation, zeros: object, ones: object) -> "MonotypicString":
         if is_omega(zeros) == is_omega(ones):
             raise ValueError("exactly one letter count must be infinite")
         for c in (zeros, ones):
@@ -116,7 +114,7 @@ class _Specified(NamedTuple):
 class SpecifiedString(_Specified):
     __slots__ = ()
 
-    def __new__(cls, kind: SpecKind, index: int) -> SpecifiedString:
+    def __new__(cls, kind: SpecKind, index: int) -> "SpecifiedString":
         if index < 1:
             raise BadIndex(f"index must be >= 1, got {index}")
         return super().__new__(cls, kind, index)

@@ -29,8 +29,6 @@ additionally compares an invariant signature read off the order itself
 misreport a verdict.
 """
 
-from __future__ import annotations
-
 from collections.abc import Sequence
 from enum import Enum
 from typing import NamedTuple
@@ -58,7 +56,7 @@ class _Atom(NamedTuple):
 class OrderAtom(_Atom):
     __slots__ = ()
 
-    def __new__(cls, kind: AtomKind, size: int = 0) -> OrderAtom:
+    def __new__(cls, kind: AtomKind, size: int = 0) -> "OrderAtom":
         if kind is AtomKind.FIN:
             if size < 1:
                 raise ValueError("finite atom needs size >= 1")
@@ -87,7 +85,7 @@ class _Word(NamedTuple):
 class OrderWord(_Word):
     __slots__ = ()
 
-    def __new__(cls, atoms: tuple[OrderAtom, ...]) -> OrderWord:
+    def __new__(cls, atoms: tuple[OrderAtom, ...]) -> "OrderWord":
         if not atoms:
             raise ValueError("a word needs at least one atom")
         return super().__new__(cls, atoms)

@@ -14,10 +14,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _smoke_run(workload: str) -> dict:
+def _smoke_run(workload: str, trace: int = 0) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
-         "--seconds", "0", "--trace", "0", "--smoke"],
+         "--seconds", "0", "--trace", str(trace), "--smoke"],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -43,5 +43,14 @@ def test_window_sweep_smoke_run_is_correct():
 def test_cold_cli_smoke_run_is_correct():
     # every verb in both formats, each through its own `python -m scottlab` process
     result = _smoke_run("cold_cli")
+    assert result["correct"] is True
+    assert result["failed"] == 0
+
+
+@pytest.mark.bench
+@pytest.mark.parametrize("workload", ["window_sweep", "stage_tower"])
+def test_traced_smoke_run_is_correct(workload):
+    # the layer tracer wraps the functions of every layer, the lazily loaded ones too
+    result = _smoke_run(workload, trace=1)
     assert result["correct"] is True
     assert result["failed"] == 0

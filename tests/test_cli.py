@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings
 
-from scottlab.cli import build_parser, run
+from scottlab.cli import VERBS, build_parser, run
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -293,6 +293,24 @@ def test_one_parser_serves_interleaved_calls(capsys):
     assert code == 0 and "columns:" not in out
 
 
+# argparse's own answers: help, an unrecognized argument at the top level, a missing subverb or option,
+# an invalid choice
+PARSE_EXITS = [*([verb, "-h"] for verb in VERBS), ["cpo", "--cpo", "v", "extra"], ["stage", "--n", "3", "x"],
+               ["string"], ["string", "realize"], ["lcr", "bogus"], ["ep", "--n", "3", "--scheme", "nope"],
+               ["fpt", "--cpo", "phi", "--mu", "swap"]]
+
+
+@pytest.mark.parametrize("argv", PARSE_EXITS, ids=[_argv_id(a) for a in PARSE_EXITS])
+def test_a_verb_parser_answers_as_the_full_parser(capsys, monkeypatch, argv):
+    """run() parses with the named verb's parser alone; its help and errors keep the full parser's bytes."""
+    monkeypatch.setenv("COLUMNS", "80")
+    code = run(argv)
+    one = capsys.readouterr()
+    with pytest.raises(SystemExit) as e:
+        build_parser().parse_args(argv)
+    assert (code, one.out, one.err) == (e.value.code or 0, *capsys.readouterr())
+
+
 @pytest.mark.parametrize(("argv", "golden"), [
     (["string", "--format", "json", "realize", "--recipe", "II:3"], "string realize --recipe II:3"),
     (["lcr", "--format", "json", "forward", "--x", "...0011"], "lcr forward --x ...0011"),
@@ -365,6 +383,47 @@ def test_a_cold_start_imports_neither_dataclasses_nor_inspect():
               "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert (proc.stdout, proc.stderr) == ("000 001 011 111\n0\n[]\n", "")
+
+
+def test_a_cold_stage_runs_only_the_stage_layers():
+    """Module bodies run through exec(), which raises an audit event, however the module is loaded.
+
+    An in-process test cannot see this: some earlier test has run every layer already.
+    """
+    script = ("import runpy, sys; from pathlib import Path; ran = set(); had_json = 'json' in sys.modules\n"
+              "sys.addaudithook(lambda event, args: event == 'exec' and ran.add(args[0].co_filename))\n"
+              "sys.argv = ['scottlab', 'stage', '--n', '4']\n"
+              "try:\n    runpy.run_module('scottlab', run_name='__main__')\n"
+              "except SystemExit as e:\n    print(e.code)\n"
+              "layers = {'words', 'strings', 'catalog', 'funcspace', 'stages', 'adjunction', 'replication'}\n"
+              "print(sorted(layers & {Path(f).stem for f in ran}), had_json or 'json' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.stdout, proc.stderr) == ("000 001 011 111\n0\n['stages', 'words'] False\n", "")
+
+
+# one verb per group of layers, each on the few layers it runs
+COLD_GOLDEN = ["normalize --word 1+w+1", "string classify --x 011...", "cpo --cpo phi", "mu --map 01",
+               "boundary --cpo v", "table8", "paths --depth 8"]
+
+
+@pytest.mark.parametrize("case", COLD_GOLDEN)
+def test_a_cold_verb_matches_its_golden_output(case):
+    golden = {**GOLDEN_OUTPUTS, **json.loads((GOLDEN / "cli_verbs.json").read_text())}[case]
+    argv = case.split(" ")
+    expected_json = json.loads(golden["json"])
+    if argv == ["table8"]:
+        # Table 8 is decided for the whole order: a smaller window changes only the echoed window
+        argv, expected_json["window"] = ["table8", "--window", "3"], 3
+    for fmt in ("text", "json"):
+        proc = subprocess.run([sys.executable, "-m", "scottlab", *argv, "--format", fmt],
+                              capture_output=True, text=True, encoding="utf-8",
+                              env={**os.environ, "PYTHONIOENCODING": "utf-8"})
+        assert (proc.returncode, proc.stderr) == (0, ""), fmt
+        if fmt == "text":
+            assert proc.stdout == golden["text"]
+        else:
+            assert json.loads(proc.stdout) == expected_json
+            assert proc.stdout == json.dumps(expected_json, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
 # -- fuzzing the argparse tree ----------------------------------------------

@@ -122,6 +122,19 @@ def test_ep_law_checker_catches_a_broken_section():
     assert not check_ep_laws(broken).p_after_e_is_id
 
 
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize(("which", "extra"), [("e", 1), ("e", -1), ("p", 1), ("p", -1)],
+                         ids=["e too long", "e too short", "p too long", "p too short"])
+def test_ep_law_checker_refuses_a_map_of_the_wrong_length(scheme, which, extra):
+    """One label too many or too few fails the same way, before any law is read."""
+    good = ep_pair(scheme, 4)
+    m = getattr(good, which)
+    mapping = m.mapping + (m.mapping[-1],) if extra > 0 else m.mapping[:-1]
+    lengths = {"e": (4 + extra, 5), "p": (4, 5 + extra)}[which]
+    with pytest.raises(ValueError, match=r"^e and p must map 4 and 5 labels, got %d and %d$" % lengths):
+        check_ep_laws(good._replace(**{which: m._replace(mapping=mapping)}))
+
+
 def test_standard_paths_at_depth_10():
     rows = {p.label: p.entries for p in limit_paths(Scheme.STANDARD, 10)}
     assert rows["0"] == (0,) * 10

@@ -4,7 +4,10 @@
 
 Each argv of the grid runs in-process through `scottlab.cli.run`, once
 as text and once with `--format json`; a verb's digest covers, in grid
-order, each run's stdout, stderr and exit code.  Run it on two checkouts
+order, each run's stdout, stderr and exit code.  The `usage` row runs
+its argv as they are: argparse's own answers at the top level and at a
+verb (help, a missing or unknown verb, an unrecognized argument, an
+invalid choice), with help wrapped at a fixed 80 columns.  Run it on two checkouts
 and diff the outputs: a verb whose line differs answered some argv
 differently.  Without PYTHONPATH it runs this checkout's `src`.  The
 grid covers every verb and subverb; it is written out here, not derived
@@ -15,10 +18,13 @@ import contextlib
 import hashlib
 import io
 import itertools
+import os
 import sys
 from pathlib import Path
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
+# argparse wraps help at the terminal's width, which COLUMNS sets
+os.environ["COLUMNS"] = "80"
 
 from scottlab.cli import run  # noqa: E402
 
@@ -120,6 +126,8 @@ def grid() -> dict[str, list[list[str]]]:
         "string lr": [["string", "lr", "--recipe", r] for r in RECIPES],
         "string lr-pair": [["string", "lr-pair", "--a", a, "--b", b] for a in RECIPES[::3] for b in RECIPES[1::3]],
         "string classify": [["string", "classify", "--x", x] for x in [*_family_literals(6), *BAD_LITERALS]],
+        "usage": [[], ["-h"], ["no-such-verb"], ["cpo", "-h"], ["cpo", "--cpo", "v", "extra"], ["string"],
+                  ["string", "-h"], ["lcr", "bogus"], ["ep", "--n", "3", "--scheme", "nope"]],
     }
 
 
@@ -133,12 +141,13 @@ def _answer(argv: list[str]) -> bytes:
 def main() -> None:
     total = hashlib.sha256()
     for verb, argvs in grid().items():
+        if verb != "usage":
+            argvs = [[*argv, "--format", fmt] for argv in argvs for fmt in ("text", "json")]
         h = hashlib.sha256()
         for argv in argvs:
-            for fmt in ("text", "json"):
-                h.update(_answer([*argv, "--format", fmt]))
+            h.update(_answer(argv))
         total.update(h.digest())
-        print(f"{h.hexdigest()}  {2 * len(argvs):5d}  {verb}")
+        print(f"{h.hexdigest()}  {len(argvs):5d}  {verb}")
     print(f"{total.hexdigest()}  {'':5}  total")
 
 
