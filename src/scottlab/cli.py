@@ -103,15 +103,16 @@ def _recipe_str(s: st.SpecifiedString) -> str:
 def _json(report):
     """A report as its schema's JSON value: its fields are the schema's keys, in order.
 
-    A string or pair becomes its literal, any other record (a tuple with `_fields`) an
-    object, a plain tuple a list, an enum its value.  Records are tuples, so they are
-    told apart from plain tuples before a tuple becomes a list.
+    A record that writes its own text (a string or pair: its literal) becomes that text,
+    any other record (a tuple with `_fields`) an object, a plain tuple a list, an enum its
+    value.  Records are tuples, so they are told apart from plain tuples before a tuple
+    becomes a list; no layer's class is named, so a report runs only the layers it came from.
     """
     if report is None or isinstance(report, (str, int)):
         return report
-    if isinstance(report, (st.MonotypicString, st.PairString)):
-        return str(report)
     if isinstance(report, tuple):
+        if type(report).__str__ is not tuple.__str__:
+            return str(report)
         keys = getattr(report, "_fields", None)
         if keys is not None:
             return {k: _json(v) for k, v in zip(keys, report)}

@@ -53,12 +53,14 @@ block takes in the whole block.
 import bisect
 from collections.abc import Sequence
 from enum import Enum
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .catalog import NamedCpo
 from .errors import BadElement, BadLiteral, InvalidSegment, NotIsomorphic
 from .words import (OMEGA, OMEGA_STAR, AtomKind, Elem, Ordering, OrderWord, compare, extremes, fin, neighbors,
                     normal_layout, normalize, rank_key, validate_elem, window_elems)
+
+if TYPE_CHECKING:  # only annotations name the catalogue, so funcspace never runs it
+    from .catalog import NamedCpo
 
 
 class SegmentKind(Enum):
@@ -266,7 +268,7 @@ def self_iso(w: OrderWord) -> SelfIsoReport:
     return SelfIsoReport(space, False, f"{base} vs {word}", notes)
 
 
-def canonical_iso(cpo: NamedCpo) -> SelfIsoReport:
+def canonical_iso(cpo: "NamedCpo") -> SelfIsoReport:
     """Positional isomorphism between a named order and its map space."""
     report = self_iso(cpo.word)
     if not report.is_iso:
@@ -297,8 +299,6 @@ def mu_continuous(candidate: tuple[int, int]) -> bool:
 
 
 class FixedPointReport(NamedTuple):
-    cpo: NamedCpo
-    mu: Mu
     g: OpenSegment
     g_label: str        # "psi_<label of preimage>"
     preimage_label: str
@@ -323,7 +323,7 @@ def diagonal_map(space: FuncSpace, mu: Mu) -> OpenSegment:
     return block_tail(x.block) if w.atoms[x.block].kind is AtomKind.OMEGA_STAR else up_from(x)
 
 
-def fpt(cpo: NamedCpo, mu: Mu) -> FixedPointReport:
+def fpt(cpo: "NamedCpo", mu: Mu) -> FixedPointReport:
     """Fixed point of mu via the diagonal of the positional isomorphism."""
     space = canonical_iso(cpo).space  # raises NotIsomorphic when inapplicable
     g = diagonal_map(space, mu)
@@ -332,4 +332,4 @@ def fpt(cpo: NamedCpo, mu: Mu) -> FixedPointReport:
     if value != mu_apply(mu, value):
         raise RuntimeError("fixed point equation failed; construction is broken")
     label = cpo.to_label(x)
-    return FixedPointReport(cpo, mu, g, f"psi_{label}", label, value)
+    return FixedPointReport(g, f"psi_{label}", label, value)

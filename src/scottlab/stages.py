@@ -11,11 +11,16 @@ linking consecutive stages are provided:
   ALTERNATIVE  embeds by keeping the index (prepend a zero) and projects
                by truncating the top.
 
-A limit path is a label per stage consistent under projection.  Paths
-are classified by where they sit against the scheme's growth diagonal
-at the final stage: strictly below means the labels went constant,
-strictly above means the path tracks "top minus n", and riding the
-diagonal is the alternating growth pattern.
+A limit path is a label per stage consistent under projection.  Its
+label is decided where its row is cut, by where its final label sits
+against the scheme's diagonal at the final stage: strictly below, the
+labels went constant (a numeral k); on it, the path rides the diagonal
+(inf); strictly above, the path tracks "top minus n" (a primed k').
+The limits are catalogue orders, tied to them by tests only: the
+STANDARD tower's paths are the elements of phi (omega + 1 + omega*,
+isomorphic to lambda_hat_prime, whose boundary m is the inf path), and
+the ALTERNATIVE tower's those of theta (omega + 1, isomorphic to
+omega_prime).
 """
 
 import bisect
@@ -43,8 +48,9 @@ MAX_EP_STAGE = 100_000
 # 0.2 s with an 86 MB peak, and `paths` prints about 38 MB of text in
 # about 1 s with a 160 MB peak
 MAX_PATHS_DEPTH = 3000
-# limit_cpo classifies one label, about 5 µs at any depth (2-vCPU Xeon,
-# Python 3.11); the bound stays part of the verb's documented input range
+# limit_cpo compares one label with the diagonal, about 5 µs at any depth
+# (2-vCPU Xeon, Python 3.11); the bound stays part of the verb's documented
+# input range
 MAX_LIMIT_DEPTH = 1_000_000
 
 
@@ -144,32 +150,9 @@ def check_ep_laws(pair: EpPair) -> EpLawReport:
                        pe is None and ep is None and e_mono and p_mono, witness)
 
 
-class PathClass(Enum):
-    FINITE = "finite"
-    INFINITY = "infinity"
-    PRIMED = "primed"
-
-
 class LimitPath(NamedTuple):
     entries: tuple[int, ...]  # label at stage 1, 2, ..., depth
-    kind: PathClass
-    index: int | None  # the n of a finite or primed path
-
-    @property
-    def label(self) -> str:
-        if self.kind is PathClass.INFINITY:
-            return "inf"
-        return f"{self.index}'" if self.kind is PathClass.PRIMED else str(self.index)
-
-
-def _classify(scheme: Scheme, depth: int, last: int) -> tuple[PathClass, int | None]:
-    """Kind and index of the path that ends at label `last` of stage `depth`."""
-    diagonal = _diagonal(scheme, depth)
-    if last == diagonal:
-        return PathClass.INFINITY, None
-    if last < diagonal:
-        return PathClass.FINITE, last
-    return PathClass.PRIMED, depth - 1 - last
+    label: str  # its element of the limit: a numeral k, inf, or a primed k'
 
 
 def limit_paths(scheme: Scheme, depth: int) -> tuple[LimitPath, ...]:
@@ -183,8 +166,10 @@ def limit_paths(scheme: Scheme, depth: int) -> tuple[LimitPath, ...]:
     prefix of the diagonal sequence followed by a tail: the constant L
     for a finite path or inf (L <= t_depth), labels rising by one to L
     for a primed path.  Bisection finds the cut, and each row is two
-    tuple slices.  The p maps are monotone, so rows from increasing
-    final labels are pointwise increasing and come out already sorted.
+    tuple slices.  The branch that picks the cut names the path: L
+    below t_depth, inf at it, and (depth - 1 - L)' above.  The p maps
+    are monotone, so rows from increasing final labels are pointwise
+    increasing and come out already sorted.
     The labels number depth^2, so depth is bounded by MAX_PATHS_DEPTH.
     """
     check_range("depth", depth, 2, MAX_PATHS_DEPTH)
@@ -196,23 +181,26 @@ def limit_paths(scheme: Scheme, depth: int) -> tuple[LimitPath, ...]:
         if last <= diagonal[-1]:
             cut = bisect.bisect_left(diagonal, last)
             entries = diagonal[:cut] + (last,) * (depth - cut)
+            label = str(last) if last < diagonal[-1] else "inf"
         else:  # the tail L - (depth - n) wins once n - 1 - t_n exceeds depth - 1 - L
             slack = depth - 1 - last
             cut = bisect.bisect_right(rise, slack)
             entries = diagonal[:cut] + identity[cut - slack:last + 1]
-        paths.append(LimitPath(entries, *_classify(scheme, depth, last)))
+            label = f"{slack}'"
+        paths.append(LimitPath(entries, label))
     return tuple(paths)
 
 
 def limit_cpo(scheme: Scheme, depth: int = 12) -> OrderWord:
     """Order type of the limit: omega + 1, then omega* if any path is primed.
 
-    A path's kind rises with its final label (finite below the scheme's
-    diagonal, infinity on it, primed above), and the diagonal is a final
-    label, so the kind of the top label decides.
+    A path is primed when its final label lies above the scheme's
+    diagonal, and the diagonal is itself a final label (the inf path),
+    so some path is primed exactly when the diagonal lies below the top
+    label depth - 1.
     """
     check_range("depth", depth, 2, MAX_LIMIT_DEPTH)
-    if _classify(scheme, depth, depth - 1)[0] is PathClass.PRIMED:
+    if _diagonal(scheme, depth) < depth - 1:
         return word_of(OMEGA, fin(1), OMEGA_STAR)
     return word_of(OMEGA, fin(1))
 

@@ -385,20 +385,44 @@ def test_a_cold_start_imports_neither_dataclasses_nor_inspect():
     assert (proc.stdout, proc.stderr) == ("000 001 011 111\n0\n[]\n", "")
 
 
-def test_a_cold_stage_runs_only_the_stage_layers():
+STAGE_LAYERS, MU_LAYERS = ["stages", "words"], ["funcspace", "words"]
+# a cold argv and the layers whose bodies it runs: the stage tower's verbs never run the catalogue or the
+# strings, in text or in JSON, and the map-space verbs that name no catalogued order never run them either
+COLD_LAYERS = {
+    "stage --n 4": STAGE_LAYERS,
+    "ep --n 3": STAGE_LAYERS,
+    "ep --n 3 --check --format json": STAGE_LAYERS,
+    "paths --depth 8": STAGE_LAYERS,
+    "paths --scheme alternative --depth 8 --format json": STAGE_LAYERS,
+    "limit --depth 12": STAGE_LAYERS,
+    "diagram --depth 4": STAGE_LAYERS,
+    "diagram --depth 4 --format json": STAGE_LAYERS,
+    "mu --map 01": MU_LAYERS,
+    "mu --map 10 --format json": MU_LAYERS,
+    "funcspace --word w+1": MU_LAYERS,
+    "funcspace --word w*+w --format json": MU_LAYERS,
+}
+
+
+@pytest.mark.parametrize("case", COLD_LAYERS)
+def test_a_cold_verb_runs_only_its_layers(case):
     """Module bodies run through exec(), which raises an audit event, however the module is loaded.
 
-    An in-process test cannot see this: some earlier test has run every layer already.
+    An in-process test cannot see this: some earlier test has run every layer already.  Only
+    `--format json` loads json.
     """
-    script = ("import runpy, sys; from pathlib import Path; ran = set(); had_json = 'json' in sys.modules\n"
+    script = ("import contextlib, io, runpy, sys; from pathlib import Path\n"
+              "ran = set(); had_json = 'json' in sys.modules\n"
               "sys.addaudithook(lambda event, args: event == 'exec' and ran.add(args[0].co_filename))\n"
-              "sys.argv = ['scottlab', 'stage', '--n', '4']\n"
-              "try:\n    runpy.run_module('scottlab', run_name='__main__')\n"
-              "except SystemExit as e:\n    print(e.code)\n"
+              f"sys.argv = ['scottlab', *{case.split()!r}]\n"
+              "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+              "    try:\n        runpy.run_module('scottlab', run_name='__main__')\n"
+              "    except SystemExit as e:\n        code = e.code\n"
               "layers = {'words', 'strings', 'catalog', 'funcspace', 'stages', 'adjunction', 'replication'}\n"
-              "print(sorted(layers & {Path(f).stem for f in ran}), had_json or 'json' in sys.modules)")
+              "print(code, bool(out.getvalue()), sorted(layers & {Path(f).stem for f in ran}), "
+              "had_json or 'json' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert (proc.stdout, proc.stderr) == ("000 001 011 111\n0\n['stages', 'words'] False\n", "")
+    assert (proc.stdout, proc.stderr) == (f"0 True {COLD_LAYERS[case]} {case.endswith('json')}\n", "")
 
 
 # one verb per group of layers, each on the few layers it runs

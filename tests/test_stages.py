@@ -1,5 +1,7 @@
 import pytest
 
+from scottlab import strings as st
+from scottlab.catalog import named_cpo
 from scottlab.errors import BadDepth
 from scottlab.stages import (
     MAX_DIAGRAM_DEPTH,
@@ -11,9 +13,7 @@ from scottlab.stages import (
     EpLawReport,
     EpPair,
     LabelMap,
-    PathClass,
     Scheme,
-    _classify,
     check_ep_laws,
     diagram_dot,
     enumerate_monotone,
@@ -22,7 +22,7 @@ from scottlab.stages import (
     limit_paths,
     stage,
 )
-from scottlab.words import OMEGA, OMEGA_STAR, fin, parse_word, word_of
+from scottlab.words import iso, parse_word, rank_key, word_of
 
 
 def test_stage_words_are_the_monotone_maps():
@@ -157,10 +157,16 @@ def test_alternative_paths_at_depth_10():
 
 
 def test_path_kinds_partition():
+    """Each label names one element of phi: a numeral its omega, inf its middle point, a primed one its omega*."""
+    phi = named_cpo("phi")
     for scheme in Scheme:
-        for p in limit_paths(scheme, 8):
-            assert p.kind in PathClass
-            assert (p.index is None) == (p.kind is PathClass.INFINITY)
+        paths = limit_paths(scheme, 8)
+        blocks = [phi.to_elem(p.label).block for p in paths]
+        assert len({p.label for p in paths}) == len(paths)
+        assert blocks == sorted(blocks)
+        for p, block in zip(paths, blocks):
+            assert (p.label == "inf") == (block == 1)
+            assert p.label.endswith("'") == (block == 2)
 
 
 def test_limit_order_types():
@@ -314,29 +320,84 @@ def test_limit_paths_come_out_sorted(scheme):
         assert paths == tuple(sorted(paths, key=lambda p: p.entries)), depth
 
 
-def word_of_kinds(kinds):
-    """The limit's order type read off the path kinds present."""
-    atoms = [OMEGA]
-    if PathClass.INFINITY in kinds:
-        atoms.append(fin(1))
-    if PathClass.PRIMED in kinds:
-        atoms.append(OMEGA_STAR)
-    return word_of(*atoms)
+# -- the bridge: the limits are the catalogue's phi and theta -----------------
+
+def collapsed_label(scheme, n):
+    """The label of stage n onto which the projection from stage n+1 sends two labels."""
+    p = ep_pair(scheme, n).p.mapping
+    return next(k for k in range(n) if p[k] == p[k + 1])
+
+
+def read_off(word, split):
+    """The pair a stage word 0^z 1^o gives, read from each end around the collapsed label `split`.
+
+    The left string is read off the word's first len(word) - split letters and the right string
+    off its last split letters; a count that fills its whole part grows without bound.
+    """
+    left, right = word[:len(word) - split], word[len(word) - split:]
+    z, o = left.count("0"), right.count("1")
+    return st.PairString(st.ALL_ZEROS_L if z == len(left) else st.MonotypicString(st.Orientation.L, z, st.OMEGA_MANY),
+                         st.ALL_ONES_R if o == len(right) else st.MonotypicString(st.Orientation.R, st.OMEGA_MANY, o))
+
+
+def word_of_blocks(blocks):
+    """The limit's order type read off the blocks of phi, omega + 1 + omega*, that its paths land in.
+
+    omega is always there: finite paths appear at every greater depth.
+    """
+    atoms = named_cpo("phi").word.atoms
+    return word_of(*(atoms[b] for b in sorted({0, *blocks})))
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_limit_cpo_matches_the_kinds_of_the_searched_paths(scheme):
+    """Each searched path read off its last stage word as an element of lambda_hat_prime (see `read_off`)."""
+    hat = named_cpo("lambda_hat_prime")
     for depth in ORACLE_DEPTHS:
-        kinds = {_classify(scheme, depth, e[-1])[0] for e in grow_paths(scheme, depth)}
-        assert limit_cpo(scheme, depth) == word_of_kinds(kinds), depth
+        words, split = stage(depth).elements, collapsed_label(scheme, depth)
+        blocks = {hat.to_elem(str(read_off(words[e[-1]], split))).block for e in grow_paths(scheme, depth)}
+        assert limit_cpo(scheme, depth) == word_of_blocks(blocks), depth
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_limit_cpo_matches_the_kinds_of_every_path(scheme):
-    """Oracle for the one-label decision: the kinds of all limit_paths paths, depths 2-200."""
+    """Oracle for the one-label decision: the blocks of phi that all limit_paths labels name, depths 2-200."""
+    phi = named_cpo("phi")
     for depth in range(2, 201):
-        kinds = {p.kind for p in limit_paths(scheme, depth)}
-        assert limit_cpo(scheme, depth) == word_of_kinds(kinds), depth
+        blocks = {phi.to_elem(p.label).block for p in limit_paths(scheme, depth)}
+        assert limit_cpo(scheme, depth) == word_of_blocks(blocks), depth
+
+
+# each tower's limit in the bare numerals of the stage paths, and the string order it is isomorphic to
+LIMITS = {Scheme.STANDARD: ("phi", "lambda_hat_prime"), Scheme.ALTERNATIVE: ("theta", "omega_prime")}
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_limit_paths_are_the_elements_of_the_catalogued_limit(scheme):
+    """STANDARD's paths are phi's elements, the strings of lambda_hat_prime; ALTERNATIVE's are theta's, omega_prime's.
+
+    Each path's last stage word, read from each end (`read_off`), is the string element at the
+    label's own position, so STANDARD's inf is lambda_hat_prime's boundary m.  ALTERNATIVE
+    collapses its top label, so the word is all right end: omega_prime's string.
+    """
+    numerals, strings = (named_cpo(name) for name in LIMITS[scheme])
+    assert iso(numerals.word, strings.word)
+    assert numerals.word == strings.word  # so an Elem is the same position in both
+    if scheme is Scheme.STANDARD:
+        assert strings.to_label(numerals.to_elem("inf")) == "m"
+    for depth in range(2, 301):
+        assert limit_cpo(scheme, depth) == numerals.word, depth
+        paths = limit_paths(scheme, depth)
+        words, split = stage(depth).elements, collapsed_label(scheme, depth)
+        keys = []
+        for p in paths:
+            x = numerals.to_elem(p.label)
+            assert numerals.to_label(x) == p.label, (depth, p.label)
+            pair = read_off(words[p.entries[-1]], split)
+            assert strings.to_elem(str(pair if scheme is Scheme.STANDARD else pair.right)) == x, (depth, p.label)
+            keys.append(rank_key(numerals.word, x))
+        for rows in ([p.entries for p in paths], keys):
+            assert all(a < b for a, b in zip(rows, rows[1:])), depth
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
