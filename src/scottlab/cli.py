@@ -14,7 +14,10 @@ built only when it is printed.  A layer's report (an adjunction or
 boundary report, a decomposition, a fold, a replication, a Table 8 row,
 the pipeline, the e/p laws) is a tuple record, a typing.NamedTuple
 whose `_fields` are its schema's keys, in order, and `_json` is the
-only function that turns a report into JSON.
+only function that turns a report into JSON.  For --format json,
+`run()` prints `json.dumps` of the object, except for a verb with its
+own JSON writer: `paths` and `diagram` write the same text from
+templates, with no object built and no escaping pass.
 `--format` may be given to a group (`string`, `lcr`) or to its subverb;
 the later one wins.
 
@@ -25,7 +28,7 @@ and `words` only, `boundary` runs `adjunction`, `catalog`, `strings`
 and `words`, and only `decompose`, `lcr`, `replicate`, `table8` and
 `pipeline` run `replication`.  `run()` builds the parser of the verb
 that argv names, not all of them, and `json` is imported only for
-`--format json`.
+`--format json` of a verb without a JSON writer.
 
 Exit codes: 0 for success, including negative mathematical verdicts
 (a failed isomorphism or adjunction is a result, not an error); 1 when
@@ -237,10 +240,22 @@ def _paths(args) -> dict:
             "paths": [{"entries": list(p.entries), "label": p.label} for p in paths]}
 
 
-def _paths_text(obj, args) -> str:
+def _label_texts(depth: int):
     # every entry is a label below depth: one table of their texts, not a str() per entry
-    text = list(map(str, range(obj["depth"]))).__getitem__
+    return list(map(str, range(depth))).__getitem__
+
+
+def _paths_text(obj, args) -> str:
+    text = _label_texts(obj["depth"])
     return "\n".join(",".join(map(text, p["entries"])) + f" <-> {p['label']}" for p in obj["paths"])
+
+
+def _paths_json(args) -> str:
+    # the object of _paths with no dict, list or int of it built: the labels k, inf and k' need no escape
+    text = _label_texts(args.depth)
+    rows = ",".join(f'{{"entries":[{",".join(map(text, p.entries))}],"label":"{p.label}"}}'
+                    for p in stages.limit_paths(stages.Scheme(args.scheme), args.depth))
+    return f'{{"scheme":"{args.scheme}","depth":{args.depth},"paths":[{rows}]}}'
 
 
 def _limit(args) -> dict:
@@ -260,6 +275,12 @@ def _diagram(args) -> dict:
 def _diagram_text(obj, args) -> str:
     # the dot text ends in a newline, which print() puts back
     return obj["dot"].removesuffix("\n")
+
+
+def _diagram_json(args) -> str:
+    # the object of _diagram, its dot text built with the escaped quote and line end of a JSON string
+    dot = stages.diagram_dot(stages.Scheme(args.scheme), args.depth, '\\"', "\\n")
+    return f'{{"scheme":"{args.scheme}","depth":{args.depth},"dot":"{dot}"}}'
 
 
 # the table has about 2w rows of 2w bits and a label per column, O(w^2) bytes: at
@@ -529,10 +550,11 @@ VERBS = ("cpo", "normalize", "iso", "compare", "neighbors", "stage", "funcs", "m
          "table8", "pipeline")
 
 
-def _add(group, name, compute=None, render=None, *required, **kwargs):
+def _add(group, name, compute=None, render=None, *required, dump=None, **kwargs):
     """A parser that takes --format and the `required` string options.
 
-    A verb or subverb also gets its compute and render functions.
+    A verb or subverb also gets its compute and render functions, and may get
+    a JSON writer `dump(args)`, which writes the text of json.dumps(compute(args)).
     """
     p = group.add_parser(name, **kwargs)
     # given at a group and at its subverb, the later one wins
@@ -540,7 +562,7 @@ def _add(group, name, compute=None, render=None, *required, **kwargs):
     for option in required:
         p.add_argument(option, required=True)
     if compute:
-        p.set_defaults(compute=compute, render=render)
+        p.set_defaults(compute=compute, render=render, dump=dump)
     return p
 
 
@@ -577,12 +599,12 @@ def _add_verb(subs, verb: str) -> None:
             p.add_argument("--n", type=int, required=True)
             p.add_argument("--check", action="store_true")
         case "paths" | "limit" | "diagram":
-            compute, render, depth, help = {
-                "paths": (_paths, _paths_text, 10, "projection-consistent label paths"),
-                "limit": (_limit, _limit_text, 12, "order type of the stage limit"),
-                "diagram": (_diagram, _diagram_text, 5, "stage diagram in dot form"),
+            compute, render, dump, depth, help = {
+                "paths": (_paths, _paths_text, _paths_json, 10, "projection-consistent label paths"),
+                "limit": (_limit, _limit_text, None, 12, "order type of the stage limit"),
+                "diagram": (_diagram, _diagram_text, _diagram_json, 5, "stage diagram in dot form"),
             }[verb]
-            p = _add(subs, verb, compute, render, help=help)
+            p = _add(subs, verb, compute, render, dump=dump, help=help)
             p.add_argument("--scheme", choices=[s.value for s in stages.Scheme], default="standard")
             p.add_argument("--depth", type=int, default=depth)
         case "funcspace":
@@ -661,7 +683,7 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse argv, compute the verb's object, and print it as JSON or as text."""
+    """Parse argv and print the verb's object as text or JSON, the JSON from the verb's writer if it has one."""
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser(argv[0]) if argv and argv[0] in VERBS else build_parser()
@@ -670,12 +692,13 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        obj = args.compute(args)
-        if args.format == "json":
-            import json  # only here: a text answer never loads it
-            text = json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+        if args.format != "json":
+            text = args.render(args.compute(args), args)
+        elif args.dump is not None:
+            text = args.dump(args)
         else:
-            text = args.render(obj, args)
+            import json  # only here: neither a text answer nor a JSON writer loads it
+            text = json.dumps(args.compute(args), ensure_ascii=False, separators=(",", ":"))
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

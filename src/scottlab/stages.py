@@ -34,9 +34,10 @@ from .words import OMEGA, OMEGA_STAR, OrderWord, check_range, fin, word_of
 # enumerate_monotone walks all 2^m assignments: about 2 s at m = 20,
 # doubling with each step
 MAX_MONOTONE_CHAIN = 20
-# diagram_dot's text grows as depth^3 bytes: about 38 MB in 0.2 s and a
-# 165 MB peak at depth 300 (2-vCPU Xeon, Python 3.11), while depth 1100
-# would be 1.36 GB held in memory before it is written
+# diagram_dot's text grows as depth^3 bytes: at depth 300 `diagram` prints
+# about 38 MB in 0.21 s with a 202 MB peak as text, 0.22 s and 203 MB as
+# JSON (2-vCPU Xeon, Python 3.11), while depth 1100 would be 1.36 GB held
+# in memory before it is written
 MAX_DIAGRAM_DEPTH = 300
 # a stage's text grows as n^2 bytes: about 25 MB at n = 5000, while
 # n = 100000 would be about 10 GB held in memory before it is written
@@ -45,8 +46,8 @@ MAX_STAGE = 5000
 # checked pair prints about 2.6 MB of text in about 0.2 s
 MAX_EP_STAGE = 100_000
 # limit_paths holds depth^2 labels: at depth 3000 it builds them in
-# 0.2 s with an 86 MB peak, and `paths` prints about 38 MB of text in
-# about 1 s with a 160 MB peak
+# 0.14 s with an 89 MB peak, and `paths` prints about 38 MB in 0.58 s
+# with a 159 MB peak as text, 0.52 s and 156 MB as JSON
 MAX_PATHS_DEPTH = 3000
 # limit_cpo compares one label with the diagonal, about 5 µs at any depth
 # (2-vCPU Xeon, Python 3.11); the bound stays part of the verb's documented
@@ -205,8 +206,8 @@ def limit_cpo(scheme: Scheme, depth: int = 12) -> OrderWord:
     return word_of(OMEGA, fin(1))
 
 
-def diagram_dot(scheme: Scheme, depth: int) -> str:
-    """Stage diagram in dot form: columns of stages, e/p arrows between.
+def diagram_dot(scheme: Scheme, depth: int, quote: str = '"', newline: str = "\n") -> str:
+    r"""Stage diagram in dot form: columns of stages, e/p arrows between.
 
     A label fixed by both maps gets a single two-headed edge; a shifted
     embedding or collapsing projection gets its own labelled arrow.
@@ -216,23 +217,28 @@ def diagram_dot(scheme: Scheme, depth: int) -> str:
     a two-headed edge for each label j <= t_n, one lone p arrow from
     t_n+1, and an e/p pair for each label j > t_n+1.  Each run is one
     `%` on a repeated template, over node names built once per stage.
+    Every quote and line end of the text is the token `quote` or
+    `newline`, and the text holds no other backslash or control
+    character, so with the tokens `\"` and `\n` it comes out already
+    escaped as the body of a JSON string.
     The text grows as depth^3 bytes, so depth is bounded by
     MAX_DIAGRAM_DEPTH.
     """
     check_range("depth", depth, 2, MAX_DIAGRAM_DEPTH)
+    q, nl = quote, newline
     # one join and one split name a whole stage's nodes; only stage 1's word is empty
-    nodes = [['"s1_λ"']] + [(f'"s{n}_' + f'"\n"s{n}_'.join(stage(n).elements) + '"').split("\n")
-                            for n in range(2, depth + 1)]
-    out = [f"digraph stages_{scheme.value} {{\n  rankdir=LR;\n  node [shape=plaintext];\n"]
-    out += [f"  {{ rank=same; {' '.join(members)} }}\n" for members in nodes]
+    nodes = [[f"{q}s1_λ{q}"]] + [(f"{q}s{n}_" + f"{q}\n{q}s{n}_".join(stage(n).elements) + q).split("\n")
+                                 for n in range(2, depth + 1)]
+    out = [f"digraph stages_{scheme.value} {{{nl}  rankdir=LR;{nl}  node [shape=plaintext];{nl}"]
+    out += [f"  {{ rank=same; {' '.join(members)} }}{nl}" for members in nodes]
     chain = itertools.chain.from_iterable
     for n in range(1, depth):
         t = _diagonal(scheme, n)
         lower, upper = nodes[n - 1], nodes[n]
-        out.append("  %s -> %s [dir=both];\n" * (t + 1) % tuple(chain(zip(lower, upper[:t + 1]))))
-        out.append(f'  {upper[t + 1]} -> {lower[t]} [label="p"];\n')
+        out.append(f"  %s -> %s [dir=both];{nl}" * (t + 1) % tuple(chain(zip(lower, upper[:t + 1]))))
+        out.append(f"  {upper[t + 1]} -> {lower[t]} [label={q}p{q}];{nl}")
         pairs = n - 1 - t  # the labels j = t+2, ..., n
-        out.append('  %s -> %s [label="e"];\n  %s -> %s [label="p"];\n' * pairs
+        out.append(f"  %s -> %s [label={q}e{q}];{nl}  %s -> %s [label={q}p{q}];{nl}" * pairs
                    % tuple(chain(zip(lower[t + 1:], upper[t + 2:], upper[t + 2:], lower[t + 1:]))))
-    out.append("}\n")
+    out.append(f"}}{nl}")
     return "".join(out)

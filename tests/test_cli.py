@@ -264,6 +264,30 @@ def test_limit_beyond_the_recursion_limit(capsys, scheme, order_type):
     assert out == f"{scheme}: {order_type}\n"
 
 
+# the depths of each JSON writer's oracle: small ones, the benchmark's range of diagram depths, the bounds
+WRITER_DEPTHS = {"diagram": [*range(2, 41), *range(89, 105), 300], "paths": [*range(2, 161), 300, 3000]}
+
+
+@pytest.mark.parametrize("scheme", ["standard", "alternative"])
+@pytest.mark.parametrize("verb", WRITER_DEPTHS)
+def test_a_json_writer_prints_the_dump_of_its_object(capsys, verb, scheme):
+    """`paths` and `diagram` write their JSON text themselves; it is json.dumps of the verb's object."""
+    for depth in WRITER_DEPTHS[verb]:
+        argv = [verb, "--scheme", scheme, "--depth", str(depth)]
+        args = build_parser(verb).parse_args(argv)
+        expected = json.dumps(args.compute(args), ensure_ascii=False, separators=(",", ":")) + "\n"
+        assert _run(capsys, argv + ["--format", "json"]) == (0, expected, ""), depth
+
+
+@pytest.mark.parametrize("argv", [["diagram", "--depth", "6"], ["paths", "--scheme", "alternative", "--depth", "7"],
+                                  ["stage", "--n", "5"]])
+def test_format_dot_prints_the_text(capsys, argv):
+    """--format accepts dot for every verb, and it prints the text answer, not JSON."""
+    code, out, err = _run(capsys, argv + ["--format", "text"])
+    assert (code, err) == (0, "")
+    assert _run(capsys, argv + ["--format", "dot"]) == (0, out, "")
+
+
 GOLDEN_OUTPUTS = json.loads((GOLDEN / "cli_outputs.json").read_text())
 REUSED = [
     ["cpo", "--cpo", "lambda_hat_prime", "--window", "6"],
@@ -386,21 +410,22 @@ def test_a_cold_start_imports_neither_dataclasses_nor_inspect():
 
 
 STAGE_LAYERS, MU_LAYERS = ["stages", "words"], ["funcspace", "words"]
-# a cold argv and the layers whose bodies it runs: the stage tower's verbs never run the catalogue or the
-# strings, in text or in JSON, and the map-space verbs that name no catalogued order never run them either
+# a cold argv, the layers whose bodies it runs, and whether it loads json: the stage tower's verbs never run
+# the catalogue or the strings, in text or in JSON, and the map-space verbs that name no catalogued order
+# never run them either; `paths` and `diagram` write their JSON themselves
 COLD_LAYERS = {
-    "stage --n 4": STAGE_LAYERS,
-    "ep --n 3": STAGE_LAYERS,
-    "ep --n 3 --check --format json": STAGE_LAYERS,
-    "paths --depth 8": STAGE_LAYERS,
-    "paths --scheme alternative --depth 8 --format json": STAGE_LAYERS,
-    "limit --depth 12": STAGE_LAYERS,
-    "diagram --depth 4": STAGE_LAYERS,
-    "diagram --depth 4 --format json": STAGE_LAYERS,
-    "mu --map 01": MU_LAYERS,
-    "mu --map 10 --format json": MU_LAYERS,
-    "funcspace --word w+1": MU_LAYERS,
-    "funcspace --word w*+w --format json": MU_LAYERS,
+    "stage --n 4": (STAGE_LAYERS, False),
+    "ep --n 3": (STAGE_LAYERS, False),
+    "ep --n 3 --check --format json": (STAGE_LAYERS, True),
+    "paths --depth 8": (STAGE_LAYERS, False),
+    "paths --scheme alternative --depth 8 --format json": (STAGE_LAYERS, False),
+    "limit --depth 12": (STAGE_LAYERS, False),
+    "diagram --depth 4": (STAGE_LAYERS, False),
+    "diagram --depth 4 --format json": (STAGE_LAYERS, False),
+    "mu --map 01": (MU_LAYERS, False),
+    "mu --map 10 --format json": (MU_LAYERS, True),
+    "funcspace --word w+1": (MU_LAYERS, False),
+    "funcspace --word w*+w --format json": (MU_LAYERS, True),
 }
 
 
@@ -409,7 +434,7 @@ def test_a_cold_verb_runs_only_its_layers(case):
     """Module bodies run through exec(), which raises an audit event, however the module is loaded.
 
     An in-process test cannot see this: some earlier test has run every layer already.  Only
-    `--format json` loads json.
+    `--format json` loads json, and not for a verb with its own JSON writer.
     """
     script = ("import contextlib, io, runpy, sys; from pathlib import Path\n"
               "ran = set(); had_json = 'json' in sys.modules\n"
@@ -422,7 +447,8 @@ def test_a_cold_verb_runs_only_its_layers(case):
               "print(code, bool(out.getvalue()), sorted(layers & {Path(f).stem for f in ran}), "
               "had_json or 'json' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert (proc.stdout, proc.stderr) == (f"0 True {COLD_LAYERS[case]} {case.endswith('json')}\n", "")
+    layers, loads_json = COLD_LAYERS[case]
+    assert (proc.stdout, proc.stderr) == (f"0 True {layers} {loads_json}\n", "")
 
 
 # one verb per group of layers, each on the few layers it runs

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from scottlab import strings as st
@@ -410,6 +412,17 @@ def test_diagram_matches_the_per_node_build(scheme):
 def test_diagram_matches_the_ep_map_drawing(scheme):
     for depth in [*range(2, 121), MAX_DIAGRAM_DEPTH]:
         assert diagram_dot(scheme, depth) == ep_map_diagram(scheme, depth), depth
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_the_escaped_diagram_is_the_body_of_its_json_string(scheme):
+    """The dot text holds no backslash and no control character but its line ends, so its
+    quotes and line ends are all that JSON escapes, and the escaped tokens do it in the build."""
+    for depth in [*range(2, 41), *range(89, 105), MAX_DIAGRAM_DEPTH]:
+        dot = diagram_dot(scheme, depth)
+        chars = set(dot) - {"\n"}
+        assert "\\" not in chars and all(c.isprintable() for c in chars), depth
+        assert diagram_dot(scheme, depth, '\\"', "\\n") == json.dumps(dot, ensure_ascii=False)[1:-1], depth
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))

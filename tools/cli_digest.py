@@ -112,11 +112,12 @@ def grid() -> dict[str, list[list[str]]]:
         "mu": [["mu", "--map", m] for m in ("00", "01", "10", "11", "0", "011", "02", "ab", " 01 ")],
         "ep": [["ep", "--scheme", s, "--n", str(n), *check] for s in SCHEMES for n in [*range(-1, 21), 200, 100001]
                for check in ([], ["--check"])],
-        # and paths up to depth 300, where tests/test_stages.py pins the labels to the catalogue's phi and theta
+        # and paths up to depth 300, where tests/test_stages.py pins the labels to the catalogue's phi and theta;
+        # paths and diagram also at their bounds, where a character that JSON escapes would first show
         "paths": [["paths", "--scheme", s, "--depth", str(d)]
-                  for s in SCHEMES for d in [*range(-1, 16), 150, 300, 3001]],
+                  for s in SCHEMES for d in [*range(-1, 16), 150, 300, 3000, 3001]],
         "diagram": [["diagram", "--scheme", s, "--depth", str(d)]
-                    for s in SCHEMES for d in [*range(-1, 9), 92, 101, 301]],
+                    for s in SCHEMES for d in [*range(-1, 9), 92, 101, 200, 300, 301]],
         "normalize": [["normalize", "--word", "+".join(atoms)] for n in range(1, 4)
                       for atoms in itertools.product(ATOMS, repeat=n)]
         + [["normalize", "--word", w] for w in BAD_WORDS],
