@@ -251,10 +251,11 @@ def _paths_text(obj, args) -> str:
 
 
 def _paths_json(args) -> str:
-    # the object of _paths with no dict, list or int of it built: the labels k, inf and k' need no escape
+    # the object of _paths with no dict, list or int of it built: the labels k, inf and k' need no escape;
+    # limit_paths checks the depth before the table is built, and its iterator drops the paths once read
+    paths = iter(stages.limit_paths(stages.Scheme(args.scheme), args.depth))
     text = _label_texts(args.depth)
-    rows = ",".join(f'{{"entries":[{",".join(map(text, p.entries))}],"label":"{p.label}"}}'
-                    for p in stages.limit_paths(stages.Scheme(args.scheme), args.depth))
+    rows = ",".join(f'{{"entries":[{",".join(map(text, p.entries))}],"label":"{p.label}"}}' for p in paths)
     return f'{{"scheme":"{args.scheme}","depth":{args.depth},"paths":[{rows}]}}'
 
 

@@ -176,6 +176,10 @@ USAGE_ERRORS = [
     ["stage", "--n", "5001"],
     ["ep", "--n", "100001", "--check"],
     ["paths", "--depth", "3001"],
+    # far past it, where building anything before the check would exhaust memory
+    ["paths", "--depth", "1000000000"],
+    ["paths", "--depth", "1000000000", "--format", "json"],
+    ["diagram", "--depth", "1000000000", "--format", "json"],
     ["limit", "--scheme", "alternative", "--depth", "1000001"],
     # one step past each bound on a window or size whose output or work grows with it
     ["cpo", "--cpo", "omega", "--window", "100001"],
