@@ -37,6 +37,7 @@ string literals such as "...0011" and pair literals such as
 the literal itself in orders that print literals.
 """
 
+import itertools
 import re
 from enum import Enum
 from functools import cached_property
@@ -44,8 +45,8 @@ from typing import NamedTuple
 
 from . import strings as st
 from .errors import BadElement, UnknownCpo
-from .words import (OMEGA, OMEGA_STAR, AtomKind, Elem, OrderAtom, check_range, fin, normal_layout,
-                    read_decimal, window_offsets, word_of)
+from .words import (OMEGA, OMEGA_STAR, AtomKind, Elem, OrderAtom, check_range, fin, normal_layout, read_decimal,
+                    window_offsets, window_runs, word_of)
 
 
 class CpoName(Enum):
@@ -315,12 +316,27 @@ class NamedCpo:
                 return self.element(ends_of(st.parse_literal(t)))
         raise BadElement(f"no element labelled {label!r} here")
 
-    def to_label(self, x: Elem) -> str:
-        run = next(r for r in reversed(self._runs) if r.block == x.block and r.base <= x.offset)
-        c = run.start + run.step * (x.offset - run.first)
+    def _label(self, run: _Run, c: int) -> str:
+        """The label of the element at count c of a run."""
         if self.literal and self.ends_at(run.half, run.layer, c) != self.boundary:  # the boundary is named, not spelled
             return str(self.halves[run.half].spelled(run.layer, c))
         return _render_count(run.style, c)
+
+    def to_label(self, x: Elem) -> str:
+        run = next(r for r in reversed(self._runs) if r.block == x.block and r.base <= x.offset)
+        return self._label(run, run.start + run.step * (x.offset - run.first))
+
+    def window_labels(self, depth: int) -> list[str]:
+        """`to_label` of each element of `window_elems(self.word, depth)`, in order, a run at a time.
+
+        The window's offsets in a run are one range (`window_runs`), so each count is the run's
+        formula and no run is searched.
+        """
+        labels: list[str] = []
+        for i, offsets in window_runs(self.word, depth, [(r.block, r.base) for r in self._runs]):
+            r = self._runs[i]
+            labels += [self._label(r, r.start + r.step * (o - r.first)) for o in offsets]
+        return labels
 
 
 OMEGA_HALF = Half("omega", ((R_STRINGS, "n"),))
@@ -386,11 +402,12 @@ MAX_LITERAL_WINDOW = 2000
 def chain_display(cpo: NamedCpo, depth: int) -> str:
     """Ascending window rendered as a chain with ellipses inside infinite blocks."""
     check_range("window", depth, 0, MAX_LITERAL_WINDOW if cpo.literal else MAX_CHAIN_WINDOW)
+    labels = iter(cpo.window_labels(depth))
     parts: list[str] = []
-    for j, atom in enumerate(cpo.word.atoms):
+    for atom in cpo.word.atoms:
         if atom.kind is AtomKind.OMEGA_STAR:
             parts.append("...")
-        parts.extend(cpo.to_label(Elem(j, o)) for o in window_offsets(atom, depth))
+        parts.extend(itertools.islice(labels, len(window_offsets(atom, depth))))
         if atom.kind is AtomKind.OMEGA:
             parts.append("...")
     return " \u2286 ".join(parts)

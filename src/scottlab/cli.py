@@ -274,8 +274,8 @@ def _diagram(args) -> dict:
 
 
 def _diagram_text(obj, args) -> str:
-    # the dot text ends in a newline, which print() puts back
-    return obj["dot"].removesuffix("\n")
+    # the dot text ends in its own newline, so the verb registers end="": a copy without it would be d^3 bytes
+    return obj["dot"]
 
 
 def _diagram_json(args) -> str:
@@ -285,22 +285,23 @@ def _diagram_json(args) -> str:
 
 
 # the table has about 2w rows of 2w bits and a label per column, O(w^2) bytes: at
-# w = 1000, 1.5 MB for omega, 4.1 MB for v in 0.05 s, and 7.1 MB in 0.1 s for
-# lambda_hat_prime, whose column labels are pair literals (2-vCPU Xeon, Python 3.11)
+# w = 1000, 1.5 MB for omega in 0.06 s, 4.1 MB for v in 0.08 s, and 7.1 MB in 0.11 s
+# for lambda_hat_prime, whose column labels are pair literals, each from a fresh
+# process, of which the table takes 8, 13 and 18 ms (2-vCPU Xeon, Python 3.11)
 MAX_TABLE_WINDOW = 1000
 
 
 def _funcspace_table(c, space, window: int):
     """Rows are the space's windowed segments, columns the base window."""
     words.check_range("window", window, 0, MAX_TABLE_WINDOW)
-    cols = words.window_elems(c.word, window)
-    rows = words.window_elems(space.word, window)
-    segs = [space.segment_at(r) for r in rows]
-    columns = [c.to_label(x) for x in cols]
+    columns = c.window_labels(window)
+    rows = space.rows(window)
     # a space of the base's own word has the base's window, so its rows take the column labels
-    labels = [f"psi_{label}" for label in columns] if space.word == c.word else [str(s) for s in segs]
-    bits = funcspace.indicator_rows(c.word, segs, cols)
-    return columns, [{"row": r, "bits": b} for r, b in zip(labels, bits)]
+    labels = [f"psi_{label}" for label in columns] if space.word == c.word else [str(s) for s, _ in rows]
+    # an open segment is an up-set, so a row with cut k is k 0s then 1s: one slice of a staircase
+    n = len(columns)
+    staircase = "0" * n + "1" * n
+    return columns, [{"row": r, "bits": staircase[n - k:2 * n - k]} for r, (_, k) in zip(labels, rows)]
 
 
 def _funcspace(args) -> dict:
@@ -551,11 +552,18 @@ VERBS = ("cpo", "normalize", "iso", "compare", "neighbors", "stage", "funcs", "m
          "table8", "pipeline")
 
 
-def _add(group, name, compute=None, render=None, *required, dump=None, **kwargs):
+# the values of stages.Scheme and funcspace.Mu, which a test ties to them: a parser that read the
+# enums would run those layers' bodies, a cold start's cost for every verb in the full parser
+SCHEMES = ("standard", "alternative")
+MUS = ("const0", "const1", "id")
+
+
+def _add(group, name, compute=None, render=None, *required, dump=None, end="\n", **kwargs):
     """A parser that takes --format and the `required` string options.
 
     A verb or subverb also gets its compute and render functions, and may get
     a JSON writer `dump(args)`, which writes the text of json.dumps(compute(args)).
+    `end` follows the rendered text, as print's `end`; JSON always ends in a newline.
     """
     p = group.add_parser(name, **kwargs)
     # given at a group and at its subverb, the later one wins
@@ -563,15 +571,15 @@ def _add(group, name, compute=None, render=None, *required, dump=None, **kwargs)
     for option in required:
         p.add_argument(option, required=True)
     if compute:
-        p.set_defaults(compute=compute, render=render, dump=dump)
+        p.set_defaults(compute=compute, render=render, dump=dump, end=end)
     return p
 
 
 def _add_verb(subs, verb: str) -> None:
     """Attach one verb's parser to subs; a group (`string`, `lcr`) comes with all its subverbs.
 
-    Only the stage tower's verbs read Scheme and only `fpt` reads Mu, so no other
-    verb's parser runs `stages` or `funcspace`.
+    The choices of --scheme and --mu are written out (SCHEMES, MUS), so no parser
+    runs a layer.
     """
     match verb:
         case "cpo":
@@ -596,7 +604,7 @@ def _add_verb(subs, verb: str) -> None:
             p.add_argument("--map", required=True, help="two bits: f(0)f(1)")
         case "ep":
             p = _add(subs, verb, _ep, _ep_text, help="embedding/projection pair between stages")
-            p.add_argument("--scheme", choices=[s.value for s in stages.Scheme], default="standard")
+            p.add_argument("--scheme", choices=SCHEMES, default="standard")
             p.add_argument("--n", type=int, required=True)
             p.add_argument("--check", action="store_true")
         case "paths" | "limit" | "diagram":
@@ -605,8 +613,8 @@ def _add_verb(subs, verb: str) -> None:
                 "limit": (_limit, _limit_text, None, 12, "order type of the stage limit"),
                 "diagram": (_diagram, _diagram_text, _diagram_json, 5, "stage diagram in dot form"),
             }[verb]
-            p = _add(subs, verb, compute, render, dump=dump, help=help)
-            p.add_argument("--scheme", choices=[s.value for s in stages.Scheme], default="standard")
+            p = _add(subs, verb, compute, render, dump=dump, end="" if verb == "diagram" else "\n", help=help)
+            p.add_argument("--scheme", choices=SCHEMES, default="standard")
             p.add_argument("--depth", type=int, default=depth)
         case "funcspace":
             p = _add(subs, verb, _funcspace, _funcspace_text, help="space of monotone maps into 2")
@@ -616,7 +624,7 @@ def _add_verb(subs, verb: str) -> None:
             p.add_argument("--table", action="store_true")
         case "fpt":
             p = _add(subs, verb, _fpt, _fpt_text, "--cpo", help="fixed point of a continuous mu")
-            p.add_argument("--mu", choices=[m.value for m in funcspace.Mu], required=True)
+            p.add_argument("--mu", choices=MUS, required=True)
         case "string":
             group = _add(subs, verb, help="monotypic string operations").add_subparsers(dest="string_cmd",
                                                                                         required=True)
@@ -692,9 +700,10 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    end = "\n"
     try:
         if args.format != "json":
-            text = args.render(args.compute(args), args)
+            text, end = args.render(args.compute(args), args), args.end
         elif args.dump is not None:
             text = args.dump(args)
         else:
@@ -704,7 +713,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
-        print(text)
+        print(text, end=end)
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
     except UnicodeEncodeError as e:
         print(f"error: stdout cannot encode the output: {e}", file=sys.stderr)

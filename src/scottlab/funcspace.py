@@ -36,6 +36,17 @@ normal w, in [w -> 2]:
   (2) every omega* block is exactly one piece;
   (3) every finite cut run lands in a finite block.
 
+FuncSpace.rows() gives each segment of the space's window with its cut,
+the first column of the base's window that it holds, so a `funcspace
+--table` row is one slice of 0...01...1.  It validates a piece on its
+first and last segment in the window only.  An EMPTY or BLOCK_TAIL
+piece holds one segment.  The segments of an UP_FROM piece cut one base
+block at offsets first + step * i, one run of consecutive offsets, and
+what validate_segment checks of a cut is a bound on its offset: at
+least 0 and at least the block's least open cut (_least_cut), and below
+the size of a finite block.  A run of offsets meets every such bound
+if its two ends do, so the two ends decide every row.
+
 fpt() runs the classical fixed-point construction: when the base is
 isomorphic to its own function space via the positional isomorphism,
 the diagonal d(x) = "is x in the segment at x's own position" is a
@@ -51,13 +62,13 @@ block takes in the whole block.
 """
 
 import bisect
-from collections.abc import Sequence
+import itertools
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import BadElement, BadLiteral, InvalidSegment, NotIsomorphic
+from .errors import BadLiteral, InvalidSegment, NotIsomorphic
 from .words import (OMEGA, OMEGA_STAR, AtomKind, Elem, Ordering, OrderWord, compare, extremes, fin, neighbors,
-                    normal_layout, normalize, rank_key, validate_elem, window_elems)
+                    normal_layout, normalize, validate_elem, window_elems, window_offsets, window_runs)
 
 if TYPE_CHECKING:  # only annotations name the catalogue, so funcspace never runs it
     from .catalog import NamedCpo
@@ -132,37 +143,6 @@ def eval_segment(w: OrderWord, s: OpenSegment, x: Elem) -> int:
     return 1 if compare(w, x, s.at) is not Ordering.LT else 0
 
 
-def indicator_rows(w: OrderWord, segs: Sequence[OpenSegment], xs: Sequence[Elem]) -> list[str]:
-    """The indicator maps of segs on the ascending elements xs, as bit strings.
-
-    An open segment is a final segment (a Scott-open set is an up-set),
-    so over ascending xs a row reads 0...01...1 and the position of its
-    first 1 decides it.  Each column is validated once and mapped to a
-    rank key; the keys must not descend.  Each segment is validated once
-    and its cut found by one bisection of the keys: UP_FROM(x) cuts at
-    x's key, BLOCK_TAIL(j) at the start of block j, EMPTY after the last
-    column.  A row costs O(log len(xs)) tuple comparisons.
-    """
-    for x in xs:
-        validate_elem(w, x)
-    keys = [rank_key(w, x) for x in xs]
-    for i in range(1, len(keys)):
-        if keys[i - 1] > keys[i]:
-            raise BadElement(f"columns must ascend in {w}: {xs[i]} follows {xs[i - 1]}")
-    n = len(keys)
-    rows = []
-    for s in segs:
-        validate_segment(w, s)
-        if s.kind is SegmentKind.EMPTY:
-            k = n
-        elif s.kind is SegmentKind.BLOCK_TAIL:
-            k = bisect.bisect_left(keys, (s.block,))  # (j,) sorts before every (j, offset)
-        else:
-            k = bisect.bisect_left(keys, rank_key(w, s.at))
-        rows.append("0" * k + "1" * (n - k))
-    return rows
-
-
 # -- positional enumeration ------------------------------------------------
 
 
@@ -198,6 +178,36 @@ class FuncSpace(NamedTuple):
     def segment_at(self, x: Elem) -> OpenSegment:
         validate_elem(self.word, x)
         return self.pieces[bisect.bisect_right(self.keys, (x.block, x.offset)) - 1].seg(x.offset)
+
+    def rows(self, window: int) -> list[tuple[OpenSegment, int]]:
+        """Each segment of the space's window, in the order of `window_elems(self.word, window)`, with its cut.
+
+        The cut is the index of the first column of the base's window (`window_elems(self.base, window)`)
+        that the segment holds: the column count for EMPTY, the start of block j's columns for
+        BLOCK_TAIL(j), and for UP_FROM((j, off)) block j's start plus off, or plus window - off in an
+        omega* block, clamped into the block.  A piece is validated on its first and last segment in
+        the window (module docstring).
+        """
+        base = self.base.atoms
+        starts = list(itertools.accumulate((len(window_offsets(atom, window)) for atom in base), initial=0))
+        out: list[tuple[OpenSegment, int]] = []
+        for i, offsets in window_runs(self.word, window, self.keys):
+            if not offsets:
+                continue
+            p = self.pieces[i]
+            segs = [p.seg(o) for o in offsets]
+            for s in dict.fromkeys((segs[0], segs[-1])):
+                validate_segment(self.base, s)
+            if p.role is SegmentKind.UP_FROM:
+                lo, size = starts[p.base], starts[p.base + 1] - starts[p.base]
+                star = base[p.base].kind is AtomKind.OMEGA_STAR  # whose columns run down from offset `window`
+                # an omega cut run from offset 1 reaches offset window + 1, one past its block's columns
+                cuts = [lo + min(window - cut if star else cut, size)
+                        for cut in (p.first + p.step * (o - p.start) for o in offsets)]
+            else:
+                cuts = [starts[-1] if p.role is SegmentKind.EMPTY else starts[p.base]] * len(segs)
+            out += zip(segs, cuts)
+        return out
 
     def position_of(self, s: OpenSegment) -> Elem:
         validate_segment(self.base, s)

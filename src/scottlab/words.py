@@ -315,3 +315,25 @@ def window_elems(w: OrderWord, depth: int) -> list[Elem]:
     """Ascending finite window: offsets up to depth within infinite blocks."""
     check_window(depth)
     return [Elem(j, o) for j, atom in enumerate(w.atoms) for o in window_offsets(atom, depth)]
+
+
+def window_runs(w: OrderWord, depth: int, places: Sequence[tuple[int, int]]) -> list[tuple[int, range]]:
+    """The window's offsets in each run of w, a run at a time, in the order of `window_elems`.
+
+    `places` are the runs' (block, base), sorted, with a run at offset 0 of every block; a run holds
+    the offsets of its block from its base up to the next run's base.  Each entry is a run's index in
+    `places` and its offsets in the window, ascending as elements: an omega* block's runs and offsets
+    come from its top down.
+    """
+    check_window(depth)
+    out: list[tuple[int, range]] = []
+    block: list[tuple[int, range]] = []
+    for i, (j, base) in enumerate(places):
+        atom = w.atoms[j]
+        top = atom.size if atom.kind is _FIN else depth + 1
+        last = i + 1 == len(places) or places[i + 1][0] != j
+        block.append((i, range(base, top if last else min(places[i + 1][1], top))))
+        if last:
+            out += [(k, offsets[::-1]) for k, offsets in reversed(block)] if atom.kind is _STAR else block
+            block = []
+    return out

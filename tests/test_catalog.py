@@ -1,9 +1,12 @@
 import hypothesis.strategies as hs
+import pytest
 from hypothesis import given
 
 from scottlab import strings as st
-from scottlab.catalog import (ALL_ONES, ALL_ZEROS, CHAIN_2, L_STRINGS, R_STRINGS, CpoName, Half, Layer, NamedCpo,
-                              all_names, ends_of, named_cpo, stack_key)
+
+from scottlab.catalog import (ALL_ONES, ALL_ZEROS, CHAIN_2, L_STRINGS, MAX_CHAIN_WINDOW, MAX_LITERAL_WINDOW, R_STRINGS,
+                              CpoName, Half, Layer, NamedCpo, all_names, ends_of, named_cpo, stack_key)
+from scottlab.errors import BadDepth
 from scottlab.words import Ordering, compare, window_elems, window_offsets
 
 strings = hs.builds(
@@ -18,6 +21,25 @@ def test_labels_round_trip_on_windows(name, k):
     c = named_cpo(name)
     for x in window_elems(c.word, k):
         assert c.to_elem(c.to_label(x)) == x
+
+
+@pytest.mark.parametrize("name", all_names())
+def test_window_labels_are_the_labels_of_the_window(name):
+    """A run at a time against one to_label per element: windows 0..60 and the order's `cpo --window` bound."""
+    c = named_cpo(name)
+    for k in [*range(61), MAX_LITERAL_WINDOW if c.literal else MAX_CHAIN_WINDOW]:
+        assert c.window_labels(k) == [c.to_label(x) for x in window_elems(c.word, k)], k
+    with pytest.raises(BadDepth):
+        c.window_labels(-1)
+
+
+def test_window_labels_read_an_absorbed_finite_layer_from_the_top():
+    """An omega* block that absorbed a finite layer holds two runs, the finite one on top."""
+    for layers in (((L_STRINGS, "n'"), (CHAIN_2, "n")), ((L_STRINGS, "n'"), (ALL_ZEROS, "z"), (ALL_ONES, "o"))):
+        c = NamedCpo(CpoName.TWO, (Half("t", layers),), bare=layers[-1][0] is CHAIN_2)
+        for k in range(6):
+            assert c.window_labels(k) == [c.to_label(x) for x in window_elems(c.word, k)], k
+        assert c.window_labels(2) == (["0'", "0", "1"] if c.bare else ["0'", "z", "o"])
 
 
 @given(strings, strings)

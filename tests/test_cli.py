@@ -12,7 +12,9 @@ import jsonschema
 import pytest
 from hypothesis import given, settings
 
-from scottlab.cli import VERBS, build_parser, run
+from scottlab.cli import MUS, SCHEMES, VERBS, build_parser, run
+from scottlab.funcspace import Mu
+from scottlab.stages import Scheme
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -430,6 +432,8 @@ COLD_LAYERS = {
     "mu --map 10 --format json": (MU_LAYERS, True),
     "funcspace --word w+1": (MU_LAYERS, False),
     "funcspace --word w*+w --format json": (MU_LAYERS, True),
+    # the full parser, build_parser(), lists the --scheme and --mu choices without running a layer
+    "-h": ([], False),
 }
 
 
@@ -453,6 +457,12 @@ def test_a_cold_verb_runs_only_its_layers(case):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     layers, loads_json = COLD_LAYERS[case]
     assert (proc.stdout, proc.stderr) == (f"0 True {layers} {loads_json}\n", "")
+
+
+def test_the_parser_choices_are_the_scheme_and_mu_values():
+    """The parser writes the choices out, so that building it runs neither `stages` nor `funcspace`."""
+    assert SCHEMES == tuple(s.value for s in Scheme)
+    assert MUS == tuple(m.value for m in Mu)
 
 
 # one verb per group of layers, each on the few layers it runs

@@ -6,12 +6,12 @@ from pathlib import Path
 
 import hypothesis.strategies as hs
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 
 from scottlab import cli, funcspace
 from scottlab.catalog import all_names, named_cpo
 from scottlab.cli import run
-from scottlab.errors import BadElement, InvalidSegment, NotIsomorphic
+from scottlab.errors import InvalidSegment, NotIsomorphic
 from scottlab.funcspace import (
     EMPTY_SEGMENT,
     Mu,
@@ -21,7 +21,6 @@ from scottlab.funcspace import (
     diagonal_map,
     eval_segment,
     fpt,
-    indicator_rows,
     mu_apply,
     mu_continuous,
     scott_opens,
@@ -101,24 +100,25 @@ def test_finite_chain_space_matches_brute_force(k):
     assert rows == list(enumerate_monotone(k))
 
 
+def _per_cell_rows(w, space, window):
+    """Each segment of the space's window and its row, one eval_segment per cell."""
+    cols = window_elems(w, window)
+    segs = [space.segment_at(pos) for pos in window_elems(space.word, window)]
+    return [(seg, "".join(str(eval_segment(w, seg, x)) for x in cols)) for seg in segs]
+
+
+def _cut_rows(rows, n):
+    return [(seg, "0" * k + "1" * (n - k)) for seg, k in rows]
+
+
 @pytest.mark.parametrize("name", all_names())
-def test_indicator_row_matches_the_per_cell_row(name):
-    """The bisected row against the brute-force one eval_segment per cell."""
+def test_table_cuts_match_the_per_cell_rows(name):
+    """Each row's segment and cut, from its piece, against the brute force: one eval_segment per cell."""
     w = named_cpo(name).word
     space = scott_opens(w)
     for window in range(31):
-        cols = window_elems(w, window)
-        for pos in window_elems(space.word, window):
-            seg = space.segment_at(pos)
-            per_cell = "".join(str(eval_segment(w, seg, x)) for x in cols)
-            assert indicator_rows(w, [seg], cols)[0] == per_cell, (window, str(seg))
-
-
-def test_indicator_row_validates_the_segment():
-    theta = named_cpo("theta").word  # ω+1
-    for seg in (up_from(Elem(1, 0)), block_tail(0)):
-        with pytest.raises(InvalidSegment):
-            indicator_rows(theta, [seg], window_elems(theta, 3))
+        n = len(window_elems(w, window))
+        assert _cut_rows(space.rows(window), n) == _per_cell_rows(w, space, window), window
 
 
 small_words = hs.lists(hs.sampled_from([OMEGA, OMEGA_STAR, fin(1), fin(2), fin(3)]),
@@ -126,46 +126,25 @@ small_words = hs.lists(hs.sampled_from([OMEGA, OMEGA_STAR, fin(1), fin(2), fin(3
 
 
 @given(small_words)
-def test_indicator_rows_match_the_per_cell_rows_beyond_the_catalogue(word):
+def test_table_cuts_match_the_per_cell_rows_beyond_the_catalogue(word):
     """Every segment of windows 0..12, against one eval_segment per cell."""
     space = scott_opens(word)
     w = space.base
-    segs = [space.segment_at(pos) for pos in window_elems(space.word, 12)]
-    cell = {(s, x): str(eval_segment(w, s, x)) for s in segs for x in window_elems(w, 12)}
     for window in range(13):
-        cols = window_elems(w, window)
-        rows = [space.segment_at(pos) for pos in window_elems(space.word, window)]
-        assert indicator_rows(w, rows, cols) == ["".join(cell[s, x] for x in cols) for s in rows]
+        n = len(window_elems(w, window))
+        assert _cut_rows(space.rows(window), n) == _per_cell_rows(w, space, window), window
 
 
-@given(small_words, hs.data())
-def test_indicator_rows_reject_columns_out_of_order(word, data):
-    w = normalize(word)
-    cols = window_elems(w, 3)
-    assume(len(cols) > 1)
-    i = data.draw(hs.integers(0, len(cols) - 2))
-    cols[i], cols[i + 1] = cols[i + 1], cols[i]
-    with pytest.raises(BadElement, match="columns must ascend"):
-        indicator_rows(w, [EMPTY_SEGMENT], cols)
+@given(hs.one_of(small_words, hs.sampled_from(all_names()).map(lambda name: named_cpo(name).word)),
+       hs.integers(0, 40))
+def test_every_table_row_is_a_valid_segment(word, window):
+    space = scott_opens(word)
+    for seg, k in space.rows(window):
+        validate_segment(space.base, seg)
+        assert 0 <= k <= len(window_elems(space.base, window))
 
 
-def test_indicator_rows_validate_every_segment_and_column():
-    theta = named_cpo("theta").word  # ω+1
-    cols = window_elems(theta, 3)
-    fine = [EMPTY_SEGMENT, up_from(Elem(0, 0)), up_from(Elem(0, 2))]
-    for seg in (up_from(Elem(1, 0)), block_tail(0), block_tail(2)):
-        with pytest.raises(InvalidSegment):
-            indicator_rows(theta, fine + [seg], cols)
-    with pytest.raises(BadElement):
-        indicator_rows(theta, fine + [up_from(Elem(2, 0))], cols)
-    for x in (Elem(2, 0), Elem(1, 1), Elem(0, -1)):
-        with pytest.raises(BadElement):
-            indicator_rows(theta, fine, cols + [x])
-        with pytest.raises(BadElement):
-            indicator_rows(theta, [], [x])
-
-
-def test_the_table_validates_each_row_once_and_evaluates_no_cell(monkeypatch, capsys):
+def test_the_table_validates_each_piece_at_its_two_ends_and_evaluates_no_cell(monkeypatch, capsys):
     calls = Counter()
     for name in ("validate_segment", "eval_segment"):
         original = getattr(funcspace, name)
@@ -174,7 +153,8 @@ def test_the_table_validates_each_row_once_and_evaluates_no_cell(monkeypatch, ca
     assert run(["funcspace", "--cpo", "v", "--window", "93", "--table", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert len(rows) == 2 * 94 + 3
-    assert calls == {"validate_segment": len(rows)}
+    assert calls["eval_segment"] == 0
+    assert 0 < calls["validate_segment"] <= 2 * len(scott_opens(named_cpo("v").word).pieces)
 
 
 @pytest.mark.parametrize("argv", [["funcspace", "--cpo", "v", "--table"], ["funcspace", "--cpo", "v"]],

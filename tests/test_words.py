@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+import hypothesis.strategies as hs
 from hypothesis import given
 
 from conftest import assert_order_bijection, words
@@ -25,6 +26,7 @@ from scottlab.words import (
     signature,
     validate_elem,
     window_elems,
+    window_runs,
     word_of,
 )
 
@@ -222,3 +224,19 @@ def test_window_elems_is_ascending():
     xs = window_elems(w, 4)
     for x, y in zip(xs, xs[1:]):
         assert compare(w, x, y) is Ordering.LT
+
+
+@given(words, hs.integers(0, 8), hs.data())
+def test_window_runs_split_the_window_at_the_run_bases(w, depth, data):
+    """The runs' offsets, joined in their order, are window_elems; each run keeps to its own offsets."""
+    places = []
+    for j, atom in enumerate(w.atoms):
+        top = atom.size if atom.kind is AtomKind.FIN else 10
+        bases = data.draw(hs.sets(hs.integers(1, top - 1), max_size=3)) if top > 1 else set()
+        places += [(j, base) for base in sorted({0, *bases})]
+    runs = window_runs(w, depth, places)
+    assert [Elem(places[i][0], o) for i, offsets in runs for o in offsets] == window_elems(w, depth)
+    for i, offsets in runs:
+        j, base = places[i]
+        end = places[i + 1][1] if i + 1 < len(places) and places[i + 1][0] == j else None
+        assert all(base <= o and (end is None or o < end) for o in offsets)

@@ -32,6 +32,7 @@ ORDERS = ["two", "phi", "theta", "omega", "omega_opp", "omega_prime", "omega_pri
           "lambda_prime", "lambda_hat_prime", "xi", "xi_opp", "v"]
 COMPOSITES = ["lambda", "lambda_prime", "lambda_hat_prime", "v"]
 GLUED = ["lambda_hat_prime", "v"]
+LITERAL = ["omega", "omega_opp", "omega_prime", "omega_prime_opp", "lambda_hat_prime"]
 WINDOWS = range(61)
 ATOMS = ["w", "w*", "1", "2", "3"]
 SCHEMES = ["standard", "alternative"]
@@ -85,7 +86,9 @@ def grid() -> dict[str, list[list[str]]]:
         "limit": [["limit", "--scheme", s, "--depth", str(d)]
                   for s in ("standard", "alternative") for d in [*range(71), 999, 1000, 10**6, 10**6 + 1]],
         "fpt": [["fpt", "--cpo", c, "--mu", mu] for c in ORDERS for mu in ("const0", "const1", "id")],
+        # and the tables of the composite orders at the benchmark's window, at the bound and past it
         "funcspace": [["funcspace", "--cpo", c, "--table", "--window", str(w)] for c in ORDERS for w in range(31)]
+        + [["funcspace", "--cpo", c, "--table", "--window", str(w)] for c in COMPOSITES for w in (93, 1000, 1001)]
         + [["funcspace", "--word", "+".join(atoms)] for n in range(1, 6)
            for atoms in itertools.product(ATOMS, repeat=n) if _normal(atoms)],
         "adjunction": [["adjunction", "--cpo", c, "--window", str(w)] for c in COMPOSITES for w in WINDOWS],
@@ -100,7 +103,9 @@ def grid() -> dict[str, list[list[str]]]:
         "decompose": [["decompose", "--cpo", c] for c in ORDERS],
         "replicate": [["replicate", *pair] for pair in ([], ["--pair", "(000..., ...111)"],
                                                         ["--pair", "(...000, 111...)"], ["--pair", "(000..., ...0011)"])],
-        "cpo": [["cpo", "--cpo", c, "--window", str(w)] for c in ORDERS for w in range(31)],
+        # and the orders that print literals at their bound and past it
+        "cpo": [["cpo", "--cpo", c, "--window", str(w)] for c in ORDERS for w in range(31)]
+        + [["cpo", "--cpo", c, "--window", str(w)] for c in LITERAL for w in (2000, 2001)],
         # --x=VALUE, since argparse reads a separate -inf as an option
         "compare": [["compare", "--cpo", c, f"--x={x}", f"--y={y}"] for c, names in NAMES.items()
                     for x in names for y in names],
