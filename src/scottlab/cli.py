@@ -6,29 +6,39 @@ the same invocation always produces the same bytes.  --format json
 emits one compact JSON object per run; the schemas shipped in
 scottlab/schemas describe each verb's object.
 
-Each verb and subverb is a pair of functions that `_add()` attaches to
-its parser: compute(args) returns the verb's JSON object, exactly as
-its schema describes it, and render(obj, args) builds the text from
-that object alone.  `run()` prints one or the other, so the text is
-built only when it is printed.  A layer's report (an adjunction or
-boundary report, a decomposition, a fold, a replication, a Table 8 row,
-the pipeline, the e/p laws) is a tuple record, a typing.NamedTuple
+Each verb and subverb is a pair of functions, listed with its options
+in one table, TABLE: compute(args) returns the verb's JSON object,
+exactly as its schema describes it, and render(obj, args) builds the
+text from that object alone.  `run()` prints one or the other, so the
+text is built only when it is printed.  A layer's report (an adjunction
+or boundary report, a decomposition, a fold, a replication, a Table 8
+row, the pipeline, the e/p laws) is a tuple record, a typing.NamedTuple
 whose `_fields` are its schema's keys, in order, and `_json` is the
 only function that turns a report into JSON.  For --format json,
 `run()` prints `json.dumps` of the object, except for a verb with its
-own JSON writer: `paths` and `diagram` write the same text from
-templates, with no object built and no escaping pass.
+own JSON writer: `paths` and `diagram` write the same text and its
+line end from templates, with no object built and no escaping pass.
 `--format` may be given to a group (`string`, `lcr`) or to its subverb;
 the later one wins.
+
+TABLE describes each verb's and subverb's options once: flag, type,
+choices, whether required, default.  `run()` first reads argv against
+it with read_argv, which takes only plain spellings (each option in
+full, as `--opt value` or `--opt=value`) and returns the attributes
+argparse would set.  Any other argv goes to argparse, whose parser
+build_parser() builds from the same table, so argparse alone writes
+help, usage lines and errors, and reads the spellings only it reads,
+such as abbreviations.  argparse is imported only there, so a plain
+argv loads neither it nor gettext and locale.
 
 A cold start pays only for the verb it runs.  Importing this module
 runs none of the layers: each is registered lazily and its body runs
 the first time a verb reads a name from it, so `stage` runs `stages`
 and `words` only, `boundary` runs `adjunction`, `catalog`, `strings`
 and `words`, and only `decompose`, `lcr`, `replicate`, `table8` and
-`pipeline` run `replication`.  `run()` builds the parser of the verb
-that argv names, not all of them, and `json` is imported only for
-`--format json` of a verb without a JSON writer.
+`pipeline` run `replication`.  An argv left to argparse builds the
+parser of the verb it names, not all of them, and `json` is imported
+only for `--format json` of a verb without a JSON writer.
 
 Exit codes: 0 for success, including negative mathematical verdicts
 (a failed isomorphism or adjunction is a result, not an error); 1 when
@@ -38,13 +48,17 @@ closed it early); 2 for unusable input (a UsageError).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import importlib.util
 import os
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .errors import BadLiteral, NotBoundary, NotIsomorphic, UnknownCpo, UsageError
+
+if TYPE_CHECKING:  # only an annotation names argparse, which build_parser alone imports
+    import argparse
 
 
 def _lazy(name: str):
@@ -256,7 +270,7 @@ def _paths_json(args) -> str:
     paths = iter(stages.limit_paths(stages.Scheme(args.scheme), args.depth))
     text = _label_texts(args.depth)
     rows = ",".join(f'{{"entries":[{",".join(map(text, p.entries))}],"label":"{p.label}"}}' for p in paths)
-    return f'{{"scheme":"{args.scheme}","depth":{args.depth},"paths":[{rows}]}}'
+    return f'{{"scheme":"{args.scheme}","depth":{args.depth},"paths":[{rows}]}}\n'
 
 
 def _limit(args) -> dict:
@@ -279,9 +293,10 @@ def _diagram_text(obj, args) -> str:
 
 
 def _diagram_json(args) -> str:
-    # the object of _diagram, its dot text built with the escaped quote and line end of a JSON string
-    dot = stages.diagram_dot(stages.Scheme(args.scheme), args.depth, '\\"', "\\n")
-    return f'{{"scheme":"{args.scheme}","depth":{args.depth},"dot":"{dot}"}}'
+    # the object of _diagram, its dot text built with the escaped quote and line end of a JSON string,
+    # inside the object's braces and before its line end, all in the dot text's one join
+    return stages.diagram_dot(stages.Scheme(args.scheme), args.depth, '\\"', "\\n",
+                              f'{{"scheme":"{args.scheme}","depth":{args.depth},"dot":"', '"}\n')
 
 
 # the table has about 2w rows of 2w bits and a label per column, O(w^2) bytes: at
@@ -295,13 +310,14 @@ def _funcspace_table(c, space, window: int):
     """Rows are the space's windowed segments, columns the base window."""
     words.check_range("window", window, 0, MAX_TABLE_WINDOW)
     columns = c.window_labels(window)
-    rows = space.rows(window)
+    cuts, segments = space.rows(window)
     # a space of the base's own word has the base's window, so its rows take the column labels
-    labels = [f"psi_{label}" for label in columns] if space.word == c.word else [str(s) for s, _ in rows]
+    # and no segment is built
+    labels = [f"psi_{label}" for label in columns] if space.word == c.word else map(str, segments)
     # an open segment is an up-set, so a row with cut k is k 0s then 1s: one slice of a staircase
     n = len(columns)
     staircase = "0" * n + "1" * n
-    return columns, [{"row": r, "bits": staircase[n - k:2 * n - k]} for r, (_, k) in zip(labels, rows)]
+    return columns, [{"row": r, "bits": staircase[n - k:2 * n - k]} for r, k in zip(labels, cuts)]
 
 
 def _funcspace(args) -> dict:
@@ -544,139 +560,196 @@ def _pipeline_text(obj, args) -> str:
     ])
 
 
-# -- parser ----------------------------------------------------------------
-
-# in the order of the top-level help
-VERBS = ("cpo", "normalize", "iso", "compare", "neighbors", "stage", "funcs", "mu", "ep", "paths", "limit",
-         "diagram", "funcspace", "fpt", "string", "adjunction", "boundary", "decompose", "lcr", "replicate",
-         "table8", "pipeline")
+# -- options: one table, read by read_argv and built into argparse by build_parser
+# (plain classes: a typing.NamedTuple class would cost a cold start about 0.3 ms to create)
 
 
-# the values of stages.Scheme and funcspace.Mu, which a test ties to them: a parser that read the
-# enums would run those layers' bodies, a cold start's cost for every verb in the full parser
+class Opt:
+    """An option: `--flag value` or `--flag=value`, the value of `type` and among `choices`.
+
+    A bool option is a store_true flag, which takes no value; its default is False.
+    """
+
+    __slots__ = ("flag", "type", "choices", "required", "default", "help")
+
+    def __init__(self, flag: str, type: type = str, choices: tuple[str, ...] | None = None, required: bool = False,
+                 default: object = None, help: str | None = None):
+        self.flag, self.type, self.choices, self.required, self.default, self.help = (
+            flag, type, choices, required, default, help)
+
+
+# given at a group and at its subverb, the later one wins; its default is the top level's "text"
+FORMAT = Opt("--format", choices=("text", "json", "dot"))
+GROUP_OPTIONS = {FORMAT.flag: FORMAT}
+
+
+class Verb:
+    """A verb or subverb: its help line, its options by flag (`--format` first), the names of those
+    it requires, and what parse_args sets before it reads argv: each option's default, and `compute`,
+    `render` and the JSON writer `dump`, which `run()` calls, and the `end` that follows the rendered text.
+
+    A bare flag among `options` is a required str option.  The JSON writer `dump(args)` writes the
+    text of json.dumps(compute(args)) and its line end; `end` is as print's `end`.
+    """
+
+    __slots__ = ("help", "options", "required", "defaults")
+
+    def __init__(self, compute, render, help: str | None, *options: str | Opt, dump=None, end: str = "\n"):
+        opts = [Opt(o, required=True) if isinstance(o, str) else o for o in options]
+        self.help = help
+        self.options = GROUP_OPTIONS | {o.flag: o for o in opts}
+        self.required = {o.flag[2:] for o in opts if o.required}
+        self.defaults = ({o.flag[2:]: False if o.type is bool else o.default for o in opts}
+                         | {"compute": compute, "render": render, "dump": dump, "end": end})
+
+
+class Group:
+    """A verb whose subverb names the answer (`string`, `lcr`); the subverb's name is stored at `dest`."""
+
+    __slots__ = ("help", "dest", "subverbs")
+
+    def __init__(self, help: str, dest: str, subverbs: dict[str, Verb]):
+        self.help, self.dest, self.subverbs = help, dest, subverbs
+
+
+# the values of stages.Scheme and funcspace.Mu, which a test ties to them: a table that read the
+# enums would run those layers' bodies, a cold start's cost for every verb
 SCHEMES = ("standard", "alternative")
 MUS = ("const0", "const1", "id")
+SCHEME = Opt("--scheme", choices=SCHEMES, default="standard")
+WINDOW = Opt("--window", int, default=20)
+
+# every verb, in the order of the top-level help, and each one's options in the order of its usage line
+TABLE = {
+    "cpo": Verb(_cpo, _cpo_text, "describe a catalogued order", "--cpo", WINDOW),
+    "normalize": Verb(_normalize, _normalize_text, "normal form of an order word", "--word"),
+    "iso": Verb(_iso, _iso_text, "isomorphism verdict for two orders", "--a", "--b"),
+    "compare": Verb(_compare, _compare_text, "order two elements", "--cpo", "--x", "--y"),
+    "neighbors": Verb(_neighbors, _neighbors_text, "immediate neighbors of an element", "--cpo", "--x"),
+    "stage": Verb(_stage, _stage_text, "the finite stage of monotone words", Opt("--n", int, required=True)),
+    "funcs": Verb(_funcs, _funcs_text, "monotone maps from an m-chain into 2", Opt("--m", int, required=True)),
+    "mu": Verb(_mu, _mu_text, "continuity of a candidate map 2 -> 2",
+               Opt("--map", required=True, help="two bits: f(0)f(1)")),
+    "ep": Verb(_ep, _ep_text, "embedding/projection pair between stages", SCHEME, Opt("--n", int, required=True),
+               Opt("--check", bool)),
+    "paths": Verb(_paths, _paths_text, "projection-consistent label paths", SCHEME,
+                  Opt("--depth", int, default=10), dump=_paths_json),
+    "limit": Verb(_limit, _limit_text, "order type of the stage limit", SCHEME, Opt("--depth", int, default=12)),
+    "diagram": Verb(_diagram, _diagram_text, "stage diagram in dot form", SCHEME, Opt("--depth", int, default=5),
+                    dump=_diagram_json, end=""),
+    "funcspace": Verb(_funcspace, _funcspace_text, "space of monotone maps into 2", Opt("--cpo"), Opt("--word"),
+                      Opt("--window", int, default=5), Opt("--table", bool)),
+    "fpt": Verb(_fpt, _fpt_text, "fixed point of a continuous mu", "--cpo", Opt("--mu", choices=MUS, required=True)),
+    "string": Group("monotypic string operations", "string_cmd", {
+        "realize": Verb(_string_realize, _string_realize_text, None, "--recipe"),
+        "approx": Verb(_string_approx, _string_approx_text, None, "--recipe", Opt("--n", int, required=True)),
+        "limit": Verb(_string_limit, _string_limit_text, None, "--recipe", Opt("--pos", int, required=True),
+                      Opt("--depth", int, default=20)),
+        "opp": Verb(_string_opp, _output_text, None, "--x"),
+        "opp-pair": Verb(_string_opp_pair, _output_text, None, "--pair"),
+        "lr": Verb(_string_lr, _output_text, None, "--recipe"),
+        "lr-pair": Verb(_string_lr_pair, _string_lr_pair_text, None, "--a", "--b"),
+        "classify": Verb(_string_classify, _string_classify_text, None, "--x"),
+    }),
+    "adjunction": Verb(_adjunction, _adjunction_text, "the three adjunction conditions", "--cpo", WINDOW),
+    "boundary": Verb(_boundary, _boundary_text, "boundary element of a glued order", "--cpo", WINDOW),
+    "decompose": Verb(_decompose, _decompose_text, "string family decompositions", "--cpo"),
+    "lcr": Group("fold strings into the valley order", "lcr_cmd", {
+        "forward": Verb(_lcr_forward, _lcr_forward_text, None, "--x"),
+        "backward": Verb(_lcr_backward, _lcr_backward_text, None, "--pair", Opt("--endpoint", choices=("L", "R"))),
+    }),
+    "replicate": Verb(_replicate, _replicate_text, "split the self-dual boundary", Opt("--pair")),
+    "table8": Verb(_table8, _table8_text, "summary matrix of the composite orders", WINDOW),
+    "pipeline": Verb(_pipeline, _pipeline_text, "dualization, replication, and folding, chained", WINDOW),
+}
+VERBS = tuple(TABLE)
 
 
-def _add(group, name, compute=None, render=None, *required, dump=None, end="\n", **kwargs):
-    """A parser that takes --format and the `required` string options.
+def _read_option(argv: list[str], i: int, options: dict[str, Opt], values: dict) -> int:
+    """Read the option at argv[i] into values and return the index past it.
 
-    A verb or subverb also gets its compute and render functions, and may get
-    a JSON writer `dump(args)`, which writes the text of json.dumps(compute(args)).
-    `end` follows the rendered text, as print's `end`; JSON always ends in a newline.
+    Raises LookupError or ValueError for what argparse reads otherwise or refuses: a flag not spelled
+    in full, a value missing or starting with "-", a value to a flag, a bad int or choice.
     """
-    p = group.add_parser(name, **kwargs)
-    # given at a group and at its subverb, the later one wins
-    p.add_argument("--format", choices=("text", "json", "dot"), default=argparse.SUPPRESS)
-    for option in required:
-        p.add_argument(option, required=True)
-    if compute:
-        p.set_defaults(compute=compute, render=render, dump=dump, end=end)
-    return p
+    flag, eq, value = argv[i].partition("=")
+    opt = options[flag]
+    if opt.type is bool:
+        if eq:
+            raise ValueError(value)
+        values[flag[2:]] = True
+        return i + 1
+    if not eq:
+        i += 1
+        value = argv[i]
+        if value.startswith("-"):
+            raise ValueError(value)
+    elif value == "--":  # argparse drops an explicit "--" and stores an empty list
+        raise ValueError(value)
+    value = opt.type(value)
+    if opt.choices is not None and value not in opt.choices:
+        raise ValueError(value)
+    values[flag[2:]] = value
+    return i + 1
 
 
-def _add_verb(subs, verb: str) -> None:
-    """Attach one verb's parser to subs; a group (`string`, `lcr`) comes with all its subverbs.
+def read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes that build_parser().parse_args(argv) sets, for a plain argv; None for any other.
 
-    The choices of --scheme and --mu are written out (SCHEMES, MUS), so no parser
-    runs a layer.
+    A plain argv is a verb, for a group its own --format and its subverb, then the verb's options from
+    TABLE, each spelled in full as `--opt value`, whose value does not start with "-", or `--opt=value`,
+    each value of its option's type and among its choices, every required option given.  A repeated
+    option keeps its last value, and a subverb's --format wins over its group's.  Every other argv (none,
+    -h, an abbreviation, `--`, an unknown or missing option, a bad int or choice) is left to argparse.
     """
-    match verb:
-        case "cpo":
-            p = _add(subs, verb, _cpo, _cpo_text, "--cpo", help="describe a catalogued order")
-            p.add_argument("--window", type=int, default=20)
-        case "normalize":
-            _add(subs, verb, _normalize, _normalize_text, "--word", help="normal form of an order word")
-        case "iso":
-            _add(subs, verb, _iso, _iso_text, "--a", "--b", help="isomorphism verdict for two orders")
-        case "compare":
-            _add(subs, verb, _compare, _compare_text, "--cpo", "--x", "--y", help="order two elements")
-        case "neighbors":
-            _add(subs, verb, _neighbors, _neighbors_text, "--cpo", "--x", help="immediate neighbors of an element")
-        case "stage":
-            p = _add(subs, verb, _stage, _stage_text, help="the finite stage of monotone words")
-            p.add_argument("--n", type=int, required=True)
-        case "funcs":
-            p = _add(subs, verb, _funcs, _funcs_text, help="monotone maps from an m-chain into 2")
-            p.add_argument("--m", type=int, required=True)
-        case "mu":
-            p = _add(subs, verb, _mu, _mu_text, help="continuity of a candidate map 2 -> 2")
-            p.add_argument("--map", required=True, help="two bits: f(0)f(1)")
-        case "ep":
-            p = _add(subs, verb, _ep, _ep_text, help="embedding/projection pair between stages")
-            p.add_argument("--scheme", choices=SCHEMES, default="standard")
-            p.add_argument("--n", type=int, required=True)
-            p.add_argument("--check", action="store_true")
-        case "paths" | "limit" | "diagram":
-            compute, render, dump, depth, help = {
-                "paths": (_paths, _paths_text, _paths_json, 10, "projection-consistent label paths"),
-                "limit": (_limit, _limit_text, None, 12, "order type of the stage limit"),
-                "diagram": (_diagram, _diagram_text, _diagram_json, 5, "stage diagram in dot form"),
-            }[verb]
-            p = _add(subs, verb, compute, render, dump=dump, end="" if verb == "diagram" else "\n", help=help)
-            p.add_argument("--scheme", choices=SCHEMES, default="standard")
-            p.add_argument("--depth", type=int, default=depth)
-        case "funcspace":
-            p = _add(subs, verb, _funcspace, _funcspace_text, help="space of monotone maps into 2")
-            p.add_argument("--cpo")
-            p.add_argument("--word")
-            p.add_argument("--window", type=int, default=5)
-            p.add_argument("--table", action="store_true")
-        case "fpt":
-            p = _add(subs, verb, _fpt, _fpt_text, "--cpo", help="fixed point of a continuous mu")
-            p.add_argument("--mu", choices=MUS, required=True)
-        case "string":
-            group = _add(subs, verb, help="monotypic string operations").add_subparsers(dest="string_cmd",
-                                                                                        required=True)
-            _add(group, "realize", _string_realize, _string_realize_text, "--recipe")
-            p = _add(group, "approx", _string_approx, _string_approx_text, "--recipe")
-            p.add_argument("--n", type=int, required=True)
-            p = _add(group, "limit", _string_limit, _string_limit_text, "--recipe")
-            p.add_argument("--pos", type=int, required=True)
-            p.add_argument("--depth", type=int, default=20)
-            _add(group, "opp", _string_opp, _output_text, "--x")
-            _add(group, "opp-pair", _string_opp_pair, _output_text, "--pair")
-            _add(group, "lr", _string_lr, _output_text, "--recipe")
-            _add(group, "lr-pair", _string_lr_pair, _string_lr_pair_text, "--a", "--b")
-            _add(group, "classify", _string_classify, _string_classify_text, "--x")
-        case "adjunction":
-            p = _add(subs, verb, _adjunction, _adjunction_text, "--cpo", help="the three adjunction conditions")
-            p.add_argument("--window", type=int, default=20)
-        case "boundary":
-            p = _add(subs, verb, _boundary, _boundary_text, "--cpo", help="boundary element of a glued order")
-            p.add_argument("--window", type=int, default=20)
-        case "decompose":
-            _add(subs, verb, _decompose, _decompose_text, "--cpo", help="string family decompositions")
-        case "lcr":
-            group = _add(subs, verb, help="fold strings into the valley order").add_subparsers(dest="lcr_cmd",
-                                                                                               required=True)
-            _add(group, "forward", _lcr_forward, _lcr_forward_text, "--x")
-            p = _add(group, "backward", _lcr_backward, _lcr_backward_text, "--pair")
-            p.add_argument("--endpoint", choices=("L", "R"))
-        case "replicate":
-            p = _add(subs, verb, _replicate, _replicate_text, help="split the self-dual boundary")
-            p.add_argument("--pair")
-        case "table8":
-            p = _add(subs, verb, _table8, _table8_text, help="summary matrix of the composite orders")
-            p.add_argument("--window", type=int, default=20)
-        case "pipeline":
-            p = _add(subs, verb, _pipeline, _pipeline_text, help="dualization, replication, and folding, chained")
-            p.add_argument("--window", type=int, default=20)
+    try:
+        entry, values, i = TABLE[argv[0]], {"verb": argv[0], "format": "text"}, 1
+        if isinstance(entry, Group):
+            while argv[i].startswith("-"):
+                i = _read_option(argv, i, GROUP_OPTIONS, values)
+            values[entry.dest] = argv[i]
+            entry, i = entry.subverbs[argv[i]], i + 1
+        given: dict[str, object] = {}
+        while i < len(argv):
+            i = _read_option(argv, i, entry.options, given)
+    except (LookupError, ValueError):
+        return None
+    if not given.keys() >= entry.required:
+        return None
+    return SimpleNamespace(**values | entry.defaults | given)
 
 
 @functools.cache
 def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser of one verb, or of every verb when none is named.
+    """The argparse parser of one verb, or of every verb when none is named, built from TABLE.
 
-    `run()` asks for the verb that argv names, so a cold start builds one
-    verb's parser and runs only the layers that parser reads; any other
-    argv (none, -h, an unknown verb) gets the parser of every verb.  A
-    verb's parser parses and fails on that verb's argv with the same bytes
-    as the full one.  Each is built once per process and reused, since
-    building it is most of the cost of a cheap in-process `run()`.
-    Callers must not modify it: `parse_args` returns a fresh namespace on
-    every call, so nothing carries over from one parse to the next.
+    `run()` turns to argparse only for an argv that read_argv leaves: help, usage errors, and the
+    spellings that only argparse reads, such as abbreviations.  It asks for the verb that argv names,
+    so that argv builds one verb's parser and runs no layer; any other argv (none, -h, an unknown
+    verb) gets the parser of every verb.  A verb's parser parses and fails on that verb's argv with the
+    same bytes as the full one.  argparse is imported here and only here, so an argv that read_argv
+    reads loads neither it nor the gettext and locale modules it uses.  Each parser is built once per
+    process and reused.  Callers must not modify it: `parse_args` returns a fresh namespace on every
+    call, so nothing carries over from one parse to the next.
     """
+    import argparse
+
+    def add(subs, name: str, entry: Verb | Group) -> None:
+        # a subverb without help gets no line in its group's help
+        p = subs.add_parser(name, **({} if entry.help is None else {"help": entry.help}))
+        p.add_argument(FORMAT.flag, choices=FORMAT.choices, default=argparse.SUPPRESS)
+        if isinstance(entry, Group):
+            group = p.add_subparsers(dest=entry.dest, required=True)
+            for sub, sub_entry in entry.subverbs.items():
+                add(group, sub, sub_entry)
+            return
+        for o in list(entry.options.values())[1:]:  # after --format
+            if o.type is bool:
+                p.add_argument(o.flag, action="store_true")
+            else:
+                p.add_argument(o.flag, type=o.type, choices=o.choices, required=o.required, default=o.default,
+                               help=o.help)
+        p.set_defaults(**entry.defaults)
+
     parser = argparse.ArgumentParser(
         prog="scottlab",
         description="countable chain-complete orders, their map spaces, and the fixed point construction",
@@ -687,28 +760,31 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="verb", required=True,
                                  metavar=None if verb is None else "{" + ",".join(VERBS) + "}")
     for name in VERBS if verb is None else (verb,):
-        _add_verb(subs, name)
+        add(subs, name, TABLE[name])
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse argv and print the verb's object as text or JSON, the JSON from the verb's writer if it has one."""
+    """Read argv and print the verb's object as text or JSON, the JSON from the verb's writer if it has one.
+
+    read_argv reads a plain argv; argparse parses any other, and answers help and usage errors.
+    """
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0]) if argv and argv[0] in VERBS else build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    end = "\n"
+    if (args := read_argv(argv)) is None:
+        parser = build_parser(argv[0]) if argv and argv[0] in TABLE else build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as e:
+            return int(e.code or 0)
     try:
         if args.format != "json":
             text, end = args.render(args.compute(args), args), args.end
         elif args.dump is not None:
-            text = args.dump(args)
+            text, end = args.dump(args), ""  # a JSON writer ends its own line
         else:
             import json  # only here: neither a text answer nor a JSON writer loads it
-            text = json.dumps(args.compute(args), ensure_ascii=False, separators=(",", ":"))
+            text, end = json.dumps(args.compute(args), ensure_ascii=False, separators=(",", ":")), "\n"
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -36,9 +36,10 @@ normal w, in [w -> 2]:
   (2) every omega* block is exactly one piece;
   (3) every finite cut run lands in a finite block.
 
-FuncSpace.rows() gives each segment of the space's window with its cut,
+FuncSpace.rows() gives the cut of each segment of the space's window,
 the first column of the base's window that it holds, so a `funcspace
---table` row is one slice of 0...01...1.  It validates a piece on its
+--table` row is one slice of 0...01...1, and the segments themselves,
+built only where a row prints its segment.  It validates a piece on its
 first and last segment in the window only.  An EMPTY or BLOCK_TAIL
 piece holds one segment.  The segments of an UP_FROM piece cut one base
 block at offsets first + step * i, one run of consecutive offsets, and
@@ -64,7 +65,7 @@ block takes in the whole block.
 import bisect
 import itertools
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import BadLiteral, InvalidSegment, NotIsomorphic
 from .words import (OMEGA, OMEGA_STAR, AtomKind, Elem, Ordering, OrderWord, compare, extremes, fin, neighbors,
@@ -179,8 +180,9 @@ class FuncSpace(NamedTuple):
         validate_elem(self.word, x)
         return self.pieces[bisect.bisect_right(self.keys, (x.block, x.offset)) - 1].seg(x.offset)
 
-    def rows(self, window: int) -> list[tuple[OpenSegment, int]]:
-        """Each segment of the space's window, in the order of `window_elems(self.word, window)`, with its cut.
+    def rows(self, window: int) -> tuple[list[int], Iterator[OpenSegment]]:
+        """The cut of each segment of the space's window, in the order of `window_elems(self.word, window)`,
+        and an iterator over those segments, which builds each one only as it is read.
 
         The cut is the index of the first column of the base's window (`window_elems(self.base, window)`)
         that the segment holds: the column count for EMPTY, the start of block j's columns for
@@ -190,24 +192,24 @@ class FuncSpace(NamedTuple):
         """
         base = self.base.atoms
         starts = list(itertools.accumulate((len(window_offsets(atom, window)) for atom in base), initial=0))
-        out: list[tuple[OpenSegment, int]] = []
+        runs: list[tuple[_Piece, range]] = []
+        cuts: list[int] = []
         for i, offsets in window_runs(self.word, window, self.keys):
             if not offsets:
                 continue
             p = self.pieces[i]
-            segs = [p.seg(o) for o in offsets]
-            for s in dict.fromkeys((segs[0], segs[-1])):
+            for s in dict.fromkeys((p.seg(offsets[0]), p.seg(offsets[-1]))):
                 validate_segment(self.base, s)
+            runs.append((p, offsets))
             if p.role is SegmentKind.UP_FROM:
                 lo, size = starts[p.base], starts[p.base + 1] - starts[p.base]
                 star = base[p.base].kind is AtomKind.OMEGA_STAR  # whose columns run down from offset `window`
                 # an omega cut run from offset 1 reaches offset window + 1, one past its block's columns
-                cuts = [lo + min(window - cut if star else cut, size)
-                        for cut in (p.first + p.step * (o - p.start) for o in offsets)]
+                cuts += [lo + min(window - cut if star else cut, size)
+                         for cut in (p.first + p.step * (o - p.start) for o in offsets)]
             else:
-                cuts = [starts[-1] if p.role is SegmentKind.EMPTY else starts[p.base]] * len(segs)
-            out += zip(segs, cuts)
-        return out
+                cuts += [starts[-1] if p.role is SegmentKind.EMPTY else starts[p.base]] * len(offsets)
+        return cuts, (p.seg(o) for p, offsets in runs for o in offsets)
 
     def position_of(self, s: OpenSegment) -> Elem:
         validate_segment(self.base, s)

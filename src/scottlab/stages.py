@@ -206,7 +206,8 @@ def limit_cpo(scheme: Scheme, depth: int = 12) -> OrderWord:
     return word_of(OMEGA, fin(1))
 
 
-def diagram_dot(scheme: Scheme, depth: int, quote: str = '"', newline: str = "\n") -> str:
+def diagram_dot(scheme: Scheme, depth: int, quote: str = '"', newline: str = "\n", head: str = "",
+                tail: str = "") -> str:
     r"""Stage diagram in dot form: columns of stages, e/p arrows between.
 
     A label fixed by both maps gets a single two-headed edge; a shifted
@@ -220,7 +221,9 @@ def diagram_dot(scheme: Scheme, depth: int, quote: str = '"', newline: str = "\n
     Every quote and line end of the text is the token `quote` or
     `newline`, and the text holds no other backslash or control
     character, so with the tokens `\"` and `\n` it comes out already
-    escaped as the body of a JSON string.
+    escaped as the body of a JSON string.  `head` and `tail` go before
+    and after it in the same join, so a writer that wraps the text, as
+    the CLI's JSON writer does, copies it no second time.
     The text grows as depth^3 bytes, so depth is bounded by
     MAX_DIAGRAM_DEPTH.
     """
@@ -229,7 +232,7 @@ def diagram_dot(scheme: Scheme, depth: int, quote: str = '"', newline: str = "\n
     # one join and one split name a whole stage's nodes; only stage 1's word is empty
     nodes = [[f"{q}s1_λ{q}"]] + [(f"{q}s{n}_" + f"{q}\n{q}s{n}_".join(stage(n).elements) + q).split("\n")
                                  for n in range(2, depth + 1)]
-    out = [f"digraph stages_{scheme.value} {{{nl}  rankdir=LR;{nl}  node [shape=plaintext];{nl}"]
+    out = [f"{head}digraph stages_{scheme.value} {{{nl}  rankdir=LR;{nl}  node [shape=plaintext];{nl}"]
     out += [f"  {{ rank=same; {' '.join(members)} }}{nl}" for members in nodes]
     chain = itertools.chain.from_iterable
     for n in range(1, depth):
@@ -240,5 +243,5 @@ def diagram_dot(scheme: Scheme, depth: int, quote: str = '"', newline: str = "\n
         pairs = n - 1 - t  # the labels j = t+2, ..., n
         out.append(f"  %s -> %s [label={q}e{q}];{nl}  %s -> %s [label={q}p{q}];{nl}" * pairs
                    % tuple(chain(zip(lower[t + 1:], upper[t + 2:], upper[t + 2:], lower[t + 1:]))))
-    out.append(f"}}{nl}")
+    out.append(f"}}{nl}{tail}")
     return "".join(out)

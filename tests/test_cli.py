@@ -6,13 +6,15 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import hypothesis.strategies as hs
 import jsonschema
 import pytest
 from hypothesis import given, settings
 
-from scottlab.cli import MUS, SCHEMES, VERBS, build_parser, run
+from scottlab import cli
+from scottlab.cli import MUS, SCHEMES, VERBS, build_parser, read_argv, run
 from scottlab.funcspace import Mu
 from scottlab.stages import Scheme
 
@@ -508,7 +510,8 @@ OPTION = {"text": texts, "cpo": hs.one_of(hs.sampled_from(CPOS), texts), "int": 
           # the decided verbs take a window of any size at the same cost
           "window": hs.one_of(ints, hs.integers(0, 10**9), hs.just(10**9)),
           "scheme": hs.sampled_from(["standard", "alternative"]),
-          "mu": hs.sampled_from(["const0", "const1", "id"]), "endpoint": hs.sampled_from(["L", "R"])}
+          "mu": hs.sampled_from(["const0", "const1", "id"]), "endpoint": hs.sampled_from(["L", "R"]),
+          "format": hs.sampled_from(["text", "json", "dot", "xml"])}
 
 
 def _option(kind):
@@ -580,3 +583,116 @@ def test_every_argv_exits_zero_or_two_without_a_traceback(argv):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         assert err.getvalue() == "", argv
+
+
+# -- the option table's reader against argparse ---------------------------------
+
+# values that argparse reads as options, or refuses, or that only it reads (a separate negative number)
+DASHED = hs.sampled_from(["-3", "-inf", "--", "-h", "-", ""])
+
+
+@hs.composite
+def spelled_argvs(draw):
+    """An argv over one verb's options of TREE, in any spelling argparse reads or refuses.
+
+    Mixed in: --opt=value, abbreviations, repeats and omissions, values starting with "-", a stray
+    `--`, `-h` or word, and a group-level --format before the subverb.
+    """
+    prefix, required, optional = draw(hs.sampled_from(TREE))
+    argv = list(prefix)
+    if len(prefix) == 2:
+        argv[1:1] = draw(hs.sampled_from([[], ["--format", "json"], ["--format=text"], ["--format", "xml"]]))
+    kinds = {**required, **optional, "--format": "format"}
+    # mostly every required option, so that most argvs are plain
+    flags = list(required) * draw(hs.sampled_from([1, 1, 1, 0])) + draw(hs.lists(hs.sampled_from(list(kinds)),
+                                                                                 max_size=5))
+    for flag in draw(hs.permutations(flags)):
+        spelled = draw(hs.sampled_from([flag] * 5 + [flag[:-1] if len(flag) > 3 else flag]))
+        if kinds[flag] is None:
+            argv.append(draw(hs.sampled_from([spelled, spelled, f"{spelled}=1"])))
+            continue
+        value = str(draw(hs.one_of(_option(kinds[flag]), _option(kinds[flag]), DASHED)))
+        argv += draw(hs.sampled_from([[spelled, value], [f"{spelled}={value}"]]))
+    for token in draw(hs.sampled_from([[]] * 4 + [["--"], ["-h"], ["--help"], ["extra"]])):
+        argv.insert(draw(hs.integers(1, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=3000)
+@given(spelled_argvs())
+def test_the_reader_returns_none_or_what_argparse_returns(argv):
+    if (args := read_argv(argv)) is not None:
+        assert vars(args) == vars(build_parser().parse_args(argv)), argv
+
+
+def _answer(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except Exception as e:  # argparse hands `--opt=--` to a verb as an empty list, which it cannot read
+            code = repr(e)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400)
+@given(spelled_argvs())
+def test_run_answers_as_argparse_alone_does(argv):
+    """Whether the reader reads argv or leaves it to argparse, run() prints the same bytes."""
+    answer = _answer(argv)
+    with mock.patch.object(cli, "read_argv", return_value=None):
+        assert _answer(argv) == answer, argv
+
+
+# each verb and subverb with its required options; the first value starting with "-" is spelled --x=-1
+PLAIN = [argv + fmt for _, argv in SCHEMA_CASES if "-1" not in argv
+         for fmt in ([], ["--format", "json"], ["--format=dot"])] + [
+    ["compare", "--cpo", "v", "--x=-1", "--y", "m'"], ["ep", "--n", "4", "--check", "--check"],
+    ["boundary", "--cpo", "v", "--window", "3", "--window=100"], ["funcspace", "--cpo=v", "--table", "--window=9"],
+    ["string", "--format", "json", "realize", "--recipe", "II:3"], ["lcr", "--format=json", "forward", "--x=111..."],
+    ["string", "--format", "json", "approx", "--recipe", "I:2", "--n", "6", "--format", "text"]]
+
+
+@pytest.mark.parametrize("argv", PLAIN, ids=map(" ".join, PLAIN))
+def test_the_reader_reads_every_plain_argv(argv):
+    """A plain argv never reaches argparse: the reader returns the namespace argparse would."""
+    assert read_argv(argv) is not None
+    assert vars(read_argv(argv)) == vars(build_parser().parse_args(argv))
+
+
+# the spellings that only argparse reads, refuses or answers with help
+NOT_PLAIN = [[], ["-h"], ["stage"], ["stage", "-h"], ["stage", "--n", "-3"], ["boundary", "--cpo", "v", "--win", "7"],
+             ["compare", "--cpo", "phi", "--x", "-3", "--y", "2"], ["stage", "--", "--n", "3"], ["stage", "--n=x"],
+             ["ep", "--n", "3", "--check=1"], ["ep", "--n", "3", "--scheme", "nope"], ["string", "realize"],
+             ["string", "--form", "json", "realize", "--recipe", "II:3"], ["lcr", "bogus"], ["string", "-h"],
+             ["stage", "--n", "3", "extra"], ["normalize", "--word=--"], ["funcspace", "--table="]]
+
+
+@pytest.mark.parametrize("argv", NOT_PLAIN, ids=map(" ".join, NOT_PLAIN))
+def test_the_reader_leaves_other_spellings_to_argparse(argv):
+    assert read_argv(argv) is None
+
+
+# a plain cold argv, and two that argparse answers: help and a usage error
+COLD_PARSE = {"stage --n 4": False, "boundary --cpo v": False, "string --format json realize --recipe II:3": False,
+              "-h": True, "stage --n x": True}
+
+
+@pytest.mark.parametrize("case", COLD_PARSE)
+def test_only_help_and_errors_load_argparse_cold(case, monkeypatch):
+    """A plain argv loads none of argparse, gettext and locale; help and a usage error load them,
+    and print the bytes that they print in-process."""
+    script = ("import contextlib, io, runpy, sys\n"
+              f"sys.argv = ['scottlab', *{case.split()!r}]\n"
+              "out, err = io.StringIO(), io.StringIO()\n"
+              "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+              "    try:\n        runpy.run_module('scottlab', run_name='__main__')\n"
+              "    except SystemExit as e:\n        code = e.code\n"
+              "print(repr((code, out.getvalue(), err.getvalue())))\n"
+              "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, encoding="utf-8",
+                          env={**os.environ, "PYTHONIOENCODING": "utf-8"})
+    answer, loaded = proc.stdout.splitlines()
+    assert (loaded, proc.stderr) == (str(["argparse", "gettext", "locale"] if COLD_PARSE[case] else []), "")
+    assert answer == repr(_answer(case.split()))

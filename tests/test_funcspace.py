@@ -108,7 +108,8 @@ def _per_cell_rows(w, space, window):
 
 
 def _cut_rows(rows, n):
-    return [(seg, "0" * k + "1" * (n - k)) for seg, k in rows]
+    cuts, segs = rows
+    return [(seg, "0" * k + "1" * (n - k)) for seg, k in zip(segs, cuts, strict=True)]
 
 
 @pytest.mark.parametrize("name", all_names())
@@ -139,7 +140,8 @@ def test_table_cuts_match_the_per_cell_rows_beyond_the_catalogue(word):
        hs.integers(0, 40))
 def test_every_table_row_is_a_valid_segment(word, window):
     space = scott_opens(word)
-    for seg, k in space.rows(window):
+    cuts, segs = space.rows(window)
+    for seg, k in zip(segs, cuts, strict=True):
         validate_segment(space.base, seg)
         assert 0 <= k <= len(window_elems(space.base, window))
 
@@ -155,6 +157,21 @@ def test_the_table_validates_each_piece_at_its_two_ends_and_evaluates_no_cell(mo
     assert len(rows) == 2 * 94 + 3
     assert calls["eval_segment"] == 0
     assert 0 < calls["validate_segment"] <= 2 * len(scott_opens(named_cpo("v").word).pieces)
+
+
+@pytest.mark.parametrize("name", ["lambda", "lambda_prime", "lambda_hat_prime", "v"])
+def test_the_table_builds_a_row_segment_only_where_it_prints_it(monkeypatch, capsys, name):
+    """A space of the base's own word takes the column labels, so its rows build no segment past
+    the two ends of each piece that are validated; v's rows print theirs."""
+    calls = Counter()
+    monkeypatch.setattr(funcspace, "up_from", lambda x, _fn=funcspace.up_from: calls.update([x]) or _fn(x))
+    assert run(["funcspace", "--cpo", name, "--window", "93", "--table", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    space = scott_opens(named_cpo(name).word)
+    if space.word == space.base:
+        assert sum(calls.values()) <= 2 * len(space.pieces)
+    else:
+        assert sum(calls.values()) >= len(rows) - len(space.pieces)
 
 
 @pytest.mark.parametrize("argv", [["funcspace", "--cpo", "v", "--table"], ["funcspace", "--cpo", "v"]],

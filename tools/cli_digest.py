@@ -7,9 +7,13 @@ as text and once with `--format json`; a verb's digest covers, in grid
 order, each run's stdout, stderr and exit code.  The `usage` row runs
 its argv as they are: argparse's own answers at the top level and at a
 verb (help, a missing or unknown verb, an unrecognized argument, an
-invalid choice), with help wrapped at a fixed 80 columns.  Run it on two checkouts
-and diff the outputs: a verb whose line differs answered some argv
-differently.  Without PYTHONPATH it runs this checkout's `src`.  The
+invalid choice), with help wrapped at a fixed 80 columns.  Besides
+plain argv, which the CLI reads from its option table, the grid holds
+spellings that only argparse reads (an abbreviation, a separate
+negative value) and ones that both read (`--opt=value`, a repeated
+option, a group's `--format`), so it covers both ways into a verb.
+Run it on two checkouts and diff the outputs: a verb whose line
+differs answered some argv differently.  Without PYTHONPATH it runs this checkout's `src`.  The
 grid covers every verb and subverb; it is written out here, not derived
 from the package, so that both checkouts answer the same argv.
 """
@@ -92,14 +96,19 @@ def grid() -> dict[str, list[list[str]]]:
         + [["funcspace", "--word", "+".join(atoms)] for n in range(1, 6)
            for atoms in itertools.product(ATOMS, repeat=n) if _normal(atoms)],
         "adjunction": [["adjunction", "--cpo", c, "--window", str(w)] for c in COMPOSITES for w in WINDOWS],
-        "boundary": [["boundary", "--cpo", c, "--window", str(w)] for c in GLUED for w in WINDOWS],
+        # and spellings that only argparse reads (an abbreviation), or that both read: --opt=value, a repeat
+        "boundary": [["boundary", "--cpo", c, "--window", str(w)] for c in GLUED for w in WINDOWS]
+        + [["boundary", "--cpo", "v", "--win", "7"], ["boundary", "--cpo=v", "--window", "7"],
+           ["boundary", "--cpo", "v", "--window", "3", "--window", "7"]],
         "table8": [["table8", "--window", str(w)] for w in WINDOWS],
         "pipeline": [["pipeline", "--window", str(w)] for w in WINDOWS],
         # the valley pairs, then three pairs that are not elements of v
         "lcr backward": [["lcr", "backward", "--pair", p, *e]
                          for p in [*_valley_pairs(10), "(000..., 111...)", "(...000, ...111)", "(000..., ...111)"]
                          for e in ([], ["--endpoint", "L"], ["--endpoint", "R"])],
-        "lcr forward": [["lcr", "forward", "--x", x] for x in _family_literals(12)],
+        # and the group's own --format, before the subverb's
+        "lcr forward": [["lcr", "forward", "--x", x] for x in _family_literals(12)]
+        + [["lcr", "--format", "json", "forward", "--x", "...0011"]],
         "decompose": [["decompose", "--cpo", c] for c in ORDERS],
         "replicate": [["replicate", *pair] for pair in ([], ["--pair", "(000..., ...111)"],
                                                         ["--pair", "(...000, 111...)"], ["--pair", "(000..., ...0011)"])],
@@ -108,11 +117,12 @@ def grid() -> dict[str, list[list[str]]]:
         + [["cpo", "--cpo", c, "--window", str(w)] for c in LITERAL for w in (2000, 2001)],
         # --x=VALUE, since argparse reads a separate -inf as an option
         "compare": [["compare", "--cpo", c, f"--x={x}", f"--y={y}"] for c, names in NAMES.items()
-                    for x in names for y in names],
+                    for x in names for y in names] + [["compare", "--cpo", "phi", "--x=-3", "--y", "2"]],
         "neighbors": [["neighbors", "--cpo", c, f"--x={x}"] for c, names in NAMES.items() for x in names],
         # small sizes from below each lower bound, one size of the benchmark's stage tower, then each upper
         # bound's first rejected value, refused before any work
-        "stage": [["stage", "--n", str(n)] for n in [*range(-1, 21), 200, 5001]],
+        # and a separate negative size, which argparse reads as a value
+        "stage": [["stage", "--n", str(n)] for n in [*range(-1, 21), 200, 5001]] + [["stage", "--n", "-3"]],
         "funcs": [["funcs", "--m", str(m)] for m in [*range(-1, 11), 21]],
         "mu": [["mu", "--map", m] for m in ("00", "01", "10", "11", "0", "011", "02", "ab", " 01 ")],
         "ep": [["ep", "--scheme", s, "--n", str(n), *check] for s in SCHEMES for n in [*range(-1, 21), 200, 100001]
@@ -135,7 +145,9 @@ def grid() -> dict[str, list[list[str]]]:
         "string lr-pair": [["string", "lr-pair", "--a", a, "--b", b] for a in RECIPES[::3] for b in RECIPES[1::3]],
         "string classify": [["string", "classify", "--x", x] for x in [*_family_literals(6), *BAD_LITERALS]],
         "usage": [[], ["-h"], ["no-such-verb"], ["cpo", "-h"], ["cpo", "--cpo", "v", "extra"], ["string"],
-                  ["string", "-h"], ["lcr", "bogus"], ["ep", "--n", "3", "--scheme", "nope"]],
+                  ["string", "-h"], ["lcr", "bogus"], ["ep", "--n", "3", "--scheme", "nope"],
+                  # a group's --format with no --format after it
+                  ["lcr", "--format", "json", "forward", "--x", "...0011"]],
     }
 
 
