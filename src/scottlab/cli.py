@@ -18,6 +18,8 @@ only function that turns a report into JSON.  For --format json,
 `run()` prints `json.dumps` of the object, except for a verb with its
 own JSON writer: `paths` and `diagram` write the same text and its
 line end from templates, with no object built and no escaping pass.
+`paths`' compute returns no object either, but the text of each row's
+entries and its label, which its render and its writer both wrap.
 `--format` may be given to a group (`string`, `lcr`) or to its subverb;
 the later one wins.
 
@@ -248,28 +250,18 @@ def _ep_text(obj, args) -> str:
     return "\n".join(lines)
 
 
-def _paths(args) -> dict:
-    paths = stages.limit_paths(stages.Scheme(args.scheme), args.depth)
-    return {"scheme": args.scheme, "depth": args.depth,
-            "paths": [{"entries": list(p.entries), "label": p.label} for p in paths]}
+def _paths(args) -> list[tuple[str, str]]:
+    # not the schema's object: each path's entries as text, and its label, which the text and the JSON writer wrap
+    return stages.limit_path_texts(stages.Scheme(args.scheme), args.depth)
 
 
-def _label_texts(depth: int):
-    # every entry is a label below depth: one table of their texts, not a str() per entry
-    return list(map(str, range(depth))).__getitem__
-
-
-def _paths_text(obj, args) -> str:
-    text = _label_texts(obj["depth"])
-    return "\n".join(",".join(map(text, p["entries"])) + f" <-> {p['label']}" for p in obj["paths"])
+def _paths_text(rows, args) -> str:
+    return "\n".join([f"{entries} <-> {label}" for entries, label in rows])
 
 
 def _paths_json(args) -> str:
-    # the object of _paths with no dict, list or int of it built: the labels k, inf and k' need no escape;
-    # limit_paths checks the depth before the table is built, and its iterator drops the paths once read
-    paths = iter(stages.limit_paths(stages.Scheme(args.scheme), args.depth))
-    text = _label_texts(args.depth)
-    rows = ",".join(f'{{"entries":[{",".join(map(text, p.entries))}],"label":"{p.label}"}}' for p in paths)
+    # the schema's object around the same rows: the labels k, inf and k' need no escape
+    rows = ",".join([f'{{"entries":[{entries}],"label":"{label}"}}' for entries, label in _paths(args)])
     return f'{{"scheme":"{args.scheme}","depth":{args.depth},"paths":[{rows}]}}\n'
 
 
@@ -683,7 +675,7 @@ def _read_option(argv: list[str], i: int, options: dict[str, Opt], values: dict)
         value = argv[i]
         if value.startswith("-"):
             raise ValueError(value)
-    elif value == "--":  # argparse drops an explicit "--" and stores an empty list
+    elif value == "--":  # argparse drops an explicit "--", and build_parser's Store refuses what is left
         raise ValueError(value)
     value = opt.type(value)
     if opt.choices is not None and value not in opt.choices:
@@ -733,10 +725,19 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     """
     import argparse
 
+    class Store(argparse.Action):
+        """argparse's store, which refuses `--opt=--` with a UsageError: argparse drops its "--" and
+        passes an empty list, which no verb can read."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                raise UsageError(f"argument {option_string}: expected one argument")
+            setattr(namespace, self.dest, values)
+
     def add(subs, name: str, entry: Verb | Group) -> None:
         # a subverb without help gets no line in its group's help
         p = subs.add_parser(name, **({} if entry.help is None else {"help": entry.help}))
-        p.add_argument(FORMAT.flag, choices=FORMAT.choices, default=argparse.SUPPRESS)
+        p.add_argument(FORMAT.flag, action=Store, choices=FORMAT.choices, default=argparse.SUPPRESS)
         if isinstance(entry, Group):
             group = p.add_subparsers(dest=entry.dest, required=True)
             for sub, sub_entry in entry.subverbs.items():
@@ -746,8 +747,8 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
             if o.type is bool:
                 p.add_argument(o.flag, action="store_true")
             else:
-                p.add_argument(o.flag, type=o.type, choices=o.choices, required=o.required, default=o.default,
-                               help=o.help)
+                p.add_argument(o.flag, action=Store, type=o.type, choices=o.choices, required=o.required,
+                               default=o.default, help=o.help)
         p.set_defaults(**entry.defaults)
 
     parser = argparse.ArgumentParser(
@@ -764,6 +765,11 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse(e: UsageError) -> int:
+    print(f"error: {e}", file=sys.stderr)
+    return 2
+
+
 def run(argv: list[str] | None = None) -> int:
     """Read argv and print the verb's object as text or JSON, the JSON from the verb's writer if it has one.
 
@@ -777,6 +783,8 @@ def run(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as e:
             return int(e.code or 0)
+        except UsageError as e:
+            return _refuse(e)
     try:
         if args.format != "json":
             text, end = args.render(args.compute(args), args), args.end
@@ -786,8 +794,7 @@ def run(argv: list[str] | None = None) -> int:
             import json  # only here: neither a text answer nor a JSON writer loads it
             text, end = json.dumps(args.compute(args), ensure_ascii=False, separators=(",", ":")), "\n"
     except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _refuse(e)
     try:
         print(text, end=end)
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit

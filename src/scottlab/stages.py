@@ -35,9 +35,9 @@ from .words import OMEGA, OMEGA_STAR, OrderWord, check_range, fin, word_of
 # doubling with each step
 MAX_MONOTONE_CHAIN = 20
 # diagram_dot's text grows as depth^3 bytes: at depth 300 `diagram` prints
-# about 38 MB in 0.21 s with a 202 MB peak as text, 0.22 s and 203 MB as
-# JSON (2-vCPU Xeon, Python 3.11), while depth 1100 would be 1.36 GB held
-# in memory before it is written
+# about 38 MB in 0.18-0.25 s with a 128 MB peak as text, 129 MB as JSON,
+# from a fresh process (2-vCPU Xeon, Python 3.11), while depth 1100 would
+# be 1.36 GB held in memory before it is written
 MAX_DIAGRAM_DEPTH = 300
 # a stage's text grows as n^2 bytes: about 25 MB at n = 5000, while
 # n = 100000 would be about 10 GB held in memory before it is written
@@ -45,9 +45,10 @@ MAX_STAGE = 5000
 # an ep pair and its law check are linear in n: at n = 100000 the
 # checked pair prints about 2.6 MB of text in about 0.2 s
 MAX_EP_STAGE = 100_000
-# limit_paths holds depth^2 labels: at depth 3000 it builds them in
-# 0.14 s with an 89 MB peak, and `paths` prints about 38 MB in 0.58 s
-# with a 159 MB peak as text, 0.52 s and 156 MB as JSON
+# a path holds depth labels and there are depth paths: at depth 3000
+# limit_paths builds them in 0.16-0.20 s with an 88 MB peak, and `paths`,
+# which cuts each row's text from two strings instead, prints about 38 MB
+# in 0.17-0.29 s with a 124 MB peak, as text or JSON, from a fresh process
 MAX_PATHS_DEPTH = 3000
 # limit_cpo compares one label with the diagonal, about 5 µs at any depth
 # (2-vCPU Xeon, Python 3.11); the bound stays part of the verb's documented
@@ -156,6 +157,26 @@ class LimitPath(NamedTuple):
     label: str  # its element of the limit: a numeral k, inf, or a primed k'
 
 
+def _path_cuts(scheme: Scheme, depth: int) -> tuple[tuple[int, ...], list[tuple[int, int, bool, str]]]:
+    """The diagonal t_1, ..., t_depth and, per final label L ascending, (cut, L, rises, label).
+
+    A path's row is the diagonal's first `cut` labels, then a tail of
+    depth - cut labels ending at L: all L when L <= t_depth, rising by
+    one when L lies above.  For L up to the diagonal the cut is where the
+    diagonal reaches L; above it, where n - 1 - t_n first exceeds the
+    slack depth - 1 - L.  Either tail holds at least one label.
+    """
+    check_range("depth", depth, 2, MAX_PATHS_DEPTH)
+    diagonal = tuple(_diagonal(scheme, n) for n in range(1, depth + 1))
+    top = diagonal[-1]
+    rise = [n - t for n, t in enumerate(diagonal)]  # n - 1 - t_n at stage n, non-decreasing
+    rows = [(bisect.bisect_left(diagonal, last), last, False, str(last)) for last in range(top)]
+    rows.append((bisect.bisect_left(diagonal, top), top, False, "inf"))
+    rows += [(bisect.bisect_right(rise, depth - 1 - last), last, True, f"{depth - 1 - last}'")
+             for last in range(top + 1, depth)]
+    return diagonal, rows
+
+
 def limit_paths(scheme: Scheme, depth: int) -> tuple[LimitPath, ...]:
     """Every projection-consistent label path through stages 1..depth.
 
@@ -166,30 +187,40 @@ def limit_paths(scheme: Scheme, depth: int) -> tuple[LimitPath, ...]:
     max(min(L, t_n), L - (depth - n)) in closed form.  A row is thus a
     prefix of the diagonal sequence followed by a tail: the constant L
     for a finite path or inf (L <= t_depth), labels rising by one to L
-    for a primed path.  Bisection finds the cut, and each row is two
-    tuple slices.  The branch that picks the cut names the path: L
-    below t_depth, inf at it, and (depth - 1 - L)' above.  The p maps
+    for a primed path.  `_path_cuts` bisects for each row's cut and
+    names the path in the same branch: L below t_depth, inf at it, and
+    (depth - 1 - L)' above; each row here is then two tuple slices, and
+    `limit_path_texts` cuts the same rows from two strings.  The p maps
     are monotone, so rows from increasing final labels are pointwise
     increasing and come out already sorted.
     The labels number depth^2, so depth is bounded by MAX_PATHS_DEPTH.
     """
-    check_range("depth", depth, 2, MAX_PATHS_DEPTH)
+    diagonal, rows = _path_cuts(scheme, depth)
     identity = tuple(range(depth))
-    diagonal = tuple(_diagonal(scheme, n) for n in range(1, depth + 1))  # t_1, ..., t_depth
-    rise = tuple(map(operator.sub, identity, diagonal))  # n - 1 - t_n, non-decreasing
-    paths = []
-    for last in identity:
-        if last <= diagonal[-1]:
-            cut = bisect.bisect_left(diagonal, last)
-            entries = diagonal[:cut] + (last,) * (depth - cut)
-            label = str(last) if last < diagonal[-1] else "inf"
-        else:  # the tail L - (depth - n) wins once n - 1 - t_n exceeds depth - 1 - L
-            slack = depth - 1 - last
-            cut = bisect.bisect_right(rise, slack)
-            entries = diagonal[:cut] + identity[cut - slack:last + 1]
-            label = f"{slack}'"
-        paths.append(LimitPath(entries, label))
-    return tuple(paths)
+    return tuple([LimitPath(diagonal[:cut] + (identity[cut + last + 1 - depth:last + 1] if rises
+                                              else (last,) * (depth - cut)), label)
+                  for cut, last, rises, label in rows])
+
+
+def limit_path_texts(scheme: Scheme, depth: int) -> list[tuple[str, str]]:
+    """Each path of limit_paths as the text of its entries, joined by commas, and its label.
+
+    Two strings are built once: the diagonal's labels and 0, ..., depth-1,
+    each joined by commas and ended by one, with where each label starts
+    in each.  A row's text is then a slice of the first, the diagonal up
+    to its cut, and its tail: a slice of the second for a rising one, L's
+    text repeated for a constant one.  So no row reads its labels one by
+    one, and no tuple of a path is built.
+    """
+    diagonal, rows = _path_cuts(scheme, depth)
+    texts = list(map(str, range(depth)))
+    diagonal_texts = list(map(texts.__getitem__, diagonal))
+    along, upto = ",".join(diagonal_texts) + ",", ",".join(texts) + ","
+    along_at = list(itertools.accumulate([len(s) + 1 for s in diagonal_texts], initial=0))
+    upto_at = list(itertools.accumulate([len(s) + 1 for s in texts], initial=0))
+    return [(along[:along_at[cut]] + (upto[upto_at[cut + last + 1 - depth]:upto_at[last + 1] - 1] if rises
+                                      else ",".join([texts[last]] * (depth - cut))), label)
+            for cut, last, rises, label in rows]
 
 
 def limit_cpo(scheme: Scheme, depth: int = 12) -> OrderWord:
@@ -216,8 +247,13 @@ def diagram_dot(scheme: Scheme, depth: int, quote: str = '"', newline: str = "\n
     that label's limit path, the chain of its projections.  From stage n
     to stage n+1 the edges come in three runs around the diagonal t_n:
     a two-headed edge for each label j <= t_n, one lone p arrow from
-    t_n+1, and an e/p pair for each label j > t_n+1.  Each run is one
-    `%` on a repeated template, over node names built once per stage.
+    t_n+1, and an e/p pair for each label j > t_n+1.  A run is a list
+    of its edges' constant pieces, an arrow and an ending, repeated once
+    per edge, whose node slots are filled by slice assignment from the
+    two stages' lists of names: no Python code runs per edge, and the
+    one final join copies each piece once.  Stage n+1's first n words are
+    stage n's with a zero in front and its last is n ones, so one replace
+    and one split name a stage's nodes from the stage before.
     Every quote and line end of the text is the token `quote` or
     `newline`, and the text holds no other backslash or control
     character, so with the tokens `\"` and `\n` it comes out already
@@ -229,19 +265,30 @@ def diagram_dot(scheme: Scheme, depth: int, quote: str = '"', newline: str = "\n
     """
     check_range("depth", depth, 2, MAX_DIAGRAM_DEPTH)
     q, nl = quote, newline
-    # one join and one split name a whole stage's nodes; only stage 1's word is empty
-    nodes = [[f"{q}s1_λ{q}"]] + [(f"{q}s{n}_" + f"{q}\n{q}s{n}_".join(stage(n).elements) + q).split("\n")
-                                 for n in range(2, depth + 1)]
+    # stage 1's one word is empty, drawn as λ; a word holds only 0s and 1s, so the replace matches where a name starts
+    names, nodes = f"{q}s1_{q}", [[f"{q}s1_λ{q}"]]
+    for n in range(2, depth + 1):
+        names = names.replace(f"{q}s{n - 1}_", f"{q}s{n}_0") + f"\n{q}s{n}_{'1' * (n - 1)}{q}"
+        nodes.append(names.split("\n"))
     out = [f"{head}digraph stages_{scheme.value} {{{nl}  rankdir=LR;{nl}  node [shape=plaintext];{nl}"]
     out += [f"  {{ rank=same; {' '.join(members)} }}{nl}" for members in nodes]
-    chain = itertools.chain.from_iterable
+    both = [None, " -> ", None, f" [dir=both];{nl}  "]
+    pair = [None, " -> ", None, f" [label={q}e{q}];{nl}  ", None, " -> ", None, f" [label={q}p{q}];{nl}  "]
+    p_end = f" [label={q}p{q}];{nl}"
     for n in range(1, depth):
         t = _diagonal(scheme, n)
         lower, upper = nodes[n - 1], nodes[n]
-        out.append(f"  %s -> %s [dir=both];{nl}" * (t + 1) % tuple(chain(zip(lower, upper[:t + 1]))))
-        out.append(f"  {upper[t + 1]} -> {lower[t]} [label={q}p{q}];{nl}")
-        pairs = n - 1 - t  # the labels j = t+2, ..., n
-        out.append(f"  %s -> %s [label={q}e{q}];{nl}  %s -> %s [label={q}p{q}];{nl}" * pairs
-                   % tuple(chain(zip(lower[t + 1:], upper[t + 2:], upper[t + 2:], lower[t + 1:]))))
+        run = both * (t + 1)
+        run[0::4], run[2::4] = lower[:t + 1], upper[:t + 1]
+        out.append("  ")
+        out += run
+        out += (upper[t + 1], " -> ", lower[t], p_end)
+        if t + 1 < n:  # the labels j = t+2, ..., n: an e arrow up, then a p arrow down
+            lo, up = lower[t + 1:], upper[t + 2:]
+            run = pair * len(lo)
+            run[0::8], run[2::8], run[4::8], run[6::8] = lo, up, up, lo
+            run[-1] = p_end  # the last edge's line has no edge after it to indent
+            out.append("  ")
+            out += run
     out.append(f"}}{nl}{tail}")
     return "".join(out)

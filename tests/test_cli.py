@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from scottlab import cli
 from scottlab.cli import MUS, SCHEMES, VERBS, build_parser, read_argv, run
 from scottlab.funcspace import Mu
-from scottlab.stages import Scheme
+from scottlab.stages import MAX_PATHS_DEPTH, Scheme, limit_paths
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -180,6 +180,9 @@ USAGE_ERRORS = [
     ["stage", "--n", "5001"],
     ["ep", "--n", "100001", "--check"],
     ["paths", "--depth", "3001"],
+    # `--opt=--`, whose "--" argparse drops, leaving no value: a str option and an int option
+    ["normalize", "--word=--"],
+    ["boundary", "--cpo", "v", "--window=--"],
     # far past it, where building anything before the check would exhaust memory
     ["paths", "--depth", "1000000000"],
     ["paths", "--depth", "1000000000", "--format", "json"],
@@ -265,6 +268,24 @@ def test_paths_beyond_the_recursion_limit(capsys, scheme, inf_path):
     assert ",".join(map(str, inf_path)) + " <-> inf" in lines
 
 
+@pytest.mark.parametrize("scheme", ["standard", "alternative"])
+def test_paths_text_is_each_path_of_limit_paths(capsys, scheme):
+    """Oracle for the rows cut from the two label strings: each line joins one path's entries, then its label.
+
+    The rows include each kind of cut: the path of label 0, all tail (cut 0); the inf path; and,
+    for STANDARD, the path of the top label, 0', whose rising tail has slack 0.
+    """
+    for depth in [*range(2, 301), DEEP, MAX_PATHS_DEPTH]:
+        code, out, err = _run(capsys, ["paths", "--scheme", scheme, "--depth", str(depth)])
+        assert (code, err) == (0, ""), depth
+        lines = out.splitlines()
+        paths = limit_paths(Scheme(scheme), depth)
+        assert lines == [",".join(map(str, p.entries)) + " <-> " + p.label for p in paths], depth
+        assert lines[0].startswith(",".join(["0"] * depth) + " <-> "), depth  # 0, or inf where t_depth is 0
+        assert sum(line.endswith(" <-> inf") for line in lines) == 1, depth
+        assert lines[-1].endswith(" <-> 0'" if scheme == "standard" else " <-> inf"), depth
+
+
 @pytest.mark.parametrize(("scheme", "order_type"), [("standard", "ω+1+ω*"), ("alternative", "ω+1")])
 def test_limit_beyond_the_recursion_limit(capsys, scheme, order_type):
     code, out, err = _run(capsys, ["limit", "--scheme", scheme, "--depth", str(DEEP)])
@@ -279,11 +300,19 @@ WRITER_DEPTHS = {"diagram": [*range(2, 41), *range(89, 105), 300], "paths": [*ra
 @pytest.mark.parametrize("scheme", ["standard", "alternative"])
 @pytest.mark.parametrize("verb", WRITER_DEPTHS)
 def test_a_json_writer_prints_the_dump_of_its_object(capsys, verb, scheme):
-    """`paths` and `diagram` write their JSON text themselves; it is json.dumps of the verb's object."""
+    """`paths` and `diagram` write their JSON text themselves; it is json.dumps of the verb's object.
+
+    `diagram`'s compute returns its object; `paths`' returns row texts, so its object is built from limit_paths.
+    """
     for depth in WRITER_DEPTHS[verb]:
         argv = [verb, "--scheme", scheme, "--depth", str(depth)]
-        args = build_parser(verb).parse_args(argv)
-        expected = json.dumps(args.compute(args), ensure_ascii=False, separators=(",", ":")) + "\n"
+        if verb == "diagram":
+            args = build_parser(verb).parse_args(argv)
+            obj = args.compute(args)
+        else:
+            obj = {"scheme": scheme, "depth": depth, "paths": [{"entries": list(p.entries), "label": p.label}
+                                                                for p in limit_paths(Scheme(scheme), depth)]}
+        expected = json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
         assert _run(capsys, argv + ["--format", "json"]) == (0, expected, ""), depth
 
 

@@ -7,7 +7,9 @@ as text and once with `--format json`; a verb's digest covers, in grid
 order, each run's stdout, stderr and exit code.  The `usage` row runs
 its argv as they are: argparse's own answers at the top level and at a
 verb (help, a missing or unknown verb, an unrecognized argument, an
-invalid choice), with help wrapped at a fixed 80 columns.  Besides
+invalid choice, `--opt=--`), with help wrapped at a fixed 80 columns.
+A run that raises counts the exception's name as its exit code, so a
+checkout that ends in a traceback still gets its digest.  Besides
 plain argv, which the CLI reads from its option table, the grid holds
 spellings that only argparse reads (an abbreviation, a separate
 negative value) and ones that both read (`--opt=value`, a repeated
@@ -127,10 +129,11 @@ def grid() -> dict[str, list[list[str]]]:
         "mu": [["mu", "--map", m] for m in ("00", "01", "10", "11", "0", "011", "02", "ab", " 01 ")],
         "ep": [["ep", "--scheme", s, "--n", str(n), *check] for s in SCHEMES for n in [*range(-1, 21), 200, 100001]
                for check in ([], ["--check"])],
-        # and paths up to depth 300, where tests/test_stages.py pins the labels to the catalogue's phi and theta;
+        # and paths up to depth 300, where tests/test_stages.py pins the labels to the catalogue's phi and theta,
+        # with the benchmark's depth of 150 and the ends of its jitter, 145 and 155;
         # paths and diagram also at their bounds, where a character that JSON escapes would first show
         "paths": [["paths", "--scheme", s, "--depth", str(d)]
-                  for s in SCHEMES for d in [*range(-1, 16), 150, 300, 3000, 3001]],
+                  for s in SCHEMES for d in [*range(-1, 16), 145, 150, 155, 300, 3000, 3001]],
         "diagram": [["diagram", "--scheme", s, "--depth", str(d)]
                     for s in SCHEMES for d in [*range(-1, 9), 92, 101, 200, 300, 301]],
         "normalize": [["normalize", "--word", "+".join(atoms)] for n in range(1, 4)
@@ -147,14 +150,20 @@ def grid() -> dict[str, list[list[str]]]:
         "usage": [[], ["-h"], ["no-such-verb"], ["cpo", "-h"], ["cpo", "--cpo", "v", "extra"], ["string"],
                   ["string", "-h"], ["lcr", "bogus"], ["ep", "--n", "3", "--scheme", "nope"],
                   # a group's --format with no --format after it
-                  ["lcr", "--format", "json", "forward", "--x", "...0011"]],
+                  ["lcr", "--format", "json", "forward", "--x", "...0011"],
+                  # `--opt=--`, which argparse reads as no value: a str option, an int option, a group's --format
+                  ["normalize", "--word=--"], ["boundary", "--cpo", "v", "--window=--"],
+                  ["lcr", "--format=--", "forward", "--x", "...0011"]],
     }
 
 
 def _answer(argv: list[str]) -> bytes:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
+        try:
+            code = run(argv)
+        except Exception as e:  # a checkout whose run() raises, where `python -m scottlab` prints a traceback
+            code = type(e).__name__
     return f"{out.getvalue()}\0{err.getvalue()}\0{code}\0".encode()
 
 
