@@ -16,8 +16,8 @@ row, the pipeline, the e/p laws) is a tuple record, a typing.NamedTuple
 whose `_fields` are its schema's keys, in order, and `_json` is the
 only function that turns a report into JSON.  For --format json,
 `run()` prints `json.dumps` of the object, except for a verb with its
-own JSON writer: `paths` and `diagram` write the same text and its
-line end from templates, with no object built and no escaping pass.
+own JSON writer: `paths`, `diagram` and `stage` write the same text and
+its line end from templates, with no object built and no escaping pass.
 `paths`' compute returns no object either, but the text of each row's
 entries and its label, which its render and its writer both wrap.
 `--format` may be given to a group (`string`, `lcr`) or to its subverb;
@@ -216,6 +216,12 @@ def _stage_text(obj, args) -> str:
     return " ".join(obj["elements"]) or "λ"
 
 
+def _stage_json(args) -> str:
+    # the object of _stage from a template: its words hold only 0s and 1s, which need no escape
+    s = stages.stage(args.n)
+    return f'{{"n":{s.n},"elements":["' + '","'.join(s.elements) + '"]}\n'
+
+
 def _funcs(args) -> dict:
     fs = stages.enumerate_monotone(args.m)
     return {"m": args.m, "count": len(fs), "functions": list(fs)}
@@ -243,11 +249,21 @@ def _ep(args) -> dict:
 
 
 def _ep_text(obj, args) -> str:
-    lines = [f"{m}: " + " ".join(map("{}->{}".format, range(len(obj[m])), obj[m])) for m in ("e", "p")]
+    # each map's line is a run of j->m_j whose numerals slice assignment fills from one list of texts
+    texts = list(map(str, range(len(obj["p"]))))  # 0, ..., n: every label and entry of both maps
+    out = []
+    for m in ("e", "p"):
+        run = [None, "->", None, " "] * len(obj[m])
+        run[0::4], run[2::4] = texts[:len(obj[m])], map(texts.__getitem__, obj[m])
+        run[-1] = "\n"
+        out.append(f"{m}: ")
+        out += run
     if args.check:
         laws = obj["laws"]
-        lines.append(f"laws: {'ok' if laws['ok'] else 'VIOLATED (' + str(laws['witness']) + ')'}")
-    return "\n".join(lines)
+        out.append(f"laws: {'ok' if laws['ok'] else 'VIOLATED (' + str(laws['witness']) + ')'}")
+    else:
+        out.pop()  # the p line ends the text
+    return "".join(out)
 
 
 def _paths(args) -> list[tuple[str, str]]:
@@ -618,7 +634,8 @@ TABLE = {
     "iso": Verb(_iso, _iso_text, "isomorphism verdict for two orders", "--a", "--b"),
     "compare": Verb(_compare, _compare_text, "order two elements", "--cpo", "--x", "--y"),
     "neighbors": Verb(_neighbors, _neighbors_text, "immediate neighbors of an element", "--cpo", "--x"),
-    "stage": Verb(_stage, _stage_text, "the finite stage of monotone words", Opt("--n", int, required=True)),
+    "stage": Verb(_stage, _stage_text, "the finite stage of monotone words", Opt("--n", int, required=True),
+                  dump=_stage_json),
     "funcs": Verb(_funcs, _funcs_text, "monotone maps from an m-chain into 2", Opt("--m", int, required=True)),
     "mu": Verb(_mu, _mu_text, "continuity of a candidate map 2 -> 2",
                Opt("--map", required=True, help="two bits: f(0)f(1)")),

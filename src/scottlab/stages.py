@@ -35,20 +35,20 @@ from .words import OMEGA, OMEGA_STAR, OrderWord, check_range, fin, word_of
 # doubling with each step
 MAX_MONOTONE_CHAIN = 20
 # diagram_dot's text grows as depth^3 bytes: at depth 300 `diagram` prints
-# about 38 MB in 0.18-0.25 s with a 128 MB peak as text, 129 MB as JSON,
-# from a fresh process (2-vCPU Xeon, Python 3.11), while depth 1100 would
-# be 1.36 GB held in memory before it is written
+# about 39 MB in 0.15-0.26 s with a 98-125 MB peak as text, 99-127 MB as
+# JSON, from a fresh process (2-vCPU Xeon, Python 3.11), while depth 1100
+# would be 1.36 GB held in memory before it is written
 MAX_DIAGRAM_DEPTH = 300
 # a stage's text grows as n^2 bytes: about 25 MB at n = 5000, while
 # n = 100000 would be about 10 GB held in memory before it is written
 MAX_STAGE = 5000
 # an ep pair and its law check are linear in n: at n = 100000 the
-# checked pair prints about 2.6 MB of text in about 0.2 s
+# checked pair prints about 2.6 MB of text in 0.16-0.18 s with a 40 MB peak
 MAX_EP_STAGE = 100_000
 # a path holds depth labels and there are depth paths: at depth 3000
-# limit_paths builds them in 0.16-0.20 s with an 88 MB peak, and `paths`,
+# limit_paths builds them in 0.20-0.30 s with an 85-91 MB peak, and `paths`,
 # which cuts each row's text from two strings instead, prints about 38 MB
-# in 0.17-0.29 s with a 124 MB peak, as text or JSON, from a fresh process
+# in 0.16-0.19 s with a 123-129 MB peak, as text or JSON, from a fresh process
 MAX_PATHS_DEPTH = 3000
 # limit_cpo compares one label with the diagonal, about 5 µs at any depth
 # (2-vCPU Xeon, Python 3.11); the bound stays part of the verb's documented
@@ -61,11 +61,16 @@ class Stage(NamedTuple):
     elements: tuple[str, ...]
 
 
+def _words(n: int) -> list[str]:
+    """Stage n's words, ascending: word k is the window of n-1 letters at offset k of 0^(n-1) 1^(n-1)."""
+    letters = "0" * (n - 1) + "1" * (n - 1)
+    return [letters[k:k + n - 1] for k in range(n)]
+
+
 def stage(n: int) -> Stage:
     """Word k is the window of n-1 letters at offset k of 0^(n-1) 1^(n-1)."""
     check_range("stage", n, 1, MAX_STAGE)
-    letters = "0" * (n - 1) + "1" * (n - 1)
-    return Stage(n, tuple([letters[k:k + n - 1] for k in range(n)]))
+    return Stage(n, tuple(_words(n)))
 
 
 def enumerate_monotone(m: int) -> tuple[str, ...]:
@@ -130,26 +135,36 @@ class EpLawReport(NamedTuple):
 
 
 def check_ep_laws(pair: EpPair) -> EpLawReport:
-    """Check the section/retraction laws on an explicit pair of maps, each law one scan of their tuples.
+    """Check the section/retraction laws on an explicit pair of maps, each law one whole scan of their tuples.
 
-    e must map stage n's n labels and p stage n+1's n+1: a map of any other
-    length is no map between the two stages, and raises ValueError.
+    e must map stage n's n labels to labels 0..n of stage n+1, and p stage
+    n+1's n+1 labels to labels 0..n-1 of stage n: a map of any other
+    length, or an entry that names no label of its target stage, is no
+    map between the two stages, and raises ValueError before any law is
+    read.  p∘e = id compares p read at e's entries with 0..n-1, e∘p <= id
+    reads e at p's entries against 0..n, and a map is monotone when its
+    entries come out sorted.  Only when one of the first two laws fails
+    does a first-failure scan name its witness, p∘e's failure first.
     """
     n = pair.n
-    if (len(pair.e.mapping), len(pair.p.mapping)) != (n, n + 1):
-        raise ValueError(f"e and p must map {n} and {n + 1} labels, "
-                         f"got {len(pair.e.mapping)} and {len(pair.p.mapping)}")
-    e, p = pair.e.mapping.__getitem__, pair.p.mapping.__getitem__
-    below, upto = range(n), range(n + 1)
-    # the first label that breaks each of the first two laws
-    pe = next(itertools.compress(below, map(operator.ne, map(p, map(e, below)), below)), None)
-    ep = next(itertools.compress(upto, map(operator.gt, map(e, map(p, upto)), upto)), None)
-    witness = (f"p(e({pe})) = {p(e(pe))}" if pe is not None  # p∘e's failure comes first
-               else None if ep is None else f"e(p({ep})) = {e(p(ep))}")
-    e_mono = all(map(operator.le, map(e, range(n - 1)), map(e, range(1, n))))
-    p_mono = all(map(operator.le, map(p, below), map(p, range(1, n + 1))))
-    return EpLawReport(pe is None, ep is None, e_mono, p_mono,
-                       pe is None and ep is None and e_mono and p_mono, witness)
+    e, p = pair.e.mapping, pair.p.mapping
+    if (len(e), len(p)) != (n, n + 1):
+        raise ValueError(f"e and p must map {n} and {n + 1} labels, got {len(e)} and {len(p)}")
+    for name, m, target in (("e", e, n + 1), ("p", p, n)):  # stage `target` has labels 0..target-1
+        if min(m, default=0) < 0 or max(m, default=0) >= target:
+            k = next(k for k, v in enumerate(m) if not 0 <= v < target)
+            raise ValueError(f"{name}({k}) = {m[k]} is no label of stage {target}, 0..{target - 1}")
+    pe_ok = list(map(p.__getitem__, e)) == list(range(n))
+    ep_ok = all(map(operator.le, map(e.__getitem__, p), range(n + 1)))
+    e_mono, p_mono = list(e) == sorted(e), list(p) == sorted(p)
+    witness = None
+    if not pe_ok:  # p∘e's failure comes first
+        k = next(itertools.compress(itertools.count(), map(operator.ne, map(p.__getitem__, e), range(n))))
+        witness = f"p(e({k})) = {p[e[k]]}"
+    elif not ep_ok:
+        k = next(itertools.compress(itertools.count(), map(operator.gt, map(e.__getitem__, p), range(n + 1))))
+        witness = f"e(p({k})) = {e[p[k]]}"
+    return EpLawReport(pe_ok, ep_ok, e_mono, p_mono, pe_ok and ep_ok and e_mono and p_mono, witness)
 
 
 class LimitPath(NamedTuple):
@@ -209,8 +224,8 @@ def limit_path_texts(scheme: Scheme, depth: int) -> list[tuple[str, str]]:
     each joined by commas and ended by one, with where each label starts
     in each.  A row's text is then a slice of the first, the diagonal up
     to its cut, and its tail: a slice of the second for a rising one, L's
-    text repeated for a constant one.  So no row reads its labels one by
-    one, and no tuple of a path is built.
+    text and a comma repeated, then L's text, for a constant one.  So no
+    row reads its labels one by one, and no tuple of a path is built.
     """
     diagonal, rows = _path_cuts(scheme, depth)
     texts = list(map(str, range(depth)))
@@ -219,7 +234,7 @@ def limit_path_texts(scheme: Scheme, depth: int) -> list[tuple[str, str]]:
     along_at = list(itertools.accumulate([len(s) + 1 for s in diagonal_texts], initial=0))
     upto_at = list(itertools.accumulate([len(s) + 1 for s in texts], initial=0))
     return [(along[:along_at[cut]] + (upto[upto_at[cut + last + 1 - depth]:upto_at[last + 1] - 1] if rises
-                                      else ",".join([texts[last]] * (depth - cut))), label)
+                                      else f"{texts[last]}," * (depth - cut - 1) + texts[last]), label)
             for cut, last, rises, label in rows]
 
 
@@ -247,13 +262,18 @@ def diagram_dot(scheme: Scheme, depth: int, quote: str = '"', newline: str = "\n
     that label's limit path, the chain of its projections.  From stage n
     to stage n+1 the edges come in three runs around the diagonal t_n:
     a two-headed edge for each label j <= t_n, one lone p arrow from
-    t_n+1, and an e/p pair for each label j > t_n+1.  A run is a list
-    of its edges' constant pieces, an arrow and an ending, repeated once
-    per edge, whose node slots are filled by slice assignment from the
-    two stages' lists of names: no Python code runs per edge, and the
-    one final join copies each piece once.  Stage n+1's first n words are
-    stage n's with a zero in front and its last is n ones, so one replace
-    and one split name a stage's nodes from the stage before.
+    t_n+1, and an e/p pair for each label j > t_n+1.  Every node name of
+    a run is one of stage n's words w between two pieces fixed for the
+    stage: stage n+1's word j is 0w for j <= t_n, and w1, with w stage
+    n's word j-1, for j > t_n.  So a two-headed edge is w, the arrow into
+    "s(n+1)_0, w again and its ending, and an e/p pair is one word four
+    times.  A run is a list of its edges' constant pieces repeated once
+    per edge, whose word slots slice assignment fills from stage n's
+    list of words, the windows of one string (as `stage` builds them),
+    which also make the stage's rank line in one join: no Python code
+    runs per edge, and the one final join copies each piece once.
+    Stage 1's one word is empty and drawn as λ, so its rank line and
+    its two edges are written out.
     Every quote and line end of the text is the token `quote` or
     `newline`, and the text holds no other backslash or control
     character, so with the tokens `\"` and `\n` it comes out already
@@ -265,30 +285,32 @@ def diagram_dot(scheme: Scheme, depth: int, quote: str = '"', newline: str = "\n
     """
     check_range("depth", depth, 2, MAX_DIAGRAM_DEPTH)
     q, nl = quote, newline
-    # stage 1's one word is empty, drawn as λ; a word holds only 0s and 1s, so the replace matches where a name starts
-    names, nodes = f"{q}s1_{q}", [[f"{q}s1_λ{q}"]]
+    p_end = f"{q} [label={q}p{q}];{nl}"  # a p arrow's line after its lower word
+    # stage 1's one word is empty, drawn as λ: its rank line and its two edges are written out
+    out = [f"{head}digraph stages_{scheme.value} {{{nl}  rankdir=LR;{nl}  node [shape=plaintext];{nl}"
+           f"  {{ rank=same; {q}s1_λ{q} }}{nl}"]
+    edges = [f"  {q}s1_λ{q} -> {q}s2_0{q} [dir=both];{nl}  {q}s2_1{q} -> {q}s1_λ{p_end}"]
     for n in range(2, depth + 1):
-        names = names.replace(f"{q}s{n - 1}_", f"{q}s{n}_0") + f"\n{q}s{n}_{'1' * (n - 1)}{q}"
-        nodes.append(names.split("\n"))
-    out = [f"{head}digraph stages_{scheme.value} {{{nl}  rankdir=LR;{nl}  node [shape=plaintext];{nl}"]
-    out += [f"  {{ rank=same; {' '.join(members)} }}{nl}" for members in nodes]
-    both = [None, " -> ", None, f" [dir=both];{nl}  "]
-    pair = [None, " -> ", None, f" [label={q}e{q}];{nl}  ", None, " -> ", None, f" [label={q}p{q}];{nl}  "]
-    p_end = f" [label={q}p{q}];{nl}"
-    for n in range(1, depth):
+        words, a, b = _words(n), f"{q}s{n}_", f"{q}s{n + 1}_"  # a and b: a node name of stage n, n+1 before its word
+        out.append(f"  {{ rank=same; {a}" + f"{q} {a}".join(words) + f"{q} }}{nl}")
+        if n == depth:
+            break
+        # j <= t: stage n's word w and stage n+1's 0w; then from stage n+1's label t+1, the word w_t 1
         t = _diagonal(scheme, n)
-        lower, upper = nodes[n - 1], nodes[n]
-        run = both * (t + 1)
-        run[0::4], run[2::4] = lower[:t + 1], upper[:t + 1]
-        out.append("  ")
-        out += run
-        out += (upper[t + 1], " -> ", lower[t], p_end)
-        if t + 1 < n:  # the labels j = t+2, ..., n: an e arrow up, then a p arrow down
-            lo, up = lower[t + 1:], upper[t + 2:]
-            run = pair * len(lo)
-            run[0::8], run[2::8], run[4::8], run[6::8] = lo, up, up, lo
+        run = [None, f"{q} -> {b}0", None, f"{q} [dir=both];{nl}  {a}"] * (t + 1)
+        run[0::4] = run[2::4] = words[:t + 1]
+        run[-1] = f"{q} [dir=both];{nl}  {b}"
+        edges.append(f"  {a}")
+        edges += run
+        edges += (words[t], f"1{q} -> {a}", words[t], p_end)
+        if t + 1 < n:  # the labels j = t+2, ..., n of stage n+1, each word w 1 over stage n's word w
+            lo = words[t + 1:]
+            run = [None, f"{q} -> {b}", None, f"1{q} [label={q}e{q}];{nl}  {b}",
+                   None, f"1{q} -> {a}", None, f"{q} [label={q}p{q}];{nl}  {a}"] * len(lo)
+            run[0::8] = run[2::8] = run[4::8] = run[6::8] = lo
             run[-1] = p_end  # the last edge's line has no edge after it to indent
-            out.append("  ")
-            out += run
+            edges.append(f"  {a}")
+            edges += run
+    out += edges
     out.append(f"}}{nl}{tail}")
     return "".join(out)

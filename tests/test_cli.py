@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from scottlab import cli
 from scottlab.cli import MUS, SCHEMES, VERBS, build_parser, read_argv, run
 from scottlab.funcspace import Mu
-from scottlab.stages import MAX_PATHS_DEPTH, Scheme, limit_paths
+from scottlab.stages import MAX_EP_STAGE, MAX_PATHS_DEPTH, MAX_STAGE, Scheme, limit_paths
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -293,27 +293,48 @@ def test_limit_beyond_the_recursion_limit(capsys, scheme, order_type):
     assert out == f"{scheme}: {order_type}\n"
 
 
-# the depths of each JSON writer's oracle: small ones, the benchmark's range of diagram depths, the bounds
-WRITER_DEPTHS = {"diagram": [*range(2, 41), *range(89, 105), 300], "paths": [*range(2, 161), 300, 3000]}
+# the sizes of each JSON writer's oracle: small ones, the benchmark's range of diagram depths, the bounds
+WRITER_SIZES = {"diagram": [*range(2, 41), *range(89, 105), 300], "paths": [*range(2, 161), 300, 3000],
+                "stage": [*range(1, 301), MAX_STAGE]}
+WRITER_CASES = [(verb, scheme) for verb in ("diagram", "paths") for scheme in SCHEMES] + [
+    pytest.param("stage", None, id="stage")]
 
 
-@pytest.mark.parametrize("scheme", ["standard", "alternative"])
-@pytest.mark.parametrize("verb", WRITER_DEPTHS)
+@pytest.mark.parametrize(("verb", "scheme"), WRITER_CASES)
 def test_a_json_writer_prints_the_dump_of_its_object(capsys, verb, scheme):
-    """`paths` and `diagram` write their JSON text themselves; it is json.dumps of the verb's object.
+    """`paths`, `diagram` and `stage` write their JSON text themselves; it is json.dumps of the verb's object.
 
-    `diagram`'s compute returns its object; `paths`' returns row texts, so its object is built from limit_paths.
+    `diagram`'s and `stage`'s compute return their objects; `paths`' returns row texts, so its object is built
+    from limit_paths.
     """
-    for depth in WRITER_DEPTHS[verb]:
-        argv = [verb, "--scheme", scheme, "--depth", str(depth)]
-        if verb == "diagram":
+    for size in WRITER_SIZES[verb]:
+        argv = ["stage", "--n", str(size)] if verb == "stage" else [verb, "--scheme", scheme, "--depth", str(size)]
+        if verb == "paths":
+            obj = {"scheme": scheme, "depth": size, "paths": [{"entries": list(p.entries), "label": p.label}
+                                                               for p in limit_paths(Scheme(scheme), size)]}
+        else:
             args = build_parser(verb).parse_args(argv)
             obj = args.compute(args)
-        else:
-            obj = {"scheme": scheme, "depth": depth, "paths": [{"entries": list(p.entries), "label": p.label}
-                                                                for p in limit_paths(Scheme(scheme), depth)]}
         expected = json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
-        assert _run(capsys, argv + ["--format", "json"]) == (0, expected, ""), depth
+        assert _run(capsys, argv + ["--format", "json"]) == (0, expected, ""), size
+
+
+def per_entry_ep_text(obj, check):
+    """The `ep` text with each entry formatted on its own."""
+    lines = [f"{m}: " + " ".join(map("{}->{}".format, range(len(obj[m])), obj[m])) for m in ("e", "p")]
+    if check:
+        laws = obj["laws"]
+        lines.append(f"laws: {'ok' if laws['ok'] else 'VIOLATED (' + str(laws['witness']) + ')'}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_ep_text_matches_the_per_entry_rendering(capsys, scheme):
+    for n in [*range(1, 301), MAX_EP_STAGE]:
+        for check in ([], ["--check"]):
+            argv = ["ep", "--scheme", scheme, "--n", str(n), *check]
+            args = build_parser("ep").parse_args(argv)
+            assert _run(capsys, argv) == (0, per_entry_ep_text(args.compute(args), check) + "\n", ""), argv
 
 
 @pytest.mark.parametrize("argv", [["diagram", "--depth", "6"], ["paths", "--scheme", "alternative", "--depth", "7"],
@@ -449,9 +470,10 @@ def test_a_cold_start_imports_neither_dataclasses_nor_inspect():
 STAGE_LAYERS, MU_LAYERS = ["stages", "words"], ["funcspace", "words"]
 # a cold argv, the layers whose bodies it runs, and whether it loads json: the stage tower's verbs never run
 # the catalogue or the strings, in text or in JSON, and the map-space verbs that name no catalogued order
-# never run them either; `paths` and `diagram` write their JSON themselves
+# never run them either; `paths`, `diagram` and `stage` write their JSON themselves
 COLD_LAYERS = {
     "stage --n 4": (STAGE_LAYERS, False),
+    "stage --n 4 --format json": (STAGE_LAYERS, False),
     "ep --n 3": (STAGE_LAYERS, False),
     "ep --n 3 --check --format json": (STAGE_LAYERS, True),
     "paths --depth 8": (STAGE_LAYERS, False),
@@ -657,10 +679,7 @@ def test_the_reader_returns_none_or_what_argparse_returns(argv):
 def _answer(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = run(argv)
-        except Exception as e:  # argparse hands `--opt=--` to a verb as an empty list, which it cannot read
-            code = repr(e)
+        code = run(argv)
     return code, out.getvalue(), err.getvalue()
 
 

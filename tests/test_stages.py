@@ -137,6 +137,19 @@ def test_ep_law_checker_refuses_a_map_of_the_wrong_length(scheme, which, extra):
         check_ep_laws(good._replace(**{which: m._replace(mapping=mapping)}))
 
 
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize(("which", "index", "value"), [("e", 1, -1), ("e", 3, 5), ("p", 4, -1), ("p", 0, 4)],
+                         ids=["e below 0", "e past n", "p below 0", "p past n-1"])
+def test_ep_law_checker_refuses_an_entry_that_names_no_label(scheme, which, index, value):
+    """An entry outside 0..n (e) or 0..n-1 (p) names no label of the target stage, and is refused before any law."""
+    good = ep_pair(scheme, 4)
+    m = getattr(good, which)
+    mapping = (*m.mapping[:index], value, *m.mapping[index + 1:])
+    target = {"e": "5, 0..4", "p": "4, 0..3"}[which]
+    with pytest.raises(ValueError, match=r"^%s\(%d\) = %d is no label of stage %s$" % (which, index, value, target)):
+        check_ep_laws(good._replace(**{which: m._replace(mapping=mapping)}))
+
+
 def test_standard_paths_at_depth_10():
     rows = {p.label: p.entries for p in limit_paths(Scheme.STANDARD, 10)}
     assert rows["0"] == (0,) * 10
@@ -433,7 +446,7 @@ def test_closed_form_paths_match_the_column_walk(scheme):
 
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_ep_laws_match_the_per_label_check_on_every_single_entry_mutation(scheme):
-    for n in range(1, 9):
+    for n in [*range(1, 9), 16, 17, 40]:
         pair = ep_pair(scheme, n)
         assert check_ep_laws(pair) == per_label_laws(pair)
         mutations = list(single_entry_mutations(pair))

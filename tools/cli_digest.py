@@ -122,13 +122,13 @@ def grid() -> dict[str, list[list[str]]]:
                     for x in names for y in names] + [["compare", "--cpo", "phi", "--x=-3", "--y", "2"]],
         "neighbors": [["neighbors", "--cpo", c, f"--x={x}"] for c, names in NAMES.items() for x in names],
         # small sizes from below each lower bound, one size of the benchmark's stage tower, then each upper
-        # bound's first rejected value, refused before any work
+        # bound, the largest text each verb writes, and its first rejected value, refused before any work
         # and a separate negative size, which argparse reads as a value
-        "stage": [["stage", "--n", str(n)] for n in [*range(-1, 21), 200, 5001]] + [["stage", "--n", "-3"]],
+        "stage": [["stage", "--n", str(n)] for n in [*range(-1, 21), 200, 5000, 5001]] + [["stage", "--n", "-3"]],
         "funcs": [["funcs", "--m", str(m)] for m in [*range(-1, 11), 21]],
         "mu": [["mu", "--map", m] for m in ("00", "01", "10", "11", "0", "011", "02", "ab", " 01 ")],
-        "ep": [["ep", "--scheme", s, "--n", str(n), *check] for s in SCHEMES for n in [*range(-1, 21), 200, 100001]
-               for check in ([], ["--check"])],
+        "ep": [["ep", "--scheme", s, "--n", str(n), *check]
+               for s in SCHEMES for n in [*range(-1, 21), 200, 100000, 100001] for check in ([], ["--check"])],
         # and paths up to depth 300, where tests/test_stages.py pins the labels to the catalogue's phi and theta,
         # with the benchmark's depth of 150 and the ends of its jitter, 145 and 155;
         # paths and diagram also at their bounds, where a character that JSON escapes would first show
