@@ -15,8 +15,9 @@ Pins and membership are in layer coordinates, (layer, count) per
 string: NamedCpo.free is the one rule for whether a half holds an
 element.  Elements are their ends inside the package: `element`, `held`
 and `locate` take ends, and a string is built only to parse an input
-literal (`to_elem`) or to spell a label, a witness, a report field or a
-half's window.
+literal (`to_elem`) or to spell a witness, a report field or a half's
+window; a label's literal is cut from its run's one text
+(`strings.render_literals`), with no string built.
 The table at the end of this module gives each order once, as one half
 or as a lower half stacked under an upper half.  In a glued order the
 top of the lower half is the bottom of the upper half (the boundary)
@@ -37,6 +38,7 @@ string literals such as "...0011" and pair literals such as
 the literal itself in orders that print literals.
 """
 
+import bisect
 import itertools
 import re
 from enum import Enum
@@ -94,12 +96,19 @@ def _parse_count(style: str, t: str) -> int | None:
     return c if style in ("n", "n'") or c >= 1 else None  # a signed 0 is spelled m' or 0
 
 
-def _render_count(style: str, c: int) -> str:
-    if style not in _NUMERALS:
-        return style
-    if style in ("+n", "-n") and c == 0:
-        return "m'"
-    return style.replace("n", str(c))
+# the text around the count in each numeral style's labels
+_AFFIXES = {style: tuple(style.split("n")) for style in _NUMERALS}
+
+
+def _render_counts(style: str, counts) -> list[str]:
+    """The label of each count of a run in a block of this style; the counts ascend or descend."""
+    if style not in _AFFIXES:
+        return [style] * len(counts)
+    head, tail = _AFFIXES[style]
+    labels = [f"{head}{c}{tail}" for c in counts]
+    if head and 0 in counts:  # a signed 0 is spelled m'
+        labels[counts.index(0)] = "m'"
+    return labels
 
 
 class Layer(NamedTuple):
@@ -239,7 +248,16 @@ class NamedCpo:
                              base + layer.atom.size - 1 if down else base, -1 if down else 1))
         # in order of place, so the last run placed at or below an offset holds it
         self._runs = sorted(runs, key=lambda r: (r.block, r.base))
+        self._places = [(r.block, r.base) for r in self._runs]  # with one at offset 0 of every block
         self._run_of = {(r.half, r.layer): r for r in self._runs}
+        # for the labels of a literal order: the text around each pair half's free end's literal, its pinned
+        # end spelled once, and the run, count and label of the boundary, which is named, not spelled
+        self._wraps = tuple(("(", f", {h.right})") if h.right is not None else None if h.left is None
+                            else (f"({h.left}, ", ")") for h in halves)
+        self._boundary_label = None
+        if glued:
+            run, c = self.locate(self.boundary)
+            self._boundary_label = run, c, _render_counts(run.style, (c,))[0]
 
     @cached_property
     def pins(self) -> tuple[tuple[int, tuple[Layer, int] | None], ...]:
@@ -316,26 +334,35 @@ class NamedCpo:
                 return self.element(ends_of(st.parse_literal(t)))
         raise BadElement(f"no element labelled {label!r} here")
 
-    def _label(self, run: _Run, c: int) -> str:
-        """The label of the element at count c of a run."""
-        if self.literal and self.ends_at(run.half, run.layer, c) != self.boundary:  # the boundary is named, not spelled
-            return str(self.halves[run.half].spelled(run.layer, c))
-        return _render_count(run.style, c)
+    def _labels(self, run: _Run, counts) -> list[str]:
+        """The labels of the elements at these counts of a run, which ascend or descend: numerals, or in a
+        literal order literals cut a run at a time (`strings.render_literals`), and the boundary's name."""
+        if not self.literal:
+            return _render_counts(run.style, counts)
+        labels = st.render_literals(run.layer.family, counts)
+        if self._wraps[run.half] is not None:
+            head, tail = self._wraps[run.half]
+            labels = [head + text + tail for text in labels]
+        named = self._boundary_label
+        if named is not None and named[0] is run and named[1] in counts:
+            labels[counts.index(named[1])] = named[2]
+        return labels
 
     def to_label(self, x: Elem) -> str:
-        run = next(r for r in reversed(self._runs) if r.block == x.block and r.base <= x.offset)
-        return self._label(run, run.start + run.step * (x.offset - run.first))
+        run = self._runs[bisect.bisect_right(self._places, x) - 1]  # the last run placed at or below x
+        return self._labels(run, (run.start + run.step * (x.offset - run.first),))[0]
 
     def window_labels(self, depth: int) -> list[str]:
         """`to_label` of each element of `window_elems(self.word, depth)`, in order, a run at a time.
 
-        The window's offsets in a run are one range (`window_runs`), so each count is the run's
-        formula and no run is searched.
+        The window's offsets in a run are one range (`window_runs`), so its counts are one range
+        too, the run's formula at the range's ends, and no run is searched.
         """
         labels: list[str] = []
-        for i, offsets in window_runs(self.word, depth, [(r.block, r.base) for r in self._runs]):
+        for i, offsets in window_runs(self.word, depth, self._places):
             r = self._runs[i]
-            labels += [self._label(r, r.start + r.step * (o - r.first)) for o in offsets]
+            labels += self._labels(r, range(r.start + r.step * (offsets.start - r.first),
+                                            r.start + r.step * (offsets.stop - r.first), r.step * offsets.step))
         return labels
 
 

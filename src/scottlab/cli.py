@@ -17,9 +17,12 @@ whose `_fields` are its schema's keys, in order, and `_json` is the
 only function that turns a report into JSON.  For --format json,
 `run()` prints `json.dumps` of the object, except for a verb with its
 own JSON writer: `paths`, `diagram` and `stage` write the same text and
-its line end from templates, with no object built and no escaping pass.
-`paths`' compute returns no object either, but the text of each row's
-entries and its label, which its render and its writer both wrap.
+its line end from templates, with no object built and no escaping pass,
+and `funcspace` writes its head through `json.dumps` and joins its table
+around it.  `paths`' compute returns no object either, but the text of
+each row's entries and its label, and `funcspace`'s the object's head
+and its table's labels, row texts and cuts, which its render and its
+writer both wrap.  Text `ep` checks the e/p laws only with `--check`.
 `--format` may be given to a group (`string`, `lcr`) or to its subverb;
 the later one wins.
 
@@ -40,7 +43,8 @@ and `words` only, `boundary` runs `adjunction`, `catalog`, `strings`
 and `words`, and only `decompose`, `lcr`, `replicate`, `table8` and
 `pipeline` run `replication`.  An argv left to argparse builds the
 parser of the verb it names, not all of them, and `json` is imported
-only for `--format json` of a verb without a JSON writer.
+only for `--format json` of a verb without a JSON writer, or of
+`funcspace`.
 
 Exit codes: 0 for success, including negative mathematical verdicts
 (a failed isomorphism or adjunction is a result, not an error); 1 when
@@ -244,8 +248,10 @@ def _mu_text(obj, args) -> str:
 
 def _ep(args) -> dict:
     pair = stages.ep_pair(stages.Scheme(args.scheme), args.n)
-    return {"scheme": pair.scheme.value, "n": pair.n, "e": list(pair.e.mapping),
-            "p": list(pair.p.mapping), "laws": _json(stages.check_ep_laws(pair))}
+    obj = {"scheme": pair.scheme.value, "n": pair.n, "e": list(pair.e.mapping), "p": list(pair.p.mapping)}
+    if args.check or args.format == "json":  # the text prints the laws only with --check
+        obj["laws"] = _json(stages.check_ep_laws(pair))
+    return obj
 
 
 def _ep_text(obj, args) -> str:
@@ -308,56 +314,73 @@ def _diagram_json(args) -> str:
 
 
 # the table has about 2w rows of 2w bits and a label per column, O(w^2) bytes: at
-# w = 1000, 1.5 MB for omega in 0.06 s, 4.1 MB for v in 0.08 s, and 7.1 MB in 0.11 s
-# for lambda_hat_prime, whose column labels are pair literals, each from a fresh
-# process, of which the table takes 8, 13 and 18 ms (2-vCPU Xeon, Python 3.11)
+# w = 1000, 1.5 MB for omega in 0.06-0.08 s, 4.1 MB for v in 0.07-0.09 s, and 7.1 MB in
+# 0.09-0.12 s for lambda_hat_prime, whose column labels are pair literals, each from a
+# fresh process, of which the table takes 1.5-2, 3-6 and 5.5-8 ms (2-vCPU Xeon, Python 3.11)
 MAX_TABLE_WINDOW = 1000
 
 
-def _funcspace_table(c, space, window: int):
-    """Rows are the space's windowed segments, columns the base window."""
-    words.check_range("window", window, 0, MAX_TABLE_WINDOW)
-    columns = c.window_labels(window)
-    cuts, segments = space.rows(window)
-    # a space of the base's own word has the base's window, so its rows take the column labels
-    # and no segment is built
-    labels = [f"psi_{label}" for label in columns] if space.word == c.word else map(str, segments)
-    # an open segment is an up-set, so a row with cut k is k 0s then 1s: one slice of a staircase
-    n = len(columns)
-    staircase = "0" * n + "1" * n
-    return columns, [{"row": r, "bits": staircase[n - k:2 * n - k]} for r, k in zip(labels, cuts)]
-
-
-def _funcspace(args) -> dict:
+def _funcspace(args) -> tuple[dict, tuple[list[str], list[str], list[int]] | None]:
+    """Not the schema's object: the keys before its table, and with --table the column labels, each row's
+    text and its cut, which the text and the JSON writer wrap.  Rows are the space's windowed segments,
+    columns the base window."""
     if bool(args.cpo) == bool(args.word):
         raise BadLiteral("give --cpo or --word, not both" if args.cpo else "need --cpo or --word")
     c = catalog.named_cpo(args.cpo) if args.cpo else None
     word = words.parse_word(args.word) if c is None else c.word
-    base_name = str(word) if c is None else c.name.value
     report = funcspace.self_iso(word)
-    obj = {
-        "base": base_name,
+    head = {
+        "base": str(word) if c is None else c.name.value,
         "order_type": str(report.space.word),
         "self_isomorphic": report.is_iso,
         "reason": report.reason,
         "notes": list(report.notes),
     }
-    if args.table:
-        if c is None:
-            raise BadLiteral("--table needs a catalogued --cpo for its labels")
-        obj["columns"], obj["rows"] = _funcspace_table(c, report.space, args.window)
-    return obj
+    if not args.table:
+        return head, None
+    if c is None:
+        raise BadLiteral("--table needs a catalogued --cpo for its labels")
+    words.check_range("window", args.window, 0, MAX_TABLE_WINDOW)
+    columns = c.window_labels(args.window)
+    cuts, texts = report.space.rows(args.window)
+    # a space of the base's own word has the base's window, so its rows take the column labels
+    # and no row text is written
+    rows = [f"psi_{label}" for label in columns] if report.space.word == c.word else list(texts)
+    return head, (columns, rows, cuts)
 
 
-def _funcspace_text(obj, args) -> str:
-    verdict = "yes" if obj["self_isomorphic"] else f"no ({obj['reason']})"
-    lines = [f"{obj['base']}: function space {obj['order_type']}; isomorphic to base: {verdict}"]
-    lines.extend(f"note: {n}" for n in obj["notes"])
-    if "rows" in obj:
-        width = max(len(r["row"]) for r in obj["rows"])
-        lines.append("columns: " + " ".join(obj["columns"]))
-        lines.extend(f"{r['row']:<{width}} {r['bits']}" for r in obj["rows"])
+def _funcspace_bits(n: int, cuts: list[int]) -> list[str]:
+    # an open segment is an up-set, so a row with cut k is k 0s then 1s: one slice of a staircase
+    staircase = "0" * n + "1" * n
+    return [staircase[n - k:2 * n - k] for k in cuts]
+
+
+def _funcspace_text(answer, args) -> str:
+    head, table = answer
+    verdict = "yes" if head["self_isomorphic"] else f"no ({head['reason']})"
+    lines = [f"{head['base']}: function space {head['order_type']}; isomorphic to base: {verdict}"]
+    lines.extend(f"note: {n}" for n in head["notes"])
+    if table is not None:
+        columns, rows, cuts = table
+        width = max(map(len, rows))
+        lines.append("columns: " + " ".join(columns))
+        lines += [f"{row.ljust(width)} {bits}" for row, bits in zip(rows, _funcspace_bits(len(columns), cuts))]
     return "\n".join(lines)
+
+
+def _funcspace_json(args) -> str:
+    # the schema's object: its head through json.dumps, then its table joined around the labels, row
+    # texts and bits, which hold no character that JSON escapes
+    import json
+
+    head, table = _funcspace(args)
+    text = json.dumps(head, ensure_ascii=False, separators=(",", ":"))
+    if table is None:
+        return text + "\n"
+    columns, rows, cuts = table
+    cells = ",".join([f'{{"row":"{row}","bits":"{bits}"}}'
+                      for row, bits in zip(rows, _funcspace_bits(len(columns), cuts))])
+    return f'{text[:-1]},"columns":["' + '","'.join(columns) + f'"],"rows":[{cells}]}}\n'
 
 
 def _fpt(args) -> dict:
@@ -647,7 +670,7 @@ TABLE = {
     "diagram": Verb(_diagram, _diagram_text, "stage diagram in dot form", SCHEME, Opt("--depth", int, default=5),
                     dump=_diagram_json, end=""),
     "funcspace": Verb(_funcspace, _funcspace_text, "space of monotone maps into 2", Opt("--cpo"), Opt("--word"),
-                      Opt("--window", int, default=5), Opt("--table", bool)),
+                      Opt("--window", int, default=5), Opt("--table", bool), dump=_funcspace_json),
     "fpt": Verb(_fpt, _fpt_text, "fixed point of a continuous mu", "--cpo", Opt("--mu", choices=MUS, required=True)),
     "string": Group("monotypic string operations", "string_cmd", {
         "realize": Verb(_string_realize, _string_realize_text, None, "--recipe"),
@@ -808,7 +831,7 @@ def run(argv: list[str] | None = None) -> int:
         elif args.dump is not None:
             text, end = args.dump(args), ""  # a JSON writer ends its own line
         else:
-            import json  # only here: neither a text answer nor a JSON writer loads it
+            import json  # only here and in the funcspace writer: a text answer never loads it
             text, end = json.dumps(args.compute(args), ensure_ascii=False, separators=(",", ":")), "\n"
     except UsageError as e:
         return _refuse(e)

@@ -38,15 +38,17 @@ normal w, in [w -> 2]:
 
 FuncSpace.rows() gives the cut of each segment of the space's window,
 the first column of the base's window that it holds, so a `funcspace
---table` row is one slice of 0...01...1, and the segments themselves,
-built only where a row prints its segment.  It validates a piece on its
-first and last segment in the window only.  An EMPTY or BLOCK_TAIL
-piece holds one segment.  The segments of an UP_FROM piece cut one base
-block at offsets first + step * i, one run of consecutive offsets, and
-what validate_segment checks of a cut is a bound on its offset: at
-least 0 and at least the block's least open cut (_least_cut), and below
-the size of a finite block.  A run of offsets meets every such bound
-if its two ends do, so the two ends decide every row.
+--table` row is one slice of 0...01...1, and the segments' texts, written
+a piece at a time and only where a row prints its segment: an UP_FROM
+piece's text at each offset is its formula's, up(base,first + step * i),
+and an EMPTY or BLOCK_TAIL piece holds one segment, so one text.  It
+validates a piece on its first and last segment in the window only.
+The segments of an UP_FROM piece cut one base block at offsets first +
+step * i, one run of consecutive offsets, and what validate_segment
+checks of a cut is a bound on its offset: at least 0 and at least the
+block's least open cut (_least_cut), and below the size of a finite
+block.  A run of offsets meets every such bound if its two ends do, so
+the two ends decide every row.
 
 fpt() runs the classical fixed-point construction: when the base is
 isomorphic to its own function space via the positional isomorphism,
@@ -169,6 +171,17 @@ class _Piece(NamedTuple):
             return up_from(Elem(self.base, self.first + self.step * (offset - self.start)))
         return OpenSegment(self.role, block=self.base)
 
+    def cuts(self, offsets: range) -> range:
+        """The base offsets that the UP_FROM segments at these offsets of the piece cut at."""
+        return range(self.first + self.step * (offsets.start - self.start),
+                     self.first + self.step * (offsets.stop - self.start), self.step * offsets.step)
+
+    def texts(self, offsets: range) -> list[str]:
+        """`str` of the segment at each of these offsets: an EMPTY or BLOCK_TAIL piece has one text."""
+        if self.role is SegmentKind.UP_FROM:
+            return [f"up({self.base},{cut})" for cut in self.cuts(offsets)]
+        return [str(self.seg(self.start))] * len(offsets)
+
 
 class FuncSpace(NamedTuple):
     base: OrderWord  # normalized
@@ -180,9 +193,10 @@ class FuncSpace(NamedTuple):
         validate_elem(self.word, x)
         return self.pieces[bisect.bisect_right(self.keys, (x.block, x.offset)) - 1].seg(x.offset)
 
-    def rows(self, window: int) -> tuple[list[int], Iterator[OpenSegment]]:
+    def rows(self, window: int) -> tuple[list[int], Iterator[str]]:
         """The cut of each segment of the space's window, in the order of `window_elems(self.word, window)`,
-        and an iterator over those segments, which builds each one only as it is read.
+        and an iterator over those segments' texts (`str` of each), which writes a piece's texts only as
+        they are read, and builds no segment.
 
         The cut is the index of the first column of the base's window (`window_elems(self.base, window)`)
         that the segment holds: the column count for EMPTY, the start of block j's columns for
@@ -202,14 +216,15 @@ class FuncSpace(NamedTuple):
                 validate_segment(self.base, s)
             runs.append((p, offsets))
             if p.role is SegmentKind.UP_FROM:
-                lo, size = starts[p.base], starts[p.base + 1] - starts[p.base]
-                star = base[p.base].kind is AtomKind.OMEGA_STAR  # whose columns run down from offset `window`
+                lo, hi = starts[p.base], starts[p.base + 1]
+                at = p.cuts(offsets)
+                if base[p.base].kind is AtomKind.OMEGA_STAR:  # whose columns run down from offset `window`
+                    at = range(window - at.start, window - at.stop, -at.step)
                 # an omega cut run from offset 1 reaches offset window + 1, one past its block's columns
-                cuts += [lo + min(window - cut if star else cut, size)
-                         for cut in (p.first + p.step * (o - p.start) for o in offsets)]
+                cuts += [cut if cut < hi else hi for cut in range(lo + at.start, lo + at.stop, at.step)]
             else:
                 cuts += [starts[-1] if p.role is SegmentKind.EMPTY else starts[p.base]] * len(offsets)
-        return cuts, (p.seg(o) for p, offsets in runs for o in offsets)
+        return cuts, itertools.chain.from_iterable(p.texts(offsets) for p, offsets in runs)
 
     def position_of(self, s: OpenSegment) -> Elem:
         validate_segment(self.base, s)

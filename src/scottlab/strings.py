@@ -155,9 +155,10 @@ def classify(x: MonotypicString) -> StringClass:
     return StringClass(SpecKind.III, x.ones + 1)
 
 
-# the families as module names: each SpecKind.X lookup costs about 0.2 µs,
-# half of what the rest of approx_bit costs
+# the families and orientation L as module names: each SpecKind.X lookup costs
+# about 0.2 µs, half of what the rest of approx_bit costs
 _I, _II, _III, _IV = SpecKind
+_L = Orientation.L
 
 
 def _zeros(kind: SpecKind, i: int, n: int) -> int:
@@ -239,15 +240,34 @@ def lr_pair(pair: tuple[SpecifiedString, SpecifiedString]) -> tuple[SpecifiedStr
 
 def render_literal(x: MonotypicString) -> str:
     """Sample form: enough letters to fix the string, ellipsis on the open end."""
-    if x.orientation is Orientation.L:
-        if is_omega(x.zeros):
-            return "000..."
-        pad = 3 if x.zeros == 0 else 2
-        return "0" * x.zeros + "1" * pad + "..."
-    if is_omega(x.ones):
-        return "...111"
-    pad = 3 if x.ones == 0 else 2
-    return "..." + "0" * pad + "1" * x.ones
+    if x.orientation is _L:
+        return _literal(_I, 0) if x.zeros is OMEGA_MANY else _literal(_II, x.zeros)
+    return _literal(_IV, 0) if x.ones is OMEGA_MANY else _literal(_III, x.ones)
+
+
+def _literal(kind: SpecKind, c: int) -> str:
+    """The literal of family `kind`'s string at count c: three letters pad count 0, two pad the others."""
+    if kind is _I or kind is _IV:
+        return "000..." if kind is _I else "...111"
+    pad = 3 if c == 0 else 2
+    return "0" * c + "1" * pad + "..." if kind is _II else "..." + "0" * pad + "1" * c
+
+
+def render_literals(kind: SpecKind, counts) -> list[str]:
+    """`render_literal` of family `kind`'s string at each count c of a run (recipe c + 1, `realize`).
+
+    The counts ascend or descend.  Above count 0 a literal is the one at the run's top count, less
+    the top - c letters of the count: III drops ones on the right, II zeros on the left.
+    """
+    if not counts:
+        return []
+    top = counts[0] if counts[0] > counts[-1] else counts[-1]
+    text, zero = _literal(kind, top), _literal(kind, 0)
+    if kind is _III:
+        return [text[:len(text) - top + c] if c else zero for c in counts]
+    if kind is _II:
+        return [text[top - c:] if c else zero for c in counts]
+    return [text] * len(counts)
 
 
 def render_compact(x: MonotypicString) -> str:

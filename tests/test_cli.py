@@ -1,3 +1,4 @@
+import bisect
 import contextlib
 import io
 import json
@@ -13,10 +14,12 @@ import jsonschema
 import pytest
 from hypothesis import given, settings
 
-from scottlab import cli
-from scottlab.cli import MUS, SCHEMES, VERBS, build_parser, read_argv, run
-from scottlab.funcspace import Mu
+from scottlab import cli, stages
+from scottlab.catalog import all_names, named_cpo
+from scottlab.cli import MAX_TABLE_WINDOW, MUS, SCHEMES, VERBS, build_parser, read_argv, run
+from scottlab.funcspace import Mu, eval_segment, self_iso
 from scottlab.stages import MAX_EP_STAGE, MAX_PATHS_DEPTH, MAX_STAGE, Scheme, limit_paths
+from scottlab.words import parse_word, window_elems
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -295,28 +298,95 @@ def test_limit_beyond_the_recursion_limit(capsys, scheme, order_type):
 
 # the sizes of each JSON writer's oracle: small ones, the benchmark's range of diagram depths, the bounds
 WRITER_SIZES = {"diagram": [*range(2, 41), *range(89, 105), 300], "paths": [*range(2, 161), 300, 3000],
-                "stage": [*range(1, 301), MAX_STAGE]}
+                "stage": [*range(1, 301), MAX_STAGE], "funcspace": [*range(41), 93, MAX_TABLE_WINDOW]}
 WRITER_CASES = [(verb, scheme) for verb in ("diagram", "paths") for scheme in SCHEMES] + [
-    pytest.param("stage", None, id="stage")]
+    pytest.param("stage", None, id="stage"), pytest.param("funcspace", None, id="funcspace")]
+# funcspace --word without --table: its object is the verdict alone
+VERDICT_WORDS = ["1", "3", "w", "w*", "w+1", "1+w*", "w+1+w*", "w+2+w*", "2+w*+w+2", "w*+1+w"]
+
+
+def _funcspace_table_object(name, window):
+    """`funcspace --cpo name --window window --table`'s object, from one to_label per column and one segment_at
+    per row, each row's cut found by bisection on its monotone eval_segment over the columns."""
+    c = named_cpo(name)
+    report = self_iso(c.word)
+    space = report.space
+    cols = window_elems(c.word, window)
+    columns = [c.to_label(x) for x in cols]
+    rows = []
+    for pos in window_elems(space.word, window):
+        seg = space.segment_at(pos)
+        k = bisect.bisect_left(range(len(cols)), 1, key=lambda i: eval_segment(c.word, seg, cols[i]))
+        row = f"psi_{c.to_label(pos)}" if space.word == c.word else str(seg)
+        rows.append({"row": row, "bits": "0" * k + "1" * (len(cols) - k)})
+    return {"base": name, "order_type": str(space.word), "self_isomorphic": report.is_iso,
+            "reason": report.reason, "notes": list(report.notes), "columns": columns, "rows": rows}
+
+
+def _writer_cases(verb, scheme):
+    """Each argv of a JSON writer's oracle and its object, or None where the verb's compute returns it."""
+    if verb == "funcspace":
+        for word in VERDICT_WORDS:
+            report = self_iso(parse_word(word))
+            yield ["funcspace", "--word", word], {
+                "base": str(parse_word(word)), "order_type": str(report.space.word),
+                "self_isomorphic": report.is_iso, "reason": report.reason, "notes": list(report.notes)}
+        for name in all_names():
+            for size in WRITER_SIZES[verb]:
+                yield (["funcspace", "--cpo", name, "--window", str(size), "--table"],
+                       _funcspace_table_object(name, size))
+        return
+    for size in WRITER_SIZES[verb]:
+        if verb == "stage":
+            yield ["stage", "--n", str(size)], None
+        elif verb == "paths":
+            yield [verb, "--scheme", scheme, "--depth", str(size)], {
+                "scheme": scheme, "depth": size,
+                "paths": [{"entries": list(p.entries), "label": p.label} for p in limit_paths(Scheme(scheme), size)]}
+        else:
+            yield [verb, "--scheme", scheme, "--depth", str(size)], None
 
 
 @pytest.mark.parametrize(("verb", "scheme"), WRITER_CASES)
 def test_a_json_writer_prints_the_dump_of_its_object(capsys, verb, scheme):
-    """`paths`, `diagram` and `stage` write their JSON text themselves; it is json.dumps of the verb's object.
+    """`paths`, `diagram`, `stage` and `funcspace` write their JSON text themselves; it is json.dumps of the
+    verb's object.
 
     `diagram`'s and `stage`'s compute return their objects; `paths`' returns row texts, so its object is built
-    from limit_paths.
+    from limit_paths, and `funcspace`'s returns its head and its table's texts and cuts, so its object is built
+    from the layers, a label per column and a segment per row.
     """
-    for size in WRITER_SIZES[verb]:
-        argv = ["stage", "--n", str(size)] if verb == "stage" else [verb, "--scheme", scheme, "--depth", str(size)]
-        if verb == "paths":
-            obj = {"scheme": scheme, "depth": size, "paths": [{"entries": list(p.entries), "label": p.label}
-                                                               for p in limit_paths(Scheme(scheme), size)]}
-        else:
+    for argv, obj in _writer_cases(verb, scheme):
+        if obj is None:
             args = build_parser(verb).parse_args(argv)
             obj = args.compute(args)
         expected = json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
-        assert _run(capsys, argv + ["--format", "json"]) == (0, expected, ""), size
+        assert _run(capsys, argv + ["--format", "json"]) == (0, expected, ""), argv
+
+
+@pytest.mark.parametrize("name", all_names())
+def test_table_labels_and_row_texts_need_no_json_escape(name):
+    """The funcspace writer joins the column labels and row texts into its JSON as they are, and the bits
+    are 0s and 1s: no label or row text holds a character that JSON escapes."""
+    c = named_cpo(name)
+    space = self_iso(c.word).space
+    for window in [*range(61), MAX_TABLE_WINDOW]:
+        texts = {*c.window_labels(window), *space.rows(window)[1]}
+        assert all(json.dumps(t, ensure_ascii=False) == f'"{t}"' for t in texts), window
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_ep_checks_its_laws_only_where_it_prints_them(monkeypatch, capsys, scheme):
+    """Text `ep` prints the laws only with --check; the JSON object always carries them."""
+    calls = []
+    monkeypatch.setattr(stages, "check_ep_laws", lambda pair, _fn=stages.check_ep_laws: calls.append(pair) or _fn(pair))
+    for extra, expected in (([], 0), (["--check"], 1), (["--format", "json"], 1),
+                            (["--check", "--format", "json"], 1)):
+        calls.clear()
+        code, out, err = _run(capsys, ["ep", "--scheme", scheme, "--n", "7", *extra])
+        assert (code, err) == (0, ""), extra
+        assert len(calls) == expected, extra
+        assert ("laws" in out) == bool(expected), extra
 
 
 def per_entry_ep_text(obj, check):

@@ -101,20 +101,31 @@ def test_finite_chain_space_matches_brute_force(k):
 
 
 def _per_cell_rows(w, space, window):
-    """Each segment of the space's window and its row, one eval_segment per cell."""
+    """The text of each segment of the space's window and its row, one eval_segment per cell."""
     cols = window_elems(w, window)
     segs = [space.segment_at(pos) for pos in window_elems(space.word, window)]
-    return [(seg, "".join(str(eval_segment(w, seg, x)) for x in cols)) for seg in segs]
+    return [(str(seg), "".join(str(eval_segment(w, seg, x)) for x in cols)) for seg in segs]
 
 
 def _cut_rows(rows, n):
-    cuts, segs = rows
-    return [(seg, "0" * k + "1" * (n - k)) for seg, k in zip(segs, cuts, strict=True)]
+    cuts, texts = rows
+    return [(text, "0" * k + "1" * (n - k)) for text, k in zip(texts, cuts, strict=True)]
+
+
+def _segment_of(text):
+    """The segment whose `str` is this row text."""
+    if text == "empty":
+        return EMPTY_SEGMENT
+    kind, _, numbers = text.partition("(")
+    numbers = [int(n) for n in numbers.removesuffix(")").split(",")]
+    seg = up_from(Elem(*numbers)) if kind == "up" else block_tail(*numbers)
+    assert str(seg) == text
+    return seg
 
 
 @pytest.mark.parametrize("name", all_names())
 def test_table_cuts_match_the_per_cell_rows(name):
-    """Each row's segment and cut, from its piece, against the brute force: one eval_segment per cell."""
+    """Each row's text and cut, from its piece, against the brute force: one eval_segment per cell."""
     w = named_cpo(name).word
     space = scott_opens(w)
     for window in range(31):
@@ -140,10 +151,30 @@ def test_table_cuts_match_the_per_cell_rows_beyond_the_catalogue(word):
        hs.integers(0, 40))
 def test_every_table_row_is_a_valid_segment(word, window):
     space = scott_opens(word)
-    cuts, segs = space.rows(window)
-    for seg, k in zip(segs, cuts, strict=True):
-        validate_segment(space.base, seg)
+    cuts, texts = space.rows(window)
+    for text, k in zip(texts, cuts, strict=True):
+        validate_segment(space.base, _segment_of(text))
         assert 0 <= k <= len(window_elems(space.base, window))
+
+
+def _row_texts_match_the_segments(space, window):
+    """The row texts of the window, written a piece at a time, are `str` of one segment_at per position."""
+    texts = list(space.rows(window)[1])
+    assert texts == [str(space.segment_at(pos)) for pos in window_elems(space.word, window)], window
+
+
+@pytest.mark.parametrize("name", all_names())
+def test_row_texts_are_the_segments_of_the_window(name):
+    space = scott_opens(named_cpo(name).word)
+    for window in [*range(31), cli.MAX_TABLE_WINDOW]:
+        _row_texts_match_the_segments(space, window)
+
+
+@given(small_words)
+def test_row_texts_are_the_segments_of_the_window_beyond_the_catalogue(word):
+    space = scott_opens(word)
+    for window in [*range(31), cli.MAX_TABLE_WINDOW]:
+        _row_texts_match_the_segments(space, window)
 
 
 def test_the_table_validates_each_piece_at_its_two_ends_and_evaluates_no_cell(monkeypatch, capsys):
@@ -159,19 +190,17 @@ def test_the_table_validates_each_piece_at_its_two_ends_and_evaluates_no_cell(mo
     assert 0 < calls["validate_segment"] <= 2 * len(scott_opens(named_cpo("v").word).pieces)
 
 
-@pytest.mark.parametrize("name", ["lambda", "lambda_prime", "lambda_hat_prime", "v"])
+@pytest.mark.parametrize("name", all_names())
 def test_the_table_builds_a_row_segment_only_where_it_prints_it(monkeypatch, capsys, name):
-    """A space of the base's own word takes the column labels, so its rows build no segment past
-    the two ends of each piece that are validated; v's rows print theirs."""
+    """A row is written from its piece's formula, not from a segment, so the table builds no segment past
+    the two ends of each piece that are validated, also where the rows print their segments, as v's do."""
     calls = Counter()
     monkeypatch.setattr(funcspace, "up_from", lambda x, _fn=funcspace.up_from: calls.update([x]) or _fn(x))
-    assert run(["funcspace", "--cpo", name, "--window", "93", "--table", "--format", "json"]) == 0
-    rows = json.loads(capsys.readouterr().out)["rows"]
-    space = scott_opens(named_cpo(name).word)
-    if space.word == space.base:
-        assert sum(calls.values()) <= 2 * len(space.pieces)
-    else:
-        assert sum(calls.values()) >= len(rows) - len(space.pieces)
+    for fmt in ("text", "json"):
+        calls.clear()
+        assert run(["funcspace", "--cpo", name, "--window", "93", "--table", "--format", fmt]) == 0
+        assert capsys.readouterr().out
+        assert sum(calls.values()) <= 2 * len(scott_opens(named_cpo(name).word).pieces), fmt
 
 
 @pytest.mark.parametrize("argv", [["funcspace", "--cpo", "v", "--table"], ["funcspace", "--cpo", "v"]],

@@ -201,6 +201,26 @@ def test_render_pads_are_canonical():
     assert st.render_literal(st.parse_literal("00111...")) == "0011..."
 
 
+def _padded_literal(kind, c):
+    """The literal of family `kind` at count c, written out: a 0 count pads with three letters, others with two."""
+    pad = 3 if c == 0 else 2
+    return {st.SpecKind.I: "000...", st.SpecKind.II: "0" * c + "1" * pad + "...",
+            st.SpecKind.III: "..." + "0" * pad + "1" * c, st.SpecKind.IV: "...111"}[kind]
+
+
+@pytest.mark.parametrize("kind", list(st.SpecKind))
+def test_a_run_of_literals_is_each_count_rendered_alone(kind):
+    """render_literals at counts of one run, ascending (omega runs) or descending (omega* runs), against one
+    render_literal per count and the written-out literal; from 0 and from the middle, up to 300, and at
+    MAX_RECIPE_INDEX - 1."""
+    top = st.MAX_RECIPE_INDEX - 1
+    runs = [range(lo, 301) for lo in (0, 1, 2, 150, 300)] + [range(top - 3, top + 1), range(top, top + 1)]
+    for run in [*runs, *(r[::-1] for r in runs), range(0)]:
+        expected = [st.render_literal(st.realize(st.SpecifiedString(kind, c + 1))) for c in run]
+        assert st.render_literals(kind, run) == expected, run
+        assert expected == [_padded_literal(kind, c) for c in run], run
+
+
 def test_parse_rejects_junk_literals():
     for bad in ["", "01", "0101...", "...", "0...1", "...10", "2...", "..01"]:
         with pytest.raises(BadLiteral):

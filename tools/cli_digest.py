@@ -92,11 +92,12 @@ def grid() -> dict[str, list[list[str]]]:
         "limit": [["limit", "--scheme", s, "--depth", str(d)]
                   for s in ("standard", "alternative") for d in [*range(71), 999, 1000, 10**6, 10**6 + 1]],
         "fpt": [["fpt", "--cpo", c, "--mu", mu] for c in ORDERS for mu in ("const0", "const1", "id")],
-        # and the tables of the composite orders at the benchmark's window, at the bound and past it
+        # and every order's table at the benchmark's window, at the bound and past it, and two refusals
         "funcspace": [["funcspace", "--cpo", c, "--table", "--window", str(w)] for c in ORDERS for w in range(31)]
-        + [["funcspace", "--cpo", c, "--table", "--window", str(w)] for c in COMPOSITES for w in (93, 1000, 1001)]
+        + [["funcspace", "--cpo", c, "--table", "--window", str(w)] for c in ORDERS for w in (93, 1000, 1001)]
         + [["funcspace", "--word", "+".join(atoms)] for n in range(1, 6)
-           for atoms in itertools.product(ATOMS, repeat=n) if _normal(atoms)],
+           for atoms in itertools.product(ATOMS, repeat=n) if _normal(atoms)]
+        + [["funcspace", "--word", "w+1", "--table"], ["funcspace", "--cpo", "v", "--word", "w"]],
         "adjunction": [["adjunction", "--cpo", c, "--window", str(w)] for c in COMPOSITES for w in WINDOWS],
         # and spellings that only argparse reads (an abbreviation), or that both read: --opt=value, a repeat
         "boundary": [["boundary", "--cpo", c, "--window", str(w)] for c in GLUED for w in WINDOWS]
