@@ -172,6 +172,14 @@ def stack_key(layer: Layer, c: int) -> tuple[int, int]:
     return STACK.index(layer), (-c if layer.atom.kind is AtomKind.OMEGA_STAR else c)
 
 
+def window_end_keys(layer: Layer, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """`stack_key` of the layer's first and last count in its window up to n, its least and greatest keys there."""
+    i = STACK.index(layer)
+    if layer.atom.kind is AtomKind.OMEGA_STAR:
+        return (i, -n), (i, 0)
+    return (i, 0), (i, n if layer.atom.kind is AtomKind.OMEGA else layer.atom.size - 1)
+
+
 class Half(NamedTuple):
     """Consecutive stack layers; a pair half pins the left or right end."""
 
@@ -215,6 +223,24 @@ class _Run(NamedTuple):
     step: int    # count c sits at offset first + step * (c - start)
 
 
+class Dual(NamedTuple):
+    """An element of a half and its dual: where they sort, and which halves hold the dual (`NamedCpo.duals`).
+
+    `forms` are the two sort keys, in the order or, where the halves hold strings, in the whole stack, as forms
+    (block, a, k), whose key at count c is (block, a + k·c); `keys` are the two keys at the element's own count.
+    Both are None where the order does not hold both elements.  `holders` tells, per half, whether it holds the dual.
+    """
+
+    forms: tuple[tuple[int, int, int], tuple[int, int, int]] | None
+    keys: tuple[tuple[int, int], tuple[int, int]] | None
+    holders: tuple[bool, ...]
+
+    def keys_at(self, c: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The two keys at count c, for an element at c held by the runs of `forms`."""
+        (b, a, k), (ob, oa, ok) = self.forms
+        return (b, a + k * c), (ob, oa + ok * c)
+
+
 class NamedCpo:
     """A catalogued order: one half, or a lower half under an upper half."""
 
@@ -224,8 +250,9 @@ class NamedCpo:
         self.halves = halves
         self.literal = literal  # elements print as string or pair literals
         self.bare = bare        # elements are numerals only, not strings
-        # what `free` reads beside `pins`: tuples, whose `in` finds the same Layer object without hashing it
-        self._layers = tuple(h.layers for h in halves)
+        # each half's layers, as `free` reads them beside `pins`: tuples, whose `in` finds the same Layer object
+        # without hashing it
+        self.layers = tuple(h.layers for h in halves)
         blocks = [(i, layer, style, 0) for i, h in enumerate(halves) for layer, style in h.blocks]
         self.boundary = self.spelled_boundary = None  # the boundary's ends, and the boundary spelled for reports
         if glued:
@@ -272,9 +299,9 @@ class NamedCpo:
         """
         side, at = self.pins[i]
         end = ends[1 - side]
-        return end if ends[side] == at and end and end[0] in self._layers[i] else None
+        return end if ends[side] == at and end and end[0] in self.layers[i] else None
 
-    @property
+    @cached_property
     def settle(self) -> int:
         """The least count from which on every layer is uniform.
 
@@ -284,6 +311,36 @@ class NamedCpo:
         held by one run for all c, at position (block, ±(first + step·(c − start))).
         """
         return 1 + max([r.start for r in self._runs] + [at[1] for _, at in self.pins if at is not None])
+
+    @cached_property
+    def duals(self) -> tuple[tuple[tuple[Dual, ...], ...], ...]:
+        """Per half, per layer: where the element at each count and its dual lie, whatever the window.
+
+        Entry c of a layer is the `Dual` of the element at count c: for every count of a finite layer, and for
+        an omega or omega* layer for the counts below `settle` and for settle, whose entry holds for every
+        count from it on.
+        """
+        return tuple(tuple(tuple(self._dual(self.ends_at(i, layer, c), c) for c in range(
+            layer.atom.size if layer.atom.kind is AtomKind.FIN else self.settle + 1)) for layer in h.layers)
+            for i, h in enumerate(self.halves))
+
+    def _dual(self, ends: tuple, c: int) -> Dual:
+        dual = opp_ends(ends)
+        holders = tuple(self.free(i, dual) is not None for i in range(len(self.halves)))
+        try:
+            forms = self._form(ends), self._form(dual)
+        except BadElement:
+            return Dual(None, None, holders)
+        entry = Dual(forms, None, holders)
+        return entry._replace(keys=entry.keys_at(c))
+
+    def _form(self, ends: tuple) -> tuple[int, int, int]:
+        if self.pins[0][1] is None:
+            layer = ends[1][0]
+            return STACK.index(layer), 0, (-1 if layer.atom.kind is AtomKind.OMEGA_STAR else 1)
+        run, _ = self.locate(ends)
+        sign = -1 if self.word.atoms[run.block].kind is AtomKind.OMEGA_STAR else 1
+        return run.block, sign * (run.first - run.step * run.start), sign * run.step
 
     def _elem(self, run: _Run, c: int) -> Elem:
         return Elem(run.block, run.first + run.step * (c - run.start))
@@ -304,11 +361,6 @@ class NamedCpo:
             if run and free[1] >= run.start:
                 return run, free[1]
         raise BadElement(f"{spell(ends)} is not an element of {self.name.value}")
-
-    def key(self, run: _Run, c: int) -> tuple[int, int]:
-        """Sort key of the element at count c of a run: `rank_key` of its Elem, which is not built."""
-        offset = run.first + run.step * (c - run.start)
-        return run.block, (-offset if self.word.atoms[run.block].kind is AtomKind.OMEGA_STAR else offset)
 
     def element(self, ends: tuple) -> Elem:
         """The element at these ends."""

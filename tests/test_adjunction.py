@@ -1,3 +1,5 @@
+import itertools
+
 import hypothesis.strategies as hs
 import pytest
 from hypothesis import given
@@ -10,19 +12,21 @@ from scottlab.adjunction import (
     OMEGA_PRIME_OPP_HALF,
     XI_HALF,
     XI_OPP_HALF,
+    _relations,
     boundary_report,
     build_pair_cpo,
     check_adjunction,
     opp_element,
 )
-from scottlab.catalog import (ALL_ONES, ALL_ZEROS, L_STRINGS, R_STRINGS, CpoName, Half, NamedCpo, all_names, ends_of,
-                              named_cpo)
+from scottlab.catalog import (ALL_ONES, ALL_ZEROS, L_STRINGS, R_STRINGS, CpoName, Half, Layer, NamedCpo, all_names,
+                              ends_of, named_cpo)
 from scottlab.cli import run
 from scottlab.errors import BadElement, UnknownCpo
+from scottlab.words import OMEGA, OMEGA_STAR, AtomKind, OrderWord
 
 # the window scans these verdicts replaced, kept as their oracle
-from window_scan import (COMPOSITE, OUTPUTS, golden_at_window, held_string, holds, scan_adjunction, scan_boundary,
-                         stack_rank)
+from window_scan import (COMPOSITE, OUTPUTS, corner_adjunction, golden_at_window, held_string, holds, scan_adjunction,
+                         scan_boundary, stack_rank)
 
 
 def test_boundary_constants():
@@ -138,7 +142,7 @@ WINDOWS = range(61)
 def test_decided_adjunction_equals_the_scan(name):
     cpo = named_cpo(name)
     for w in WINDOWS:
-        assert check_adjunction(name, w) == scan_adjunction(cpo, w), w
+        assert check_adjunction(name, w) == scan_adjunction(cpo, w) == corner_adjunction(cpo, w), w
 
 
 @pytest.mark.parametrize("name", COMPOSITE, ids=[n.value for n in COMPOSITE])
@@ -170,6 +174,17 @@ def _swapped(half):
     return half._replace(blocks=half.blocks[::-1])
 
 
+def _turned(cpo, block):
+    """The order with one infinite block of its word turned around, omega <-> omega*, its runs kept.
+
+    Its elements then run the other way, so opp may keep the direction of two runs it exchanges.
+    """
+    atoms = list(cpo.word.atoms)
+    atoms[block] = OMEGA_STAR if atoms[block].kind is AtomKind.OMEGA else OMEGA
+    cpo.word = OrderWord(tuple(atoms))
+    return cpo
+
+
 PRIME_LOW, PRIME_UP = named_cpo("lambda_prime").halves
 HAT_LOW, HAT_UP = named_cpo("lambda_hat_prime").halves
 V_LOW, V_UP = named_cpo("v").halves
@@ -192,6 +207,24 @@ BROKEN = [
     ("lambda_hat_prime, pinned end of the upper half dropped",
      _rebuilt("lambda_hat_prime", upper=HAT_UP._replace(right=None))),
     ("v, glued start moved up", _with_start(_rebuilt("v"), L_STRINGS, 3)),
+]
+
+# orders whose first failure of (3), from window 2 on, is decided by one class of pairs (see the adjunction
+# module docstring): (class, order, witness at window 3); "finite" pairs a count below settle with a class
+CLASS_DECIDED = [
+    ("finite", _rebuilt("lambda_hat_prime", lower=HAT_LOW._replace(blocks=((L_STRINGS, "n'"), (ALL_ONES, "m"))),
+                        upper=HAT_UP._replace(blocks=((R_STRINGS, "n"), (ALL_ZEROS, "m")))),
+     "(000..., 00011...), (000..., ...111)"),
+    ("c = d", _rebuilt("lambda_hat_prime",
+                       lower=HAT_LOW._replace(blocks=((L_STRINGS, "n'"), (R_STRINGS, "n"), (ALL_ONES, "m"))),
+                       upper=HAT_UP._replace(blocks=((R_STRINGS, "n"), (L_STRINGS, "n'"), (ALL_ZEROS, "m")))),
+     "(000..., 00011...), (00011..., ...111)"),
+    ("c < d", _turned(NamedCpo(CpoName.V, (Half("r", ((R_STRINGS, "n"),), left=st.ALL_ONES_L),
+                                           Half("l", ((L_STRINGS, "n'"),), right=st.ALL_ZEROS_R))), 0),
+     "(111..., ...001), (00011..., ...000)"),
+    ("c > d", _turned(NamedCpo(CpoName.V, (V_LOW._replace(blocks=V_LOW.blocks[1:]),
+                                           V_UP._replace(blocks=V_UP.blocks[:1]))), 1),
+     "(...000, 00011...), (...001, 111...)"),
 ]
 
 
@@ -223,12 +256,42 @@ def test_mutated_glued_orders_report_the_boundary_as_the_scan_does(mutation, cpo
 def test_mutated_halves_fail_as_the_scan_does(mutation, cpo, failing):
     for w in range(31):
         report = check_adjunction(cpo, w)
-        assert report == scan_adjunction(cpo, w), w
+        assert report == scan_adjunction(cpo, w) == corner_adjunction(cpo, w), w
         assert {c.index for c in report.conditions if not c.passed} == failing
 
 
 def test_every_condition_fails_under_some_mutation():
     assert set().union(*(failing for _, _, failing in MUTATED)) == {1, 2, 3}
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_each_relation_is_stood_for_by_its_first_pair_in_scan_order(s):
+    """_relations against a scan of two classes of counts s..w, in each pair of directions.
+
+    Each relation between c and d that the two classes allow is given by its first pair in scan order,
+    x then y, and is decided at a pair of counts s + i and s + j in the same relation.
+    """
+    for w in range(s, s + 5):
+        for dx, dy in itertools.product((1, -1), repeat=2):
+            xs, ys = range(s, w + 1)[::dx], range(s, w + 1)[::dy]
+            firsts = {}
+            for c, d in itertools.product(xs, ys):
+                firsts.setdefault((c > d) - (c < d), (c, d))
+            got = {}
+            for (c, d), i, j in _relations(xs[0], dy, s, w):
+                assert (i > j) - (i < j) == (c > d) - (c < d)
+                got[(c > d) - (c < d)] = (c, d)
+            assert got == firsts, (w, dx, dy)
+
+
+@pytest.mark.parametrize(("decider", "cpo", "witness"), CLASS_DECIDED, ids=[m[0] for m in CLASS_DECIDED])
+def test_each_class_decides_a_first_failure_as_the_scans_do(decider, cpo, witness):
+    """Each class of pairs, the finite part and the relations c = d, c < d and c > d, gives some order's witness."""
+    for w in range(31):
+        report = check_adjunction(cpo, w)
+        assert report == scan_adjunction(cpo, w) == corner_adjunction(cpo, w), w
+        assert [c.passed for c in report.conditions[:2]] == [True, True]
+    assert check_adjunction(cpo, 3).conditions[2].witness == witness
 
 
 def test_an_omega_star_witness_spells_out_the_window():
@@ -254,7 +317,7 @@ def mutated_orders(draw):
     name = draw(hs.sampled_from(COMPOSITE))
     halves = list(named_cpo(name).halves)
     i = draw(hs.integers(0, 1))
-    kind = draw(hs.sampled_from(["swap", "layer", "pin", "start"]))
+    kind = draw(hs.sampled_from(["swap", "layer", "pin", "start", "turn"]))
     if kind == "swap":
         halves[i] = _swapped(halves[i])
     elif kind == "layer":
@@ -267,6 +330,8 @@ def mutated_orders(draw):
     cpo = _rebuilt(name, *halves)
     if kind == "start":
         cpo = _with_start(cpo, draw(hs.sampled_from([layer for layer, _ in halves[i].blocks])), draw(hs.integers(0, 3)))
+    if kind == "turn":
+        cpo = _turned(cpo, draw(hs.sampled_from([j for j, a in enumerate(cpo.word.atoms) if a.kind is not AtomKind.FIN])))
     return cpo
 
 
@@ -280,7 +345,7 @@ def _outcome(check, cpo, w):
 
 @given(mutated_orders(), hs.integers(0, 40))
 def test_any_mutated_pairing_is_decided_as_the_scan_decides(cpo, w):
-    assert _outcome(check_adjunction, cpo, w) == _outcome(scan_adjunction, cpo, w)
+    assert _outcome(check_adjunction, cpo, w) == _outcome(scan_adjunction, cpo, w) == _outcome(corner_adjunction, cpo, w)
 
 
 @pytest.mark.parametrize(("mutation", "cpo"), BROKEN, ids=[m[0] for m in BROKEN])
@@ -288,9 +353,11 @@ def test_broken_mutations_raise_as_the_scan_does(mutation, cpo):
     for w in (1, 5, 30):  # from window 1 on, the scan meets the missing element
         with pytest.raises(BadElement) as scanned:
             scan_adjunction(cpo, w)
+        with pytest.raises(BadElement) as cornered:
+            corner_adjunction(cpo, w)
         with pytest.raises(BadElement) as decided:
             check_adjunction(cpo, w)
-        assert str(decided.value) == str(scanned.value)
+        assert str(decided.value) == str(scanned.value) == str(cornered.value)
 
 
 @pytest.mark.parametrize("name", ["lambda_hat_prime", "v"])
@@ -303,13 +370,26 @@ def test_string_half_under_a_pair_half_is_a_usage_error(name):
             check_adjunction(cpo, w)
 
 
-def test_the_work_does_not_grow_with_the_window(work_count):
-    """The same work at any window, and no string read back: elements are located by their ends."""
+# `locate` calls per check_adjunction once an order is warm, as the corner scan made them
+CORNER_LOCATES = {CpoName.LAMBDA: 0, CpoName.LAMBDA_PRIME: 0, CpoName.LAMBDA_HAT_PRIME: 12, CpoName.V: 16}
+
+
+def test_the_work_does_not_grow_with_the_window(work_count, monkeypatch):
+    """The same work at any window, and no string read back: elements are located by their ends.
+
+    check_adjunction locates no more than the corner scan did, and boundary_report reads each layer's
+    window ends without listing its corners.
+    """
+    corners = []
+    monkeypatch.setattr(Layer, "corners", lambda *args: corners.append(args))
     for call, names in ((check_adjunction, COMPOSITE), (boundary_report, ("lambda_hat_prime", "v"))):
         for name in names:
             counts = work_count(lambda: call(name, 20))
             assert counts == work_count(lambda: call(name, 10**9))
             assert counts["classify"] == 0
+            if call is check_adjunction:
+                assert counts["locate"] <= CORNER_LOCATES[name]
+    assert corners == []
 
 
 def _golden(argv, fmt, window):

@@ -7,7 +7,7 @@ from scottlab import strings as st
 from scottlab.catalog import (ALL_ONES, ALL_ZEROS, CHAIN_2, L_STRINGS, MAX_CHAIN_WINDOW, MAX_LITERAL_WINDOW, R_STRINGS,
                               CpoName, Half, Layer, NamedCpo, all_names, ends_of, named_cpo, stack_key)
 from scottlab.errors import BadDepth
-from scottlab.words import Ordering, compare, window_elems, window_offsets
+from scottlab.words import Ordering, compare, rank_key, window_elems, window_offsets
 
 strings = hs.builds(
     lambda kind, i: st.realize(st.SpecifiedString(kind, i)),
@@ -82,7 +82,7 @@ def test_an_absorbed_finite_layer_counts_up_from_its_bottom():
     strung = NamedCpo(CpoName.TWO, (Half("t", ((L_STRINGS, "n'"), (ALL_ZEROS, "z"), (ALL_ONES, "o"))),))
     held = [ends_of(st.ALL_ZEROS_L), ends_of(st.ALL_ONES_R)]
     assert [strung.to_label(strung.element(ends)) for ends in held] == ["z", "o"]
-    assert [strung.key(*strung.locate(ends)) for ends in held] == [(0, -1), (0, 0)]
+    assert [rank_key(strung.word, strung.element(ends)) for ends in held] == [(0, -1), (0, 0)]
 
 
 # the per-layer string constructors the catalogue wrote out before each layer named its family

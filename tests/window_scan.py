@@ -2,12 +2,15 @@
 
 They walk every count up to the window, in O(w^2) pairs for condition
 (3), and serve as the oracle for the decided verdicts: for every window,
-the decided report must equal the scan's.
+the decided report must equal the scan's.  `corner_adjunction` is the
+corner scan that came between the two: it compares (3) at every pair of
+counts within settle + 2 of a layer's window ends.
 """
 
 import json
 import re
 from pathlib import Path
+from typing import Iterator
 
 from scottlab import strings as st
 from scottlab.adjunction import (
@@ -18,7 +21,7 @@ from scottlab.adjunction import (
     _check_shapes,
     opp_element,
 )
-from scottlab.catalog import CpoName, Half, NamedCpo, ends_of, named_cpo, spell, stack_key
+from scottlab.catalog import CpoName, Half, Layer, NamedCpo, ends_of, named_cpo, opp_ends, spell, stack_key
 from scottlab.errors import UnknownCpo
 from scottlab.funcspace import self_iso
 from scottlab.replication import (
@@ -32,7 +35,7 @@ from scottlab.replication import (
     lcr_forward,
     replicate,
 )
-from scottlab.words import iso, neighbors
+from scottlab.words import check_window, iso, neighbors, rank_key
 
 COMPOSITE = (CpoName.LAMBDA, CpoName.LAMBDA_PRIME, CpoName.LAMBDA_HAT_PRIME, CpoName.V)
 GOLDEN = Path(__file__).parent / "golden"
@@ -84,7 +87,7 @@ def scan_adjunction(cpo: NamedCpo, window: int) -> AdjunctionReport:
 
     c1 = next((x for x, ox in zip(xs, oxs) if not holds(b_half, ox)), None)
     c2 = next((y for y, oy in zip(ys, oys) if not holds(a_half, oy)), None)
-    position = (lambda x: cpo.key(*cpo.locate(ends_of(x)))) if pinned(a_half) else stack_rank
+    position = (lambda x: rank_key(cpo.word, cpo.element(ends_of(x)))) if pinned(a_half) else stack_rank
     px = [(position(x), position(ox)) for x, ox in zip(xs, oxs)]
     py = [(position(y), position(oy)) for y, oy in zip(ys, oys)]
     c3 = next((f"{x}, {y}" for x, (x_at, ox_at) in zip(xs, px) for y, (y_at, oy_at) in zip(ys, py)
@@ -95,6 +98,53 @@ def scan_adjunction(cpo: NamedCpo, window: int) -> AdjunctionReport:
         ConditionReport(3, c3 is None, c3),
     )
     return AdjunctionReport(cpo.name, a_half.name, b_half.name, window, conds,
+                            all(c.passed for c in conds))
+
+
+def corner_first_outside(cpo: NamedCpo, i: int, window: int) -> str | None:
+    """The first element of half i's window whose dual the other half does not hold, spelled, per layer."""
+    for layer in cpo.halves[i].layers:
+        c = layer.corners(window, 0)[0]
+        if cpo.free(1 - i, opp_ends(cpo.ends_at(i, layer, c))) is None:
+            return str(cpo.halves[i].spelled(layer, c))
+    return None
+
+
+def corner_keys(cpo: NamedCpo, i: int, window: int) -> Iterator[tuple[Layer, int, tuple, tuple]]:
+    """Half i's corners in window order: (layer, count, the element's sort key, its dual's).
+
+    Keys are taken in the order, or for strings in the whole stack.  From `settle` on, an element and its
+    dual each lie in one run whatever the count, so a layer's runs are located below it and at its first count.
+    """
+    settle = cpo.settle
+    place, key = ((cpo.locate, lambda run, c: rank_key(cpo.word, cpo._elem(run, c))) if cpo.pins[0][1] is not None
+                  else ((lambda ends: ends[1]), stack_key))
+    for layer in cpo.halves[i].layers:
+        runs = None
+        for c in layer.corners(window, settle + 2):
+            if c < settle or runs is None:
+                x = cpo.ends_at(i, layer, c)
+                (run, cx), (orun, co) = place(x), place(opp_ends(x))
+                runs = (run, orun) if c >= settle else None
+            else:
+                (run, orun), cx, co = runs, c, c
+            yield layer, c, key(run, cx), key(orun, co)
+
+
+def corner_adjunction(cpo: NamedCpo, window: int) -> AdjunctionReport:
+    """The three conditions, with (3) compared at every pair of corners, the counts within settle + 2 of a
+    layer's window ends: a failing pair farther in keeps failing when moved one count towards the scan's start."""
+    check_window(window)
+    if len(cpo.halves) != 2 or cpo.bare:
+        raise UnknownCpo(f"no half pairing attached to {cpo.name.value}")
+    _check_shapes(cpo)
+    xs, ys = list(corner_keys(cpo, 0, window)), list(corner_keys(cpo, 1, window))
+    c3 = next((f"{cpo.halves[0].spelled(lx, cx)}, {cpo.halves[1].spelled(ly, cy)}"
+               for lx, cx, x_at, ox_at in xs for ly, cy, y_at, oy_at in ys
+               if (x_at <= oy_at) != (y_at <= ox_at)), None)
+    conds = tuple(ConditionReport(k, c is None, c) for k, c in enumerate(
+        (corner_first_outside(cpo, 0, window), corner_first_outside(cpo, 1, window), c3), 1))
+    return AdjunctionReport(cpo.name, cpo.halves[0].name, cpo.halves[1].name, window, conds,
                             all(c.passed for c in conds))
 
 

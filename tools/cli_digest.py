@@ -98,9 +98,12 @@ def grid() -> dict[str, list[list[str]]]:
         + [["funcspace", "--word", "+".join(atoms)] for n in range(1, 6)
            for atoms in itertools.product(ATOMS, repeat=n) if _normal(atoms)]
         + [["funcspace", "--word", "w+1", "--table"], ["funcspace", "--cpo", "v", "--word", "w"]],
-        "adjunction": [["adjunction", "--cpo", c, "--window", str(w)] for c in COMPOSITES for w in WINDOWS],
+        # and the benchmark's four adjunction windows on every composite (table8's 58 and pipeline's 56
+        # lie in WINDOWS); boundary also at the ends of the benchmark's cheap windows
+        "adjunction": [["adjunction", "--cpo", c, "--window", str(w)] for c in COMPOSITES
+                       for w in [*WINDOWS, 99, 100, 145, 150]],
         # and spellings that only argparse reads (an abbreviation), or that both read: --opt=value, a repeat
-        "boundary": [["boundary", "--cpo", c, "--window", str(w)] for c in GLUED for w in WINDOWS]
+        "boundary": [["boundary", "--cpo", c, "--window", str(w)] for c in GLUED for w in [*WINDOWS, 100, 160]]
         + [["boundary", "--cpo", "v", "--win", "7"], ["boundary", "--cpo=v", "--window", "7"],
            ["boundary", "--cpo", "v", "--window", "3", "--window", "7"]],
         "table8": [["table8", "--window", str(w)] for w in WINDOWS],
