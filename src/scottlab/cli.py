@@ -20,9 +20,20 @@ own JSON writer: `paths`, `diagram` and `stage` write the same text and
 its line end from templates, with no object built and no escaping pass,
 and `funcspace` writes its head through `json.dumps` and joins its table
 around it.  `paths`' compute returns no object either, but the text of
-each row's entries and its label, and `funcspace`'s the object's head
-and its table's labels, row texts and cuts, which its render and its
-writer both wrap.  Text `ep` checks the e/p laws only with `--check`.
+each row's entries and its label, `diagram`'s the dot text's pieces, and
+`funcspace`'s the object's head and its table's labels, row texts and
+cuts, which its render and its writer both wrap.  Text `ep` checks the
+e/p laws only with `--check`.
+
+A render or a JSON writer may return a list of texts in place of one
+text.  `diagram`'s pieces hold a non-ASCII character (λ) only in the
+header and in stage 1's edges, and `funcspace --table` returns its head,
+whose order type may hold ω, apart from its ASCII table, so the bulk of
+a large answer is stored at 1 byte per character and a stdout encodes
+it by a copy.  `run()` writes the texts in order, then the verb's end;
+before it writes any, it encodes each non-ASCII text with stdout's own
+encoding and error handler, so a stdout that cannot encode the answer
+still gets none of it.
 `--format` may be given to a group (`string`, `lcr`) or to its subverb;
 the later one wins.
 
@@ -296,21 +307,21 @@ def _limit_text(obj, args) -> str:
     return f"{obj['scheme']}: {obj['order_type']}"
 
 
-def _diagram(args) -> dict:
-    return {"scheme": args.scheme, "depth": args.depth,
-            "dot": stages.diagram_dot(stages.Scheme(args.scheme), args.depth)}
+def _diagram(args) -> list[str]:
+    # not the schema's object: the dot text's pieces, of which only the header and stage 1's edges hold λ
+    return stages.diagram_pieces(stages.Scheme(args.scheme), args.depth)
 
 
-def _diagram_text(obj, args) -> str:
-    # the dot text ends in its own newline, so the verb registers end="": a copy without it would be d^3 bytes
-    return obj["dot"]
+def _diagram_text(pieces, args) -> list[str]:
+    # the dot text ends in its own newline, so the verb registers end=""
+    return pieces
 
 
-def _diagram_json(args) -> str:
+def _diagram_json(args) -> list[str]:
     # the object of _diagram, its dot text built with the escaped quote and line end of a JSON string,
-    # inside the object's braces and before its line end, all in the dot text's one join
-    return stages.diagram_dot(stages.Scheme(args.scheme), args.depth, '\\"', "\\n",
-                              f'{{"scheme":"{args.scheme}","depth":{args.depth},"dot":"', '"}\n')
+    # inside the object's braces and before its line end, all in the dot text's pieces
+    return stages.diagram_pieces(stages.Scheme(args.scheme), args.depth, '\\"', "\\n",
+                                 f'{{"scheme":"{args.scheme}","depth":{args.depth},"dot":"', '"}\n')
 
 
 # the table has about 2w rows of 2w bits and a label per column, O(w^2) bytes: at
@@ -355,22 +366,24 @@ def _funcspace_bits(n: int, cuts: list[int]) -> list[str]:
     return [staircase[n - k:2 * n - k] for k in cuts]
 
 
-def _funcspace_text(answer, args) -> str:
+def _funcspace_text(answer, args) -> str | list[str]:
+    # with --table, two pieces: the head, whose order type may hold ω, and the ASCII table
     head, table = answer
     verdict = "yes" if head["self_isomorphic"] else f"no ({head['reason']})"
     lines = [f"{head['base']}: function space {head['order_type']}; isomorphic to base: {verdict}"]
     lines.extend(f"note: {n}" for n in head["notes"])
-    if table is not None:
-        columns, rows, cuts = table
-        width = max(map(len, rows))
-        lines.append("columns: " + " ".join(columns))
-        lines += [f"{row.ljust(width)} {bits}" for row, bits in zip(rows, _funcspace_bits(len(columns), cuts))]
-    return "\n".join(lines)
+    if table is None:
+        return "\n".join(lines)
+    columns, rows, cuts = table
+    width = max(map(len, rows))
+    body = ["columns: " + " ".join(columns)]
+    body += [f"{row.ljust(width)} {bits}" for row, bits in zip(rows, _funcspace_bits(len(columns), cuts))]
+    return ["\n".join(lines) + "\n", "\n".join(body)]
 
 
-def _funcspace_json(args) -> str:
+def _funcspace_json(args) -> str | list[str]:
     # the schema's object: its head through json.dumps, then its table joined around the labels, row
-    # texts and bits, which hold no character that JSON escapes
+    # texts and bits, which hold no character that JSON escapes, as ASCII pieces after it
     import json
 
     head, table = _funcspace(args)
@@ -380,7 +393,7 @@ def _funcspace_json(args) -> str:
     columns, rows, cuts = table
     cells = ",".join([f'{{"row":"{row}","bits":"{bits}"}}'
                       for row, bits in zip(rows, _funcspace_bits(len(columns), cuts))])
-    return f'{text[:-1]},"columns":["' + '","'.join(columns) + f'"],"rows":[{cells}]}}\n'
+    return [text[:-1], ',"columns":["' + '","'.join(columns) + '"],"rows":[', cells, "]}\n"]
 
 
 def _fpt(args) -> dict:
@@ -810,10 +823,31 @@ def _refuse(e: UsageError) -> int:
     return 2
 
 
+def _check_encodable(pieces: list[str]) -> None:
+    """Encode each non-ASCII piece as stdout will, so that an answer it cannot encode fails before any
+    piece is written; ASCII pieces are left out, every encoding of a stdout encodes them.
+
+    The failure is raised again from the whole text, so it names the position a write of the whole text
+    names.  A stream without an encoding, such as a StringIO, never encodes.
+    """
+    encoding = getattr(sys.stdout, "encoding", None)
+    if encoding is None:
+        return
+    errors = sys.stdout.errors or "strict"
+    for piece in pieces:
+        if not piece.isascii():
+            try:
+                piece.encode(encoding, errors)
+            except UnicodeEncodeError:
+                "".join(pieces).encode(encoding, errors)
+                raise
+
+
 def run(argv: list[str] | None = None) -> int:
     """Read argv and print the verb's object as text or JSON, the JSON from the verb's writer if it has one.
 
-    read_argv reads a plain argv; argparse parses any other, and answers help and usage errors.
+    read_argv reads a plain argv; argparse parses any other, and answers help and usage errors.  A render
+    or writer that returns a list of texts has them written in order, once stdout is known to encode them.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -835,8 +869,13 @@ def run(argv: list[str] | None = None) -> int:
             text, end = json.dumps(args.compute(args), ensure_ascii=False, separators=(",", ":")), "\n"
     except UsageError as e:
         return _refuse(e)
+    pieces = [text] if isinstance(text, str) else text
     try:
-        print(text, end=end)
+        if len(pieces) > 1:  # one text is encoded whole before any of it is written
+            _check_encodable(pieces)
+        for piece in pieces:
+            sys.stdout.write(piece)
+        sys.stdout.write(end)
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
     except UnicodeEncodeError as e:
         print(f"error: stdout cannot encode the output: {e}", file=sys.stderr)

@@ -35,9 +35,10 @@ from .words import OMEGA, OMEGA_STAR, OrderWord, check_range, fin, word_of
 # doubling with each step
 MAX_MONOTONE_CHAIN = 20
 # diagram_dot's text grows as depth^3 bytes: at depth 300 `diagram` prints
-# about 39 MB in 0.15-0.26 s with a 98-125 MB peak as text, 99-127 MB as
-# JSON, from a fresh process (2-vCPU Xeon, Python 3.11), while depth 1100
-# would be 1.36 GB held in memory before it is written
+# about 39 MB in 0.07-0.14 s with a 56 MB peak, as text or JSON (46 MB for
+# the 29 MB of the alternative scheme), from a fresh process (2-vCPU Xeon,
+# Python 3.11), while depth 1100 would be 1.4-1.8 GB held in memory before
+# it is written
 MAX_DIAGRAM_DEPTH = 300
 # a stage's text grows as n^2 bytes: about 25 MB at n = 5000, while
 # n = 100000 would be about 10 GB held in memory before it is written
@@ -254,7 +255,13 @@ def limit_cpo(scheme: Scheme, depth: int = 12) -> OrderWord:
 
 def diagram_dot(scheme: Scheme, depth: int, quote: str = '"', newline: str = "\n", head: str = "",
                 tail: str = "") -> str:
-    r"""Stage diagram in dot form: columns of stages, e/p arrows between.
+    """Stage diagram in dot form: the join of diagram_pieces, whose docstring describes it."""
+    return "".join(diagram_pieces(scheme, depth, quote, newline, head, tail))
+
+
+def diagram_pieces(scheme: Scheme, depth: int, quote: str = '"', newline: str = "\n", head: str = "",
+                   tail: str = "") -> list[str]:
+    r"""Stage diagram in dot form, as a list of texts: columns of stages, e/p arrows between.
 
     A label fixed by both maps gets a single two-headed edge; a shifted
     embedding or collapsing projection gets its own labelled arrow.
@@ -271,46 +278,50 @@ def diagram_dot(scheme: Scheme, depth: int, quote: str = '"', newline: str = "\n
     per edge, whose word slots slice assignment fills from stage n's
     list of words, the windows of one string (as `stage` builds them),
     which also make the stage's rank line in one join: no Python code
-    runs per edge, and the one final join copies each piece once.
+    runs per edge, and each stage's edges are one join.
     Stage 1's one word is empty and drawn as λ, so its rank line and
-    its two edges are written out.
+    its two edges are written out, and they are the only non-ASCII
+    characters of the text.  The pieces are the header with stage 1's
+    rank line, each other stage's rank line, stage 1's two edges, each
+    other stage's edges, and the closing brace: all but the header and
+    stage 1's edges are ASCII, stored at 1 byte per character, which a
+    UTF-8 writer copies as they are.  A piece per stage, not one join
+    of them all, keeps each copy that a writer makes of a piece small.
     Every quote and line end of the text is the token `quote` or
     `newline`, and the text holds no other backslash or control
     character, so with the tokens `\"` and `\n` it comes out already
-    escaped as the body of a JSON string.  `head` and `tail` go before
-    and after it in the same join, so a writer that wraps the text, as
-    the CLI's JSON writer does, copies it no second time.
+    escaped as the body of a JSON string.  `head` and `tail` go at the
+    start of the first piece and the end of the last, so a writer that
+    wraps the text, as the CLI's JSON writer does, copies it no second
+    time.
     The text grows as depth^3 bytes, so depth is bounded by
     MAX_DIAGRAM_DEPTH.
     """
     check_range("depth", depth, 2, MAX_DIAGRAM_DEPTH)
     q, nl = quote, newline
     p_end = f"{q} [label={q}p{q}];{nl}"  # a p arrow's line after its lower word
-    # stage 1's one word is empty, drawn as λ: its rank line and its two edges are written out
-    out = [f"{head}digraph stages_{scheme.value} {{{nl}  rankdir=LR;{nl}  node [shape=plaintext];{nl}"
-           f"  {{ rank=same; {q}s1_λ{q} }}{nl}"]
-    edges = [f"  {q}s1_λ{q} -> {q}s2_0{q} [dir=both];{nl}  {q}s2_1{q} -> {q}s1_λ{p_end}"]
+    ranks, edges = [], []
     for n in range(2, depth + 1):
         words, a, b = _words(n), f"{q}s{n}_", f"{q}s{n + 1}_"  # a and b: a node name of stage n, n+1 before its word
-        out.append(f"  {{ rank=same; {a}" + f"{q} {a}".join(words) + f"{q} }}{nl}")
+        ranks.append(f"  {{ rank=same; {a}" + f"{q} {a}".join(words) + f"{q} }}{nl}")
         if n == depth:
             break
         # j <= t: stage n's word w and stage n+1's 0w; then from stage n+1's label t+1, the word w_t 1
         t = _diagonal(scheme, n)
-        run = [None, f"{q} -> {b}0", None, f"{q} [dir=both];{nl}  {a}"] * (t + 1)
-        run[0::4] = run[2::4] = words[:t + 1]
+        run = [f"  {a}"] + [None, f"{q} -> {b}0", None, f"{q} [dir=both];{nl}  {a}"] * (t + 1)
+        run[1::4] = run[3::4] = words[:t + 1]
         run[-1] = f"{q} [dir=both];{nl}  {b}"
-        edges.append(f"  {a}")
-        edges += run
-        edges += (words[t], f"1{q} -> {a}", words[t], p_end)
+        run += (words[t], f"1{q} -> {a}", words[t], p_end)
         if t + 1 < n:  # the labels j = t+2, ..., n of stage n+1, each word w 1 over stage n's word w
             lo = words[t + 1:]
-            run = [None, f"{q} -> {b}", None, f"1{q} [label={q}e{q}];{nl}  {b}",
-                   None, f"1{q} -> {a}", None, f"{q} [label={q}p{q}];{nl}  {a}"] * len(lo)
-            run[0::8] = run[2::8] = run[4::8] = run[6::8] = lo
-            run[-1] = p_end  # the last edge's line has no edge after it to indent
-            edges.append(f"  {a}")
-            edges += run
-    out += edges
-    out.append(f"}}{nl}{tail}")
-    return "".join(out)
+            pairs = [f"  {a}"] + [None, f"{q} -> {b}", None, f"1{q} [label={q}e{q}];{nl}  {b}",
+                                  None, f"1{q} -> {a}", None, f"{q} [label={q}p{q}];{nl}  {a}"] * len(lo)
+            pairs[1::8] = pairs[3::8] = pairs[5::8] = pairs[7::8] = lo
+            pairs[-1] = p_end  # the last edge's line has no edge after it to indent
+            run += pairs
+        edges.append("".join(run))
+    # stage 1's one word is empty, drawn as λ: its rank line and its two edges are written out
+    return [f"{head}digraph stages_{scheme.value} {{{nl}  rankdir=LR;{nl}  node [shape=plaintext];{nl}"
+            f"  {{ rank=same; {q}s1_λ{q} }}{nl}", *ranks,
+            f"  {q}s1_λ{q} -> {q}s2_0{q} [dir=both];{nl}  {q}s2_1{q} -> {q}s1_λ{p_end}", *edges,
+            f"}}{nl}{tail}"]

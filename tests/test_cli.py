@@ -344,7 +344,11 @@ def _writer_cases(verb, scheme):
                 "scheme": scheme, "depth": size,
                 "paths": [{"entries": list(p.entries), "label": p.label} for p in limit_paths(Scheme(scheme), size)]}
         else:
-            yield [verb, "--scheme", scheme, "--depth", str(size)], None
+            yield [verb, "--scheme", scheme, "--depth", str(size)], _diagram_object(scheme, size)
+
+
+def _diagram_object(scheme, depth):
+    return {"scheme": scheme, "depth": depth, "dot": stages.diagram_dot(Scheme(scheme), depth)}
 
 
 @pytest.mark.parametrize(("verb", "scheme"), WRITER_CASES)
@@ -352,9 +356,10 @@ def test_a_json_writer_prints_the_dump_of_its_object(capsys, verb, scheme):
     """`paths`, `diagram`, `stage` and `funcspace` write their JSON text themselves; it is json.dumps of the
     verb's object.
 
-    `diagram`'s and `stage`'s compute return their objects; `paths`' returns row texts, so its object is built
-    from limit_paths, and `funcspace`'s returns its head and its table's texts and cuts, so its object is built
-    from the layers, a label per column and a segment per row.
+    `stage`'s compute returns its object; `paths`' returns row texts, so its object is built from limit_paths,
+    `diagram`'s returns the dot text's pieces, so its object is built from diagram_dot, and `funcspace`'s
+    returns its head and its table's texts and cuts, so its object is built from the layers, a label per column
+    and a segment per row.
     """
     for argv, obj in _writer_cases(verb, scheme):
         if obj is None:
@@ -474,17 +479,122 @@ def test_group_format_is_honoured(capsys, argv, golden):
     assert _run(capsys, argv + ["--format", "text"]) == (0, expected["text"], "")
 
 
-def test_unencodable_output_exits_one():
+# argv answered in pieces, each with the character and the position at which a write of the whole text fails;
+# each answer starts with ASCII text
+UNENCODABLE = [(["diagram"], "λ", 85), (["diagram", "--format", "json"], "λ", 127),
+               (["funcspace", "--cpo", "v", "--table"], "ω", 20),
+               (["funcspace", "--cpo", "v", "--table", "--format", "json"], "ω", 28)]
+
+
+@pytest.mark.parametrize(("argv", "char", "position"), [(["cpo", "--cpo", "phi"], "ω", 5), *UNENCODABLE],
+                         ids=[_argv_id(a) for a in [["cpo", "--cpo", "phi"], *(a for a, _, _ in UNENCODABLE)]])
+def test_unencodable_output_exits_one(argv, char, position):
+    """A stdout that cannot encode the answer gets none of it: exit 1 and one error line, which names the
+    position in the whole text, also where the answer is written in pieces."""
     env = {**os.environ, "PYTHONIOENCODING": "ascii"}
-    proc = subprocess.run([sys.executable, "-m", "scottlab", "cpo", "--cpo", "phi"],
-                          capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-m", "scottlab", *argv], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr.startswith("error: stdout cannot encode the output: ")
-    assert proc.stderr.count("\n") == 1
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (f"error: stdout cannot encode the output: 'ascii' codec can't encode character "
+                           f"'\\u{ord(char):04x}' in position {position}: ordinal not in range(128)\n")
 
 
-CLOSED_STDOUT = [["string", "realize", "--recipe", "II:1000000"], ["stage", "--n", "5000"]]
+def test_no_piece_is_written_before_every_piece_encodes(monkeypatch, capsys):
+    """A list of texts whose first non-ASCII piece comes after an ASCII one: stdout gets none of it, and the
+    error names the position in the whole text."""
+    pieces = stages.diagram_pieces(Scheme.STANDARD, 5)
+    monkeypatch.setitem(cli.TABLE["diagram"].defaults, "render", lambda answer, args: [answer[1], answer[5]])
+    out = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", out)
+    assert run(["diagram"]) == 1
+    out.flush()
+    assert out.buffer.getvalue() == b""
+    position = len(pieces[1]) + pieces[5].index("λ")
+    assert capsys.readouterr().err == ("error: stdout cannot encode the output: 'ascii' codec can't encode "
+                                       f"character '\\u03bb' in position {position}: ordinal not in range(128)\n")
+
+
+def test_the_stdout_error_handler_is_honoured():
+    """The pieces are checked with stdout's own error handler: backslashreplace writes λ as an escape."""
+    env = {**os.environ, "PYTHONIOENCODING": "ascii:backslashreplace"}
+    proc = subprocess.run([sys.executable, "-m", "scottlab", "diagram", "--depth", "6"], capture_output=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == stages.diagram_dot(Scheme.STANDARD, 6).encode("ascii", "backslashreplace")
+
+
+def _funcspace_table_text(obj):
+    """The text of `funcspace --table` from its object: the head's lines, the column labels, a row per line."""
+    verdict = "yes" if obj["self_isomorphic"] else f"no ({obj['reason']})"
+    width = max(len(r["row"]) for r in obj["rows"])
+    return "\n".join([f"{obj['base']}: function space {obj['order_type']}; isomorphic to base: {verdict}",
+                      *(f"note: {n}" for n in obj["notes"]), "columns: " + " ".join(obj["columns"]),
+                      *(f"{r['row'].ljust(width)} {r['bits']}" for r in obj["rows"])])
+
+
+def _answer_argv(verb, key, size, fmt):
+    """`diagram --scheme key --depth size` or `funcspace --cpo key --window size --table`, in the format fmt."""
+    if verb == "diagram":
+        return ["diagram", "--scheme", key, "--depth", str(size), "--format", fmt]
+    return ["funcspace", "--cpo", key, "--window", str(size), "--table", "--format", fmt]
+
+
+def _oracle_text(verb, key, size, fmt):
+    """What `diagram --scheme key --depth size` or `funcspace --cpo key --window size --table` prints,
+    from diagram_dot or from the layers' table object."""
+    obj = _diagram_object(key, size) if verb == "diagram" else _funcspace_table_object(key, size)
+    if fmt == "json":
+        return json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
+    return obj["dot"] if verb == "diagram" else _funcspace_table_text(obj) + "\n"
+
+
+def _pieces(argv):
+    """The texts that run() writes for a plain argv, in order: its render's or JSON writer's, then its end."""
+    args = read_argv(argv)
+    if args.format == "json":
+        out, end = args.dump(args), ""
+    else:
+        out, end = args.render(args.compute(args), args), args.end
+    return [out, end] if isinstance(out, str) else [*out, end]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_only_stage_one_makes_a_diagram_piece_non_ascii(scheme, fmt):
+    """`diagram` writes its text in pieces: the header, with stage 1's rank line, and the piece of stage 1's two
+    edges hold λ, every other piece is ASCII, and the pieces join to the text of diagram_dot."""
+    for depth in [*range(2, 41), 92, 101, 200, 300]:
+        pieces = _pieces(_answer_argv("diagram", scheme, depth, fmt))
+        wide = [i for i, piece in enumerate(pieces) if not piece.isascii()]
+        assert len(wide) == 2 and wide[0] == 0 and "digraph" in pieces[0], depth
+        assert (pieces[0].count("s1_λ"), pieces[wide[1]].count("s1_λ")) == (1, 2), depth
+        assert "".join(pieces) == _oracle_text("diagram", scheme, depth, fmt), depth
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", all_names())
+def test_only_the_head_of_a_funcspace_table_may_be_non_ascii(name, fmt):
+    """`funcspace --table` writes its head, whose order type may hold ω, apart from its ASCII table."""
+    for window in [*range(61), MAX_TABLE_WINDOW]:
+        head, *table = _pieces(_answer_argv("funcspace", name, window, fmt))
+        assert table and all(piece.isascii() for piece in table), window
+        assert head + "".join(table) == _oracle_text("funcspace", name, window, fmt), window
+
+
+REAL_STDOUT = [("diagram", scheme, 300) for scheme in SCHEMES] + [("funcspace", "lambda_hat_prime", MAX_TABLE_WINDOW)]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(("verb", "key", "size"), REAL_STDOUT, ids=[f"{v}-{k}-{n}" for v, k, n in REAL_STDOUT])
+def test_a_pipe_gets_the_utf8_of_the_whole_text(verb, key, size, fmt):
+    """Through a pipe, stdout is a TextIOWrapper, which encodes each piece as run() writes it (a StringIO, as
+    tools/cli_digest.py captures with, never encodes): its bytes are the UTF-8 of the whole text."""
+    proc = subprocess.run([sys.executable, "-m", "scottlab", *_answer_argv(verb, key, size, fmt)], capture_output=True,
+                          env={**os.environ, "PYTHONIOENCODING": "utf-8"})
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == _oracle_text(verb, key, size, fmt).encode()
+
+
+CLOSED_STDOUT = [["string", "realize", "--recipe", "II:1000000"], ["stage", "--n", "5000"],
+                 ["diagram", "--depth", "300"]]
 
 
 @pytest.mark.parametrize("argv", CLOSED_STDOUT, ids=[_argv_id(a) for a in CLOSED_STDOUT])

@@ -18,6 +18,7 @@ from scottlab.stages import (
     Scheme,
     check_ep_laws,
     diagram_dot,
+    diagram_pieces,
     enumerate_monotone,
     ep_pair,
     limit_cpo,
@@ -436,6 +437,21 @@ def test_the_escaped_diagram_is_the_body_of_its_json_string(scheme):
         chars = set(dot) - {"\n"}
         assert "\\" not in chars and all(c.isprintable() for c in chars), depth
         assert diagram_dot(scheme, depth, '\\"', "\\n") == json.dumps(dot, ensure_ascii=False)[1:-1], depth
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_only_stage_one_makes_a_diagram_piece_non_ascii(scheme):
+    """The header, with stage 1's rank line, and the piece of stage 1's two edges hold λ; every other piece
+    is ASCII, and the pieces join to the ep-map drawing, as is or escaped inside a JSON writer's head and tail."""
+    for depth in [*range(2, 41), 92, 101, 200, 300]:
+        dot = ep_map_diagram(scheme, depth)
+        in_json = json.dumps({"dot": dot}, ensure_ascii=False, separators=(",", ":")) + "\n"
+        for tokens, expected in (((), dot), (('\\"', "\\n", '{"dot":"', '"}\n'), in_json)):
+            pieces = diagram_pieces(scheme, depth, *tokens)
+            wide = [i for i, piece in enumerate(pieces) if not piece.isascii()]
+            assert len(wide) == 2 and wide[0] == 0, depth
+            assert (pieces[0].count("s1_λ"), pieces[wide[1]].count("s1_λ")) == (1, 2), depth
+            assert "".join(pieces) == expected, depth
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
