@@ -26,14 +26,13 @@ cuts, which its render and its writer both wrap.  Text `ep` checks the
 e/p laws only with `--check`.
 
 A render or a JSON writer may return a list of texts in place of one
-text.  `diagram`'s pieces hold a non-ASCII character (λ) only in the
-header and in stage 1's edges, and `funcspace --table` returns its head,
-whose order type may hold ω, apart from its ASCII table, so the bulk of
-a large answer is stored at 1 byte per character and a stdout encodes
-it by a copy.  `run()` writes the texts in order, then the verb's end;
-before it writes any, it encodes each non-ASCII text with stdout's own
-encoding and error handler, so a stdout that cannot encode the answer
-still gets none of it.
+text, as `diagram`'s do: its pieces hold a non-ASCII character (λ) only
+in the header and in stage 1's edges, so the bulk of its text, up to
+39 MB, is stored at 1 byte per character and a stdout encodes it by a
+copy.  `run()` writes the texts in order, then the verb's end; before it
+writes any, it encodes each non-ASCII text with stdout's own encoding
+and error handler, so a stdout that cannot encode the answer still gets
+none of it.
 `--format` may be given to a group (`string`, `lcr`) or to its subverb;
 the later one wins.
 
@@ -318,8 +317,8 @@ def _diagram_text(pieces, args) -> list[str]:
 
 
 def _diagram_json(args) -> list[str]:
-    # the object of _diagram, its dot text built with the escaped quote and line end of a JSON string,
-    # inside the object's braces and before its line end, all in the dot text's pieces
+    # the schema's object {scheme, depth, dot} as the dot text's pieces: the dot text built with the
+    # escaped quote and line end of a JSON string, the object's braces and line end around it
     return stages.diagram_pieces(stages.Scheme(args.scheme), args.depth, '\\"', "\\n",
                                  f'{{"scheme":"{args.scheme}","depth":{args.depth},"dot":"', '"}\n')
 
@@ -366,24 +365,22 @@ def _funcspace_bits(n: int, cuts: list[int]) -> list[str]:
     return [staircase[n - k:2 * n - k] for k in cuts]
 
 
-def _funcspace_text(answer, args) -> str | list[str]:
-    # with --table, two pieces: the head, whose order type may hold ω, and the ASCII table
+def _funcspace_text(answer, args) -> str:
     head, table = answer
     verdict = "yes" if head["self_isomorphic"] else f"no ({head['reason']})"
     lines = [f"{head['base']}: function space {head['order_type']}; isomorphic to base: {verdict}"]
     lines.extend(f"note: {n}" for n in head["notes"])
-    if table is None:
-        return "\n".join(lines)
-    columns, rows, cuts = table
-    width = max(map(len, rows))
-    body = ["columns: " + " ".join(columns)]
-    body += [f"{row.ljust(width)} {bits}" for row, bits in zip(rows, _funcspace_bits(len(columns), cuts))]
-    return ["\n".join(lines) + "\n", "\n".join(body)]
+    if table is not None:
+        columns, rows, cuts = table
+        width = max(map(len, rows))
+        lines.append("columns: " + " ".join(columns))
+        lines += [f"{row.ljust(width)} {bits}" for row, bits in zip(rows, _funcspace_bits(len(columns), cuts))]
+    return "\n".join(lines)
 
 
-def _funcspace_json(args) -> str | list[str]:
+def _funcspace_json(args) -> str:
     # the schema's object: its head through json.dumps, then its table joined around the labels, row
-    # texts and bits, which hold no character that JSON escapes, as ASCII pieces after it
+    # texts and bits, which hold no character that JSON escapes
     import json
 
     head, table = _funcspace(args)
@@ -393,7 +390,7 @@ def _funcspace_json(args) -> str | list[str]:
     columns, rows, cuts = table
     cells = ",".join([f'{{"row":"{row}","bits":"{bits}"}}'
                       for row, bits in zip(rows, _funcspace_bits(len(columns), cuts))])
-    return [text[:-1], ',"columns":["' + '","'.join(columns) + '"],"rows":[', cells, "]}\n"]
+    return f'{text[:-1]},"columns":["' + '","'.join(columns) + f'"],"rows":[{cells}]}}\n'
 
 
 def _fpt(args) -> dict:

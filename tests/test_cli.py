@@ -521,76 +521,35 @@ def test_the_stdout_error_handler_is_honoured():
     assert proc.stdout == stages.diagram_dot(Scheme.STANDARD, 6).encode("ascii", "backslashreplace")
 
 
-def _funcspace_table_text(obj):
-    """The text of `funcspace --table` from its object: the head's lines, the column labels, a row per line."""
-    verdict = "yes" if obj["self_isomorphic"] else f"no ({obj['reason']})"
-    width = max(len(r["row"]) for r in obj["rows"])
-    return "\n".join([f"{obj['base']}: function space {obj['order_type']}; isomorphic to base: {verdict}",
-                      *(f"note: {n}" for n in obj["notes"]), "columns: " + " ".join(obj["columns"]),
-                      *(f"{r['row'].ljust(width)} {r['bits']}" for r in obj["rows"])])
+def _diagram_argv(scheme, depth, fmt):
+    return ["diagram", "--scheme", scheme, "--depth", str(depth), "--format", fmt]
 
 
-def _answer_argv(verb, key, size, fmt):
-    """`diagram --scheme key --depth size` or `funcspace --cpo key --window size --table`, in the format fmt."""
-    if verb == "diagram":
-        return ["diagram", "--scheme", key, "--depth", str(size), "--format", fmt]
-    return ["funcspace", "--cpo", key, "--window", str(size), "--table", "--format", fmt]
+def _diagram_output(scheme, depth, fmt):
+    """What `diagram --scheme scheme --depth depth` prints, from diagram_dot."""
+    obj = _diagram_object(scheme, depth)
+    return obj["dot"] if fmt == "text" else json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
-def _oracle_text(verb, key, size, fmt):
-    """What `diagram --scheme key --depth size` or `funcspace --cpo key --window size --table` prints,
-    from diagram_dot or from the layers' table object."""
-    obj = _diagram_object(key, size) if verb == "diagram" else _funcspace_table_object(key, size)
-    if fmt == "json":
-        return json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
-    return obj["dot"] if verb == "diagram" else _funcspace_table_text(obj) + "\n"
-
-
-def _pieces(argv):
-    """The texts that run() writes for a plain argv, in order: its render's or JSON writer's, then its end."""
-    args = read_argv(argv)
-    if args.format == "json":
-        out, end = args.dump(args), ""
-    else:
-        out, end = args.render(args.compute(args), args), args.end
-    return [out, end] if isinstance(out, str) else [*out, end]
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_diagram_answers_with_the_pieces_of_diagram_pieces(scheme):
+    """`diagram`'s render and JSON writer return diagram_pieces' list, whose layout test_stages pins."""
+    for depth in (2, 92):
+        args = read_argv(_diagram_argv(scheme, depth, "text"))
+        assert args.render(args.compute(args), args) == stages.diagram_pieces(Scheme(scheme), depth), depth
+        head = f'{{"scheme":"{scheme}","depth":{depth},"dot":"'
+        assert args.dump(args) == stages.diagram_pieces(Scheme(scheme), depth, '\\"', "\\n", head, '"}\n'), depth
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_only_stage_one_makes_a_diagram_piece_non_ascii(scheme, fmt):
-    """`diagram` writes its text in pieces: the header, with stage 1's rank line, and the piece of stage 1's two
-    edges hold λ, every other piece is ASCII, and the pieces join to the text of diagram_dot."""
-    for depth in [*range(2, 41), 92, 101, 200, 300]:
-        pieces = _pieces(_answer_argv("diagram", scheme, depth, fmt))
-        wide = [i for i, piece in enumerate(pieces) if not piece.isascii()]
-        assert len(wide) == 2 and wide[0] == 0 and "digraph" in pieces[0], depth
-        assert (pieces[0].count("s1_λ"), pieces[wide[1]].count("s1_λ")) == (1, 2), depth
-        assert "".join(pieces) == _oracle_text("diagram", scheme, depth, fmt), depth
-
-
-@pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("name", all_names())
-def test_only_the_head_of_a_funcspace_table_may_be_non_ascii(name, fmt):
-    """`funcspace --table` writes its head, whose order type may hold ω, apart from its ASCII table."""
-    for window in [*range(61), MAX_TABLE_WINDOW]:
-        head, *table = _pieces(_answer_argv("funcspace", name, window, fmt))
-        assert table and all(piece.isascii() for piece in table), window
-        assert head + "".join(table) == _oracle_text("funcspace", name, window, fmt), window
-
-
-REAL_STDOUT = [("diagram", scheme, 300) for scheme in SCHEMES] + [("funcspace", "lambda_hat_prime", MAX_TABLE_WINDOW)]
-
-
-@pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize(("verb", "key", "size"), REAL_STDOUT, ids=[f"{v}-{k}-{n}" for v, k, n in REAL_STDOUT])
-def test_a_pipe_gets_the_utf8_of_the_whole_text(verb, key, size, fmt):
+def test_a_pipe_gets_the_utf8_of_the_whole_diagram(scheme, fmt):
     """Through a pipe, stdout is a TextIOWrapper, which encodes each piece as run() writes it (a StringIO, as
     tools/cli_digest.py captures with, never encodes): its bytes are the UTF-8 of the whole text."""
-    proc = subprocess.run([sys.executable, "-m", "scottlab", *_answer_argv(verb, key, size, fmt)], capture_output=True,
+    proc = subprocess.run([sys.executable, "-m", "scottlab", *_diagram_argv(scheme, 300, fmt)], capture_output=True,
                           env={**os.environ, "PYTHONIOENCODING": "utf-8"})
     assert (proc.returncode, proc.stderr) == (0, b"")
-    assert proc.stdout == _oracle_text(verb, key, size, fmt).encode()
+    assert proc.stdout == _diagram_output(scheme, 300, fmt).encode()
 
 
 CLOSED_STDOUT = [["string", "realize", "--recipe", "II:1000000"], ["stage", "--n", "5000"],
