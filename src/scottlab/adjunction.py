@@ -25,8 +25,9 @@ Condition (3) compares sort keys: positions in the order, or, where the
 halves hold strings, in the whole stack.  Let s be the order's `settle`
 count and w the window.  From s on, an element and its dual each lie in
 one run whatever the count c, so each key is affine in c: (block, a +
-k·c) with k = ±1, one form per layer and half for all c >= s
-(NamedCpo.duals, built once per order).  Each half's window splits
+k·c) with k = ±1 for all c >= s, and the keys at s and s + 1 stand for
+every count from s on (NamedCpo.duals, built once per order, reads the
+keys at each count up to s + 1).  Each half's window splits
 into classes: a count below s, or of a finite layer, is a class of its
 own (the finite part), and the counts s..w of an omega or omega* layer
 are one class.  For x at count c in half A and y at count d in half B,
@@ -82,9 +83,7 @@ are all read off the catalogue's table; nothing here restates an order.
 from typing import NamedTuple
 
 from . import strings as st
-from .catalog import (OMEGA_HALF, OMEGA_OPP_HALF, OMEGA_PRIME_HALF,  # the *_HALF names are re-exported
-                      OMEGA_PRIME_OPP_HALF, XI_HALF, XI_OPP_HALF, CpoName, NamedCpo, named_cpo, opp_ends, stack_key,
-                      window_end_keys)
+from .catalog import CpoName, NamedCpo, named_cpo, opp_ends, stack_key, window_end_keys
 from .errors import UnknownCpo
 from .words import AtomKind, check_window, neighbors
 
@@ -105,7 +104,6 @@ def build_pair_cpo(name: str | CpoName | NamedCpo) -> NamedCpo:
 
 
 BOUNDARY_M = build_pair_cpo(CpoName.LAMBDA_HAT_PRIME).spelled_boundary
-BOUNDARY_M_PRIME = build_pair_cpo(CpoName.V).spelled_boundary
 
 
 class ConditionReport(NamedTuple):
@@ -163,9 +161,10 @@ def _classes(cpo: NamedCpo, i: int, s: int, w: int) -> list[tuple]:
         down, infinite = layer.atom.kind is AtomKind.OMEGA_STAR, layer.atom.kind is not AtomKind.FIN
         few = [(j, down, c, 0, e.keys and (e.keys,))
                for c, e in enumerate(entries[:min(s, w + 1)] if infinite else entries)]
-        e = entries[-1]
-        many = [(j, down, w if down else s, -1 if down else 1,
-                 e.keys and (e.keys, e.keys_at(s + 1)))] if infinite and w >= s else []
+        many = []
+        if infinite and w >= s:
+            e, e1 = entries[s:]  # the entries at s and s + 1
+            many = [(j, down, w if down else s, -1 if down else 1, e.keys and (e.keys, e1.keys))]
         out += many + few[::-1] if down else few + many
     for j, _, c, _, keys in out:
         if keys is None:

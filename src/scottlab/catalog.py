@@ -15,9 +15,9 @@ Pins and membership are in layer coordinates, (layer, count) per
 string: NamedCpo.free is the one rule for whether a half holds an
 element.  Elements are their ends inside the package: `element`, `held`
 and `locate` take ends, and a string is built only to parse an input
-literal (`to_elem`) or to spell a witness, a report field or a half's
-window; a label's literal is cut from its run's one text
-(`strings.render_literals`), with no string built.
+literal (`to_elem`) or to spell a witness or a report field; a label's
+literal is cut from its run's one text (`strings.render_literals`), with
+no string built.
 The table at the end of this module gives each order once, as one half
 or as a lower half stacked under an upper half.  In a glued order the
 top of the lower half is the bottom of the upper half (the boundary)
@@ -47,8 +47,8 @@ from typing import NamedTuple
 
 from . import strings as st
 from .errors import BadElement, UnknownCpo
-from .words import (OMEGA, OMEGA_STAR, AtomKind, Elem, OrderAtom, check_range, fin, normal_layout, read_decimal,
-                    window_offsets, window_runs, word_of)
+from .words import (OMEGA, OMEGA_STAR, AtomKind, Elem, OrderAtom, check_range, fin, normal_layout, rank_key,
+                    read_decimal, window_offsets, window_runs, word_of)
 
 
 class CpoName(Enum):
@@ -125,12 +125,6 @@ class Layer(NamedTuple):
         """The layer's string at count c: its family's recipe c + 1."""
         return st.realize(st.SpecifiedString(self.family, c + 1))
 
-    def corners(self, n: int, reach: int) -> range | list[int]:
-        """The layer's counts up to n in window order, its window offsets, within `reach` of either end."""
-        counts = window_offsets(self.atom, n)
-        # sliced, not measured: len() of a range fails from 2**63 counts on
-        return [*counts[:reach + 1], *counts[-reach - 1:]] if counts[reach + 1:-reach - 1] else counts
-
 
 R_STRINGS = Layer(OMEGA, st.SpecKind.III)
 ALL_ONES = Layer(fin(1), st.SpecKind.IV)
@@ -205,10 +199,6 @@ class Half(NamedTuple):
             return st.PairString(s, self.right)
         return s if self.left is None else st.PairString(self.left, s)
 
-    def window(self, n: int) -> list:
-        """Ascending, including the extreme strings."""
-        return [self.spelled(layer, c) for layer in self.layers for c in window_offsets(layer.atom, n)]
-
 
 class _Run(NamedTuple):
     """A block of a catalogue order, read off one half's layer."""
@@ -226,19 +216,12 @@ class _Run(NamedTuple):
 class Dual(NamedTuple):
     """An element of a half and its dual: where they sort, and which halves hold the dual (`NamedCpo.duals`).
 
-    `forms` are the two sort keys, in the order or, where the halves hold strings, in the whole stack, as forms
-    (block, a, k), whose key at count c is (block, a + k·c); `keys` are the two keys at the element's own count.
-    Both are None where the order does not hold both elements.  `holders` tells, per half, whether it holds the dual.
+    `keys` are the two sort keys, in the order or, where the halves hold strings, in the whole stack; None
+    where the order does not hold both elements.  `holders` tells, per half, whether it holds the dual.
     """
 
-    forms: tuple[tuple[int, int, int], tuple[int, int, int]] | None
     keys: tuple[tuple[int, int], tuple[int, int]] | None
     holders: tuple[bool, ...]
-
-    def keys_at(self, c: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """The two keys at count c, for an element at c held by the runs of `forms`."""
-        (b, a, k), (ob, oa, ok) = self.forms
-        return (b, a + k * c), (ob, oa + ok * c)
 
 
 class NamedCpo:
@@ -317,30 +300,26 @@ class NamedCpo:
         """Per half, per layer: where the element at each count and its dual lie, whatever the window.
 
         Entry c of a layer is the `Dual` of the element at count c: for every count of a finite layer, and for
-        an omega or omega* layer for the counts below `settle` and for settle, whose entry holds for every
-        count from it on.
+        an omega or omega* layer for the counts up to settle + 1; the entries at settle and settle + 1 stand
+        for every count from settle on.
         """
-        return tuple(tuple(tuple(self._dual(self.ends_at(i, layer, c), c) for c in range(
-            layer.atom.size if layer.atom.kind is AtomKind.FIN else self.settle + 1)) for layer in h.layers)
+        return tuple(tuple(tuple(self._dual(self.ends_at(i, layer, c)) for c in range(
+            layer.atom.size if layer.atom.kind is AtomKind.FIN else self.settle + 2)) for layer in h.layers)
             for i, h in enumerate(self.halves))
 
-    def _dual(self, ends: tuple, c: int) -> Dual:
+    def _dual(self, ends: tuple) -> Dual:
         dual = opp_ends(ends)
         holders = tuple(self.free(i, dual) is not None for i in range(len(self.halves)))
         try:
-            forms = self._form(ends), self._form(dual)
+            return Dual((self._key(ends), self._key(dual)), holders)
         except BadElement:
-            return Dual(None, None, holders)
-        entry = Dual(forms, None, holders)
-        return entry._replace(keys=entry.keys_at(c))
+            return Dual(None, holders)
 
-    def _form(self, ends: tuple) -> tuple[int, int, int]:
+    def _key(self, ends: tuple) -> tuple[int, int]:
+        """The sort key of the element at these ends: in the whole stack for strings, else in the order."""
         if self.pins[0][1] is None:
-            layer = ends[1][0]
-            return STACK.index(layer), 0, (-1 if layer.atom.kind is AtomKind.OMEGA_STAR else 1)
-        run, _ = self.locate(ends)
-        sign = -1 if self.word.atoms[run.block].kind is AtomKind.OMEGA_STAR else 1
-        return run.block, sign * (run.first - run.step * run.start), sign * run.step
+            return stack_key(*ends[1])
+        return rank_key(self.word, self.element(ends))
 
     def _elem(self, run: _Run, c: int) -> Elem:
         return Elem(run.block, run.first + run.step * (c - run.start))
@@ -464,10 +443,6 @@ def named_cpo(name: str | CpoName | NamedCpo) -> NamedCpo:
         return _CATALOG[_ALIASES.get(key) or CpoName(key)]
     except ValueError:
         raise UnknownCpo(f"no catalogued order named {name!r}") from None
-
-
-def all_names() -> list[str]:
-    return [cn.value for cn in CpoName]
 
 
 # the chain's text grows linearly with the window: about 1.7 MB in 0.5 s

@@ -51,10 +51,9 @@ runs none of the layers: each is registered lazily and its body runs
 the first time a verb reads a name from it, so `stage` runs `stages`
 and `words` only, `boundary` runs `adjunction`, `catalog`, `strings`
 and `words`, and only `decompose`, `lcr`, `replicate`, `table8` and
-`pipeline` run `replication`.  An argv left to argparse builds the
-parser of the verb it names, not all of them, and `json` is imported
-only for `--format json` of a verb without a JSON writer, or of
-`funcspace`.
+`pipeline` run `replication`.  An argv left to argparse gets the parser
+of every verb, which runs no layer either, and `json` is imported only
+for `--format json` of a verb without a JSON writer, or of `funcspace`.
 
 Exit codes: 0 for success, including negative mathematical verdicts
 (a failed isomorphism or adjunction is a result, not an error); 1 when
@@ -704,7 +703,6 @@ TABLE = {
     "table8": Verb(_table8, _table8_text, "summary matrix of the composite orders", WINDOW),
     "pipeline": Verb(_pipeline, _pipeline_text, "dualization, replication, and folding, chained", WINDOW),
 }
-VERBS = tuple(TABLE)
 
 
 def _read_option(argv: list[str], i: int, options: dict[str, Opt], values: dict) -> int:
@@ -761,17 +759,15 @@ def read_argv(argv: list[str]) -> SimpleNamespace | None:
 
 
 @functools.cache
-def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The argparse parser of one verb, or of every verb when none is named, built from TABLE.
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every verb, built from TABLE.
 
     `run()` turns to argparse only for an argv that read_argv leaves: help, usage errors, and the
-    spellings that only argparse reads, such as abbreviations.  It asks for the verb that argv names,
-    so that argv builds one verb's parser and runs no layer; any other argv (none, -h, an unknown
-    verb) gets the parser of every verb.  A verb's parser parses and fails on that verb's argv with the
-    same bytes as the full one.  argparse is imported here and only here, so an argv that read_argv
-    reads loads neither it nor the gettext and locale modules it uses.  Each parser is built once per
-    process and reused.  Callers must not modify it: `parse_args` returns a fresh namespace on every
-    call, so nothing carries over from one parse to the next.
+    spellings that only argparse reads, such as abbreviations.  Building it runs no layer.  argparse
+    is imported here and only here, so an argv that read_argv reads loads neither it nor the gettext
+    and locale modules it uses.  The parser is built once per process and reused.  Callers must not
+    modify it: `parse_args` returns a fresh namespace on every call, so nothing carries over from one
+    parse to the next.
     """
     import argparse
 
@@ -806,12 +802,9 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         description="countable chain-complete orders, their map spaces, and the fixed point construction",
     )
     parser.set_defaults(format="text")
-    # the usage line above a top-level error lists every verb, also from one verb's parser; the full
-    # parser leaves metavar unset, since its "invalid choice" error would name the argument by it
-    subs = parser.add_subparsers(dest="verb", required=True,
-                                 metavar=None if verb is None else "{" + ",".join(VERBS) + "}")
-    for name in VERBS if verb is None else (verb,):
-        add(subs, name, TABLE[name])
+    subs = parser.add_subparsers(dest="verb", required=True)
+    for name, entry in TABLE.items():
+        add(subs, name, entry)
     return parser
 
 
@@ -849,9 +842,8 @@ def run(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if (args := read_argv(argv)) is None:
-        parser = build_parser(argv[0]) if argv and argv[0] in TABLE else build_parser()
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as e:
             return int(e.code or 0)
         except UsageError as e:

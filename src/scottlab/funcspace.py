@@ -295,14 +295,6 @@ def self_iso(w: OrderWord) -> SelfIsoReport:
     return SelfIsoReport(space, False, f"{base} vs {word}", notes)
 
 
-def canonical_iso(cpo: "NamedCpo") -> SelfIsoReport:
-    """Positional isomorphism between a named order and its map space."""
-    report = self_iso(cpo.word)
-    if not report.is_iso:
-        raise NotIsomorphic(f"{cpo.name.value}: {report.reason}")
-    return report
-
-
 class Mu(Enum):
     CONST0 = "const0"
     CONST1 = "const1"
@@ -352,9 +344,11 @@ def diagonal_map(space: FuncSpace, mu: Mu) -> OpenSegment:
 
 def fpt(cpo: "NamedCpo", mu: Mu) -> FixedPointReport:
     """Fixed point of mu via the diagonal of the positional isomorphism."""
-    space = canonical_iso(cpo).space  # raises NotIsomorphic when inapplicable
-    g = diagonal_map(space, mu)
-    x = space.position_of(g)
+    report = self_iso(cpo.word)
+    if not report.is_iso:
+        raise NotIsomorphic(f"{cpo.name.value}: {report.reason}")
+    g = diagonal_map(report.space, mu)
+    x = report.space.position_of(g)
     value = eval_segment(cpo.word, g, x)
     if value != mu_apply(mu, value):
         raise RuntimeError("fixed point equation failed; construction is broken")

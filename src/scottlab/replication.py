@@ -24,13 +24,14 @@ order, the adjunction verdict, fixed point applicability, boundary
 element, and order type.  Every verdict holds for the whole order, so
 the window changes nothing but the `window` that table8 echoes: the
 adjunctions are decided as adjunction.py describes, and the fold's
-round trip and collisions per lambda_prime layer, on its corner counts
-in the catalogue's layer coordinates, off the v runs holding the images.
+round trip and collisions per lambda_prime layer, at its counts up to
+the two orders' `settle` count (every count of a finite layer), in the
+catalogue's layer coordinates, off the v runs holding the images.
 
 Elements are their ends here, as in the catalogue: a string is read in
 only where it comes from outside the package (the string lcr_forward
-folds, the pair lcr_backward unfolds or a splitting projects), and built
-only to spell a label or a report field.
+folds or the pair lcr_backward unfolds), and built only to spell a label
+or a report field.
 """
 
 from typing import NamedTuple
@@ -59,12 +60,6 @@ class Decomposition(NamedTuple):
     name: str | None                          # which natural pairing, if any
     boundary_image: st.MonotypicString | None
     witness: CollisionWitness | None
-
-    def project(self, p: st.PairString) -> st.MonotypicString:
-        """The string a pair element corresponds to under this splitting."""
-        if not self.natural:
-            raise NotBoundary("the valley order has no natural splitting to project along")
-        return self.boundary_image if p == BOUNDARY_M else named_cpo(CpoName.LAMBDA_HAT_PRIME).held(ends_of(p))
 
 
 def decompositions(which: str | CpoName) -> tuple[Decomposition, ...]:
@@ -228,14 +223,14 @@ def pipeline(window: int = 20) -> PipelineReport:
                                str(hat.display_word), str(lam_prime.display_word), rep.mutual_neighbors)
 
     # the fold carries each lambda_prime layer into the v half whose layers
-    # hold it, and unfolds an image off the v run that holds it; from the
-    # settle counts on both treat a layer's strings alike, so each layer's
-    # corner counts decide the round trip and the strings folded onto m'
-    reach, m = max(lam_prime.settle, v.settle), v.boundary
+    # hold it, and unfolds an image off the v run that holds it; from count
+    # `settle` on both orders treat a layer's strings alike, so the counts up
+    # to it decide the round trip and the strings folded onto m'
+    settle, m = max(lam_prime.settle, v.settle), v.boundary
     ok, collisions = True, []
     for layer in (layer for half in lam_prime.halves for layer in half.layers):
         i = _fold_half(v, layer)
-        for c in layer.corners(window, reach):
+        for c in range(layer.atom.size if layer.atom.kind is AtomKind.FIN else settle + 1):
             image = v.ends_at(i, layer, c)
             if image == m:
                 x = layer.string(c)

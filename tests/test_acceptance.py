@@ -9,22 +9,15 @@ import contextlib
 import pytest
 
 from scottlab import strings as st
-from scottlab.adjunction import (
-    BOUNDARY_M,
-    BOUNDARY_M_PRIME,
-    OMEGA_PRIME_HALF,
-    OMEGA_PRIME_OPP_HALF,
-    XI_HALF,
-    XI_OPP_HALF,
-    boundary_report,
-    check_adjunction,
-)
-from scottlab.catalog import all_names, named_cpo
+from scottlab.adjunction import BOUNDARY_M, boundary_report, check_adjunction
+from scottlab.catalog import OMEGA_PRIME_HALF, OMEGA_PRIME_OPP_HALF, XI_HALF, XI_OPP_HALF, named_cpo
 from scottlab.errors import NotIsomorphic
-from scottlab.funcspace import Mu, canonical_iso, eval_segment, fpt, scott_opens, self_iso
+from scottlab.funcspace import Mu, eval_segment, fpt, scott_opens, self_iso
 from scottlab.replication import lcr_backward, lcr_forward, pipeline, replicate
 from scottlab.stages import Scheme, check_ep_laws, enumerate_monotone, ep_pair, limit_paths, stage
 from scottlab.words import iso, parse_word
+
+from window_scan import BOUNDARY_M_PRIME, all_names, canonical_iso, half_window
 
 
 @contextlib.contextmanager
@@ -190,10 +183,10 @@ def test_criterion_07_transformations():
 
 def test_criterion_08_adjunction():
     with criterion(8, "adjunction holds for the primed pairings and fails for (Ω′, Ω^opp)"):
-        assert st.ALL_ONES_R in OMEGA_PRIME_HALF.window(50)
-        assert st.ALL_ZEROS_L in OMEGA_PRIME_OPP_HALF.window(50)
-        assert st.PairString(st.ALL_ZEROS_R, st.ALL_ZEROS_L) in XI_HALF.window(50)
-        assert st.PairString(st.ALL_ONES_R, st.ALL_ONES_L) in XI_OPP_HALF.window(50)
+        assert st.ALL_ONES_R in half_window(OMEGA_PRIME_HALF, 50)
+        assert st.ALL_ZEROS_L in half_window(OMEGA_PRIME_OPP_HALF, 50)
+        assert st.PairString(st.ALL_ZEROS_R, st.ALL_ZEROS_L) in half_window(XI_HALF, 50)
+        assert st.PairString(st.ALL_ONES_R, st.ALL_ONES_L) in half_window(XI_OPP_HALF, 50)
 
         assert check_adjunction("lambda_prime", window=50).passed
         assert check_adjunction("v", window=50).passed

@@ -5,9 +5,11 @@ from hypothesis import given
 from scottlab import strings as st
 
 from scottlab.catalog import (ALL_ONES, ALL_ZEROS, CHAIN_2, L_STRINGS, MAX_CHAIN_WINDOW, MAX_LITERAL_WINDOW, R_STRINGS,
-                              CpoName, Half, Layer, NamedCpo, all_names, ends_of, named_cpo, stack_key)
+                              CpoName, Half, Layer, NamedCpo, ends_of, named_cpo, stack_key)
 from scottlab.errors import BadDepth
 from scottlab.words import Ordering, compare, rank_key, window_elems, window_offsets
+
+from window_scan import all_names, corners
 
 strings = hs.builds(
     lambda kind, i: st.realize(st.SpecifiedString(kind, i)),
@@ -56,12 +58,12 @@ def test_corners_are_the_window_ends(name, n, reach):
     for half in c.halves:
         for layer, _ in half.blocks:
             counts = list(window_offsets(layer.atom, n))
-            corners = list(layer.corners(n, reach))
+            got = list(corners(layer, n, reach))
             # the window's order, both ends kept, nothing from the middle
-            assert corners == [k for k in counts if k in corners]
+            assert got == [k for k in counts if k in got]
             assert counts[:reach + 1] + counts[-reach - 1:] == \
-                corners[:reach + 1] + corners[-reach - 1:]
-            assert len(corners) <= 2 * reach + 2
+                got[:reach + 1] + got[-reach - 1:]
+            assert len(got) <= 2 * reach + 2
 
 
 def test_settle_lies_past_every_glued_start_and_pinned_end():

@@ -1,6 +1,8 @@
 import bisect
 import contextlib
+import importlib.util
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -15,11 +17,14 @@ import pytest
 from hypothesis import given, settings
 
 from scottlab import cli, stages
-from scottlab.catalog import all_names, named_cpo
-from scottlab.cli import MAX_TABLE_WINDOW, MUS, SCHEMES, VERBS, build_parser, read_argv, run
+from scottlab.catalog import named_cpo
+from scottlab.cli import MAX_TABLE_WINDOW, MUS, SCHEMES, TABLE, build_parser, read_argv, run
+from scottlab.errors import UsageError
 from scottlab.funcspace import Mu, eval_segment, self_iso
 from scottlab.stages import MAX_EP_STAGE, MAX_PATHS_DEPTH, MAX_STAGE, Scheme, limit_paths
 from scottlab.words import parse_word, window_elems
+
+from window_scan import all_names
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -363,7 +368,7 @@ def test_a_json_writer_prints_the_dump_of_its_object(capsys, verb, scheme):
     """
     for argv, obj in _writer_cases(verb, scheme):
         if obj is None:
-            args = build_parser(verb).parse_args(argv)
+            args = build_parser().parse_args(argv)
             obj = args.compute(args)
         expected = json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
         assert _run(capsys, argv + ["--format", "json"]) == (0, expected, ""), argv
@@ -408,7 +413,7 @@ def test_ep_text_matches_the_per_entry_rendering(capsys, scheme):
     for n in [*range(1, 301), MAX_EP_STAGE]:
         for check in ([], ["--check"]):
             argv = ["ep", "--scheme", scheme, "--n", str(n), *check]
-            args = build_parser("ep").parse_args(argv)
+            args = build_parser().parse_args(argv)
             assert _run(capsys, argv) == (0, per_entry_ep_text(args.compute(args), check) + "\n", ""), argv
 
 
@@ -452,14 +457,14 @@ def test_one_parser_serves_interleaved_calls(capsys):
 
 # argparse's own answers: help, an unrecognized argument at the top level, a missing subverb or option,
 # an invalid choice
-PARSE_EXITS = [*([verb, "-h"] for verb in VERBS), ["cpo", "--cpo", "v", "extra"], ["stage", "--n", "3", "x"],
+PARSE_EXITS = [*([verb, "-h"] for verb in TABLE), ["cpo", "--cpo", "v", "extra"], ["stage", "--n", "3", "x"],
                ["string"], ["string", "realize"], ["lcr", "bogus"], ["ep", "--n", "3", "--scheme", "nope"],
                ["fpt", "--cpo", "phi", "--mu", "swap"]]
 
 
 @pytest.mark.parametrize("argv", PARSE_EXITS, ids=[_argv_id(a) for a in PARSE_EXITS])
-def test_a_verb_parser_answers_as_the_full_parser(capsys, monkeypatch, argv):
-    """run() parses with the named verb's parser alone; its help and errors keep the full parser's bytes."""
+def test_run_answers_help_and_errors_as_the_parser(capsys, monkeypatch, argv):
+    """run() leaves help and usage errors to build_parser()'s parser, and answers with its bytes and exit code."""
     monkeypatch.setenv("COLUMNS", "80")
     code = run(argv)
     one = capsys.readouterr()
@@ -813,6 +818,109 @@ def spelled_argvs(draw):
 def test_the_reader_returns_none_or_what_argparse_returns(argv):
     if (args := read_argv(argv)) is not None:
         assert vars(args) == vars(build_parser().parse_args(argv)), argv
+
+
+def _parsed(argv):
+    """The attributes build_parser() sets for argv, or None where it refuses argv."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except (SystemExit, UsageError):
+            return None
+
+
+def _verbs():
+    """Every verb and subverb of TABLE: (its argv prefix, its entry)."""
+    for verb, entry in TABLE.items():
+        if isinstance(entry, cli.Group):
+            yield from (([verb, sub], sub_entry) for sub, sub_entry in entry.subverbs.items())
+        else:
+            yield [verb], entry
+
+
+def _valid(opt, second=False):
+    if opt.type is int:
+        return "4" if second else "3"
+    return opt.choices[-1 if second else 0] if opt.choices else "w" if second else "v"
+
+
+def _values(opt):
+    """A value of each class for a valued option; a str option without choices has no bad value."""
+    bad = "x" if opt.type is int else "nope" if opt.choices else None
+    values = {"valid": _valid(opt), "bad": bad, "negative": "-3", "dashed": "-inf", "empty": "", "double dash": "--"}
+    return {cls: value for cls, value in values.items() if value is not None}
+
+
+def _is_plain(opt, value, joined):
+    """Whether read_argv reads `--opt value` (joined: `--opt=value`): a value not starting with "-" unless
+    joined, not `--`, of the option's type and among its choices."""
+    if value == "--" or (value.startswith("-") and not joined):
+        return False
+    try:
+        value = opt.type(value)
+    except ValueError:
+        return False
+    return opt.choices is None or value in opt.choices
+
+
+def _spellings(opt):
+    """Each spelling class of one option: (class, its argv tokens, whether read_argv reads them)."""
+    flag = opt.flag
+    if opt.type is bool:
+        return [("given", [flag], True), ("repeated", [flag, flag], True), ("missing", [], True),
+                ("with a value", [f"{flag}=1"], False)]
+    out = [("missing", [], not opt.required),
+           ("repeated", [flag, _valid(opt), f"{flag}={_valid(opt, second=True)}"], True)]
+    for cls, value in _values(opt).items():
+        out += [(f"{cls} --opt v", [flag, value], _is_plain(opt, value, False)),
+                (f"{cls} --opt=v", [f"{flag}={value}"], _is_plain(opt, value, True))]
+    return out
+
+
+def _spelled_argvs(prefix, entry):
+    """Each option of one verb in each spelling class, the verb's other required options given plainly; for a
+    subverb, also its group's --format before it."""
+    base = {o.flag: [o.flag, _valid(o)] for o in entry.options.values() if o.required}
+    for opt in entry.options.values():
+        others = [token for flag, tokens in base.items() if flag != opt.flag for token in tokens]
+        for cls, tokens, plain in _spellings(opt):
+            yield f"{opt.flag} {cls}", [*prefix, *others, *tokens], plain
+    if len(prefix) == 2:
+        required = [token for tokens in base.values() for token in tokens]
+        for cls, tokens, plain in _spellings(cli.FORMAT):
+            yield f"group --format {cls}", [prefix[0], *tokens, prefix[1], *required], plain
+
+
+@pytest.mark.parametrize(("prefix", "entry"), list(_verbs()), ids=[" ".join(p) for p, _ in _verbs()])
+def test_the_reader_answers_every_spelling_class_as_argparse(prefix, entry):
+    """A decision over the option table, not a sample: for each spelling class of each option, read_argv
+    returns what build_parser() parses where the argv is plain, and None, leaving it to argparse, elsewhere."""
+    for case, argv, plain in _spelled_argvs(prefix, entry):
+        got = read_argv(argv)
+        if plain:
+            assert got is not None and vars(got) == _parsed(argv), (case, argv)
+        else:
+            assert got is None, (case, argv)
+
+
+def test_every_benchmark_request_is_read_without_argparse():
+    """perfbench's workloads send only plain argv, so the benchmark builds argparse's parser only in setup_s.
+
+    Reads a few blocks of each workload, at full and at --smoke sizes, without running them.
+    """
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    seen = 0
+    for workload in workloads.WORKLOADS:
+        for seed in (1, 2, 3):
+            for smoke in (False, True):
+                for block in itertools.islice(workloads.blocks(workload, seed, smoke), 4):
+                    for argv in block:
+                        assert read_argv(argv) is not None, (workload, seed, argv)
+                        seen += 1
+    assert seen > 1000
 
 
 def _answer(argv):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 
 from scottlab import cli, funcspace
-from scottlab.catalog import all_names, named_cpo
+from scottlab.catalog import named_cpo
 from scottlab.cli import run
 from scottlab.errors import InvalidSegment, NotIsomorphic
 from scottlab.funcspace import (
@@ -17,7 +17,6 @@ from scottlab.funcspace import (
     Mu,
     SegmentKind,
     block_tail,
-    canonical_iso,
     diagonal_map,
     eval_segment,
     fpt,
@@ -44,6 +43,8 @@ from scottlab.words import (
     window_elems,
     word_of,
 )
+
+from window_scan import all_names, canonical_iso
 
 SPACE_WORDS = {
     "two": "3",

@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from scottlab.catalog import all_names
 from scottlab.cli import run
+
+from window_scan import all_names
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = json.loads((GOLDEN_DIR / "cli_outputs.json").read_text())

@@ -3,7 +3,7 @@ import re
 import pytest
 
 from scottlab import replication, strings as st
-from scottlab.adjunction import BOUNDARY_M, BOUNDARY_M_PRIME
+from scottlab.adjunction import BOUNDARY_M
 from scottlab.catalog import ALL_ONES, R_STRINGS, CpoName, NamedCpo, named_cpo
 from scottlab.cli import run
 from scottlab.errors import BadElement, NotBoundary, UnknownCpo
@@ -18,7 +18,7 @@ from scottlab.replication import (
 
 # the window scans these verdicts replaced, kept as their oracle
 import window_scan
-from window_scan import golden_at_window, scan_lcr, scan_pipeline, scan_table8
+from window_scan import BOUNDARY_M_PRIME, golden_at_window, project, scan_lcr, scan_pipeline, scan_table8
 
 
 def _string(kind, i):
@@ -37,11 +37,11 @@ def test_hat_order_has_two_natural_splittings():
 
 def test_hat_projection_sends_the_boundary_per_splitting():
     d1, d2 = decompositions("lambda_hat_prime")
-    assert d1.project(BOUNDARY_M) == st.parse_literal("000...")
-    assert d2.project(BOUNDARY_M) == st.parse_literal("...111")
+    assert project(d1, BOUNDARY_M) == st.parse_literal("000...")
+    assert project(d2, BOUNDARY_M) == st.parse_literal("...111")
     off_boundary = st.PairString(st.ALL_ZEROS_L, _string(st.SpecKind.III, 4))
-    assert d1.project(off_boundary) == _string(st.SpecKind.III, 4)
-    assert d2.project(off_boundary) == _string(st.SpecKind.III, 4)
+    assert project(d1, off_boundary) == _string(st.SpecKind.III, 4)
+    assert project(d2, off_boundary) == _string(st.SpecKind.III, 4)
 
 
 def test_hat_projection_rejects_pairs_outside_the_hat_order():
@@ -50,7 +50,7 @@ def test_hat_projection_rejects_pairs_outside_the_hat_order():
     outside = st.parse_pair_literal("(000..., 00011...)")
     for d in (d1, d2):
         with pytest.raises(BadElement, match="not an element of lambda_hat_prime"):
-            d.project(outside)
+            project(d, outside)
 
 
 def test_valley_order_has_no_natural_splitting():
@@ -61,7 +61,7 @@ def test_valley_order_has_no_natural_splitting():
     assert d.witness.lower_claim == st.parse_literal("...000")
     assert d.witness.upper_claim == st.parse_literal("111...")
     with pytest.raises(NotBoundary):
-        d.project(BOUNDARY_M_PRIME)
+        project(d, BOUNDARY_M_PRIME)
 
 
 def test_no_decomposition_catalogued_elsewhere():
@@ -229,6 +229,30 @@ def test_a_broken_fold_fails_the_round_trip_as_the_scan_does(monkeypatch, mutati
         edge = pipeline(w).lcr
         assert edge == scan_lcr(w), w
         assert not edge.round_trip_ok and len(edge.collision_preimages) == 2
+
+
+class _MiscountedValley(NamedCpo):
+    """v, whose runs read every count from `settle` on one too high: a string folded there unfolds to the next."""
+
+    def locate(self, ends):
+        run, c = super().locate(ends)
+        return run, c + (c >= self.settle)
+
+
+def test_a_fold_broken_from_settle_on_fails_as_the_scan_does(monkeypatch):
+    """The fold is decided at the counts up to settle: an order that breaks only from there on fails it.
+
+    The scan sees the break once its window reaches settle, and passes below it.
+    """
+    v = _MiscountedValley(CpoName.V, (V_LOW, V_UP), glued=True)
+    for module in (replication, window_scan):
+        monkeypatch.setattr(module, "named_cpo", lambda name: v if name is CpoName.V else named_cpo(name))
+    settle = max(named_cpo(CpoName.LAMBDA_PRIME).settle, v.settle)
+    assert settle == 2
+    for w in range(31):
+        edge = pipeline(w).lcr
+        assert not edge.round_trip_ok and len(edge.collision_preimages) == 2
+        assert scan_lcr(w) == (edge if w >= settle else edge._replace(round_trip_ok=True)), w
 
 
 def test_a_valley_order_without_a_layer_refuses_the_fold(monkeypatch):

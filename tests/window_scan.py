@@ -4,7 +4,13 @@ They walk every count up to the window, in O(w^2) pairs for condition
 (3), and serve as the oracle for the decided verdicts: for every window,
 the decided report must equal the scan's.  `corner_adjunction` is the
 corner scan that came between the two: it compares (3) at every pair of
-counts within settle + 2 of a layer's window ends.
+counts within settle + 2 of a layer's window ends (`corners`).
+
+The helpers the scans and the tests share live here too, since the
+package no longer needs them: `half_window` (a half's elements up to a
+count), `corners`, `all_names`, `BOUNDARY_M_PRIME`, `project` (the
+string a splitting sends a pair to) and `canonical_iso` (the positional
+isomorphism, or NotIsomorphic).
 """
 
 import json
@@ -22,10 +28,11 @@ from scottlab.adjunction import (
     opp_element,
 )
 from scottlab.catalog import CpoName, Half, Layer, NamedCpo, ends_of, named_cpo, opp_ends, spell, stack_key
-from scottlab.errors import UnknownCpo
-from scottlab.funcspace import self_iso
+from scottlab.errors import NotBoundary, NotIsomorphic, UnknownCpo
+from scottlab.funcspace import SelfIsoReport, self_iso
 from scottlab.replication import (
     BOUNDARY_M,
+    Decomposition,
     DualizationEdge,
     LcrEdge,
     PipelineReport,
@@ -35,12 +42,46 @@ from scottlab.replication import (
     lcr_forward,
     replicate,
 )
-from scottlab.words import check_window, iso, neighbors, rank_key
+from scottlab.words import check_window, iso, neighbors, rank_key, window_offsets
 
 COMPOSITE = (CpoName.LAMBDA, CpoName.LAMBDA_PRIME, CpoName.LAMBDA_HAT_PRIME, CpoName.V)
 GOLDEN = Path(__file__).parent / "golden"
 OUTPUTS = {**json.loads((GOLDEN / "cli_outputs.json").read_text()),
            **json.loads((GOLDEN / "cli_verbs.json").read_text())}
+
+
+BOUNDARY_M_PRIME = build_pair_cpo(CpoName.V).spelled_boundary
+
+
+def all_names() -> list[str]:
+    return [cn.value for cn in CpoName]
+
+
+def half_window(half: Half, n: int) -> list:
+    """The half's elements up to count n, spelled, ascending, including the extreme strings."""
+    return [half.spelled(layer, c) for layer in half.layers for c in window_offsets(layer.atom, n)]
+
+
+def corners(layer: Layer, n: int, reach: int) -> range | list[int]:
+    """The layer's counts up to n in window order, its window offsets, within `reach` of either end."""
+    counts = window_offsets(layer.atom, n)
+    # sliced, not measured: len() of a range fails from 2**63 counts on
+    return [*counts[:reach + 1], *counts[-reach - 1:]] if counts[reach + 1:-reach - 1] else counts
+
+
+def project(d: Decomposition, p: st.PairString) -> st.MonotypicString:
+    """The string a pair element corresponds to under this splitting."""
+    if not d.natural:
+        raise NotBoundary("the valley order has no natural splitting to project along")
+    return d.boundary_image if p == BOUNDARY_M else named_cpo(CpoName.LAMBDA_HAT_PRIME).held(ends_of(p))
+
+
+def canonical_iso(cpo: NamedCpo) -> SelfIsoReport:
+    """Positional isomorphism between a named order and its map space."""
+    report = self_iso(cpo.word)
+    if not report.is_iso:
+        raise NotIsomorphic(f"{cpo.name.value}: {report.reason}")
+    return report
 
 
 def golden_at_window(argv: list[str], fmt: str, window: int) -> str:
@@ -80,8 +121,8 @@ def scan_adjunction(cpo: NamedCpo, window: int) -> AdjunctionReport:
     """The three conditions, over every pair of the halves' windows."""
     a_half, b_half = cpo.halves
     _check_shapes(cpo)
-    xs = a_half.window(window)
-    ys = b_half.window(window)
+    xs = half_window(a_half, window)
+    ys = half_window(b_half, window)
     oxs = [opp_element(x) for x in xs]
     oys = [opp_element(y) for y in ys]
 
@@ -104,7 +145,7 @@ def scan_adjunction(cpo: NamedCpo, window: int) -> AdjunctionReport:
 def corner_first_outside(cpo: NamedCpo, i: int, window: int) -> str | None:
     """The first element of half i's window whose dual the other half does not hold, spelled, per layer."""
     for layer in cpo.halves[i].layers:
-        c = layer.corners(window, 0)[0]
+        c = corners(layer, window, 0)[0]
         if cpo.free(1 - i, opp_ends(cpo.ends_at(i, layer, c))) is None:
             return str(cpo.halves[i].spelled(layer, c))
     return None
@@ -121,7 +162,7 @@ def corner_keys(cpo: NamedCpo, i: int, window: int) -> Iterator[tuple[Layer, int
                   else ((lambda ends: ends[1]), stack_key))
     for layer in cpo.halves[i].layers:
         runs = None
-        for c in layer.corners(window, settle + 2):
+        for c in corners(layer, window, settle + 2):
             if c < settle or runs is None:
                 x = cpo.ends_at(i, layer, c)
                 (run, cx), (orun, co) = place(x), place(opp_ends(x))
@@ -155,8 +196,8 @@ def scan_boundary(which, window: int) -> BoundaryReport:
     b = spell(cpo.boundary)
     belem = cpo.element(cpo.boundary)
     pred, succ = neighbors(cpo.word, belem)
-    lower_win = lower.window(window)
-    upper_win = upper.window(window)
+    lower_win = half_window(lower, window)
+    upper_win = half_window(upper, window)
     # a window's end is b only if its half pins b's pinned string, so the ranks below exist
     join = lower_win[-1] == b and all(stack_rank(held_string(lower, x)) <= stack_rank(held_string(lower, b))
                                       for x in lower_win)
@@ -205,7 +246,7 @@ def scan_lcr(window: int) -> LcrEdge:
     """The pipeline's fold edge, with the lcr round trip and collisions probed on every window element."""
     lam_prime = named_cpo(CpoName.LAMBDA_PRIME)
     v = named_cpo(CpoName.V)
-    probe = [x for half in lam_prime.halves for x in half.window(window)]
+    probe = [x for half in lam_prime.halves for x in half_window(half, window)]
     ok = True
     collisions = []
     for x in probe:
