@@ -65,8 +65,7 @@ w down, so its class of many counts starts at w, and a witness there
 spells w out, as 0^w 11....  Where the order does not hold an element
 or its dual, the decision raises BadElement, as locating the first such
 element in window order does.  Elements are their ends here, and a
-string is built only to spell a witness or a report field: the
-boundary report's `boundary` is the order's boundary, spelled once.
+string is built only to spell a witness (`catalog.spell` of its ends).
 
 The two pair-built orders carry a boundary element where the halves
 meet: m = (000..., ...111) is its own dual and has no immediate
@@ -74,7 +73,8 @@ neighbors, while m' = (...000, 111...) is its own dual with immediate
 neighbors on both sides.  Stack keys rise through each layer's window,
 so whether the boundary tops the lower half and bottoms the upper one is
 read off the keys (stack index, ±count) of each layer's two window-end
-counts and of the boundary's free end in each half.
+counts and of the boundary's free end in each half.  The rest of the
+report is a fact of the order, read off its `NamedCpo.boundary`.
 
 The halves, the string ranks, the boundaries and the ambient positions
 are all read off the catalogue's table; nothing here restates an order.
@@ -83,9 +83,9 @@ are all read off the catalogue's table; nothing here restates an order.
 from typing import NamedTuple
 
 from . import strings as st
-from .catalog import CpoName, NamedCpo, named_cpo, opp_ends, stack_key, window_end_keys
+from .catalog import CpoName, NamedCpo, named_cpo, opp_ends, spell, stack_key, window_end_keys
 from .errors import UnknownCpo
-from .words import AtomKind, check_window, neighbors
+from .words import AtomKind, check_window
 
 
 def opp_element(x):
@@ -103,7 +103,7 @@ def build_pair_cpo(name: str | CpoName | NamedCpo) -> NamedCpo:
     return cpo
 
 
-BOUNDARY_M = build_pair_cpo(CpoName.LAMBDA_HAT_PRIME).spelled_boundary
+BOUNDARY_M = build_pair_cpo(CpoName.LAMBDA_HAT_PRIME).boundary.pair
 
 
 class ConditionReport(NamedTuple):
@@ -143,7 +143,7 @@ def _first_outside(cpo: NamedCpo, i: int, window: int) -> str | None:
     for layer, entries in zip(cpo.layers[i], cpo.duals[i]):
         c = window if layer.atom.kind is AtomKind.OMEGA_STAR else 0
         if not entries[min(c, s)].holders[1 - i]:
-            return str(cpo.halves[i].spelled(layer, c))
+            return str(spell(cpo.ends_at(i, layer, c)))
     return None
 
 
@@ -198,8 +198,7 @@ def _third_condition(cpo: NamedCpo, w: int) -> str | None:
                     failing.append((w - c if down_x else c, jy, w - d if down_y else d, c, d))
         if failing:
             _, jy, _, c, d = min(failing)
-            (a, b), (a_layers, b_layers) = cpo.halves, cpo.layers
-            return f"{a.spelled(a_layers[jx], c)}, {b.spelled(b_layers[jy], d)}"
+            return f"{spell(cpo.ends_at(0, cpo.layers[0][jx], c))}, {spell(cpo.ends_at(1, cpo.layers[1][jy], d))}"
     return None
 
 
@@ -236,15 +235,12 @@ class BoundaryReport(NamedTuple):
 def boundary_report(which: str | CpoName | NamedCpo, window: int = 20) -> BoundaryReport:
     check_window(window)
     cpo = build_pair_cpo(which)
-    ends = cpo.boundary
-    belem = cpo.element(ends)
-    pred, succ = neighbors(cpo.word, belem)
-    in_low, in_up = cpo.free(0, ends), cpo.free(1, ends)
+    b = cpo.boundary
+    in_low, in_up = cpo.free(0, b.ends), cpo.free(1, b.ends)
     # stack keys rise through a layer's window, so its last count's key is its greatest there and its first's its least
     lasts = [window_end_keys(layer, window)[1] for layer in cpo.layers[0]]
     firsts = [window_end_keys(layer, window)[0] for layer in cpo.layers[1]]
-    return BoundaryReport(cpo.name, cpo.spelled_boundary, cpo.to_label(belem), opp_ends(ends) == ends,
-                          cpo.to_label(pred) if pred is not None else None,
-                          cpo.to_label(succ) if succ is not None else None, in_low is not None, in_up is not None,
+    return BoundaryReport(cpo.name, b.pair, b.label, opp_ends(b.ends) == b.ends, *b.neighbors,
+                          in_low is not None, in_up is not None,
                           in_low is not None and lasts[-1] == stack_key(*in_low) >= max(lasts),
                           in_up is not None and firsts[0] == stack_key(*in_up) <= min(firsts), window)

@@ -43,12 +43,15 @@ import itertools
 import re
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import strings as st
 from .errors import BadElement, UnknownCpo
-from .words import (OMEGA, OMEGA_STAR, AtomKind, Elem, OrderAtom, check_range, fin, normal_layout, rank_key,
-                    read_decimal, window_offsets, window_runs, word_of)
+from .words import (OMEGA, OMEGA_STAR, AtomKind, Elem, OrderAtom, check_range, fin, neighbors, normal_layout,
+                    rank_key, read_decimal, window_offsets, window_runs, word_of)
+
+if TYPE_CHECKING:  # only annotations name the map space, so the catalogue never runs funcspace
+    from .funcspace import SelfIsoReport
 
 
 class CpoName(Enum):
@@ -192,13 +195,6 @@ class Half(NamedTuple):
     def layers(self) -> tuple[Layer, ...]:
         return tuple(layer for layer, _ in self.blocks)
 
-    def spelled(self, layer: Layer, c: int):
-        """The half's element at (layer, c), spelled; a pair takes its pinned end from the half's own left or right."""
-        s = layer.string(c)
-        if self.right is not None:
-            return st.PairString(s, self.right)
-        return s if self.left is None else st.PairString(self.left, s)
-
 
 class _Run(NamedTuple):
     """A block of a catalogue order, read off one half's layer."""
@@ -224,6 +220,17 @@ class Dual(NamedTuple):
     holders: tuple[bool, ...]
 
 
+class Boundary(NamedTuple):
+    """The element where a glued order's halves meet, and its facts, which no window changes."""
+
+    ends: tuple
+    pair: st.PairString       # the pair at its ends
+    run: _Run                 # the run that holds it, at count `count`
+    count: int
+    label: str                # named, not spelled, in a literal order too
+    neighbors: tuple[str | None, str | None]  # the labels of its predecessor and successor, if any
+
+
 class NamedCpo:
     """A catalogued order: one half, or a lower half under an upper half."""
 
@@ -237,7 +244,7 @@ class NamedCpo:
         # without hashing it
         self.layers = tuple(h.layers for h in halves)
         blocks = [(i, layer, style, 0) for i, h in enumerate(halves) for layer, style in h.blocks]
-        self.boundary = self.spelled_boundary = None  # the boundary's ends, and the boundary spelled for reports
+        self.boundary: Boundary | None = None  # a glued order's, set below once its runs can label it
         if glued:
             # the lower half gives up its top; the upper half's bottom is the boundary
             top = len(halves[0].blocks) - 1
@@ -246,8 +253,6 @@ class NamedCpo:
                 del blocks[top]
             else:
                 blocks[top] = (i, layer, style, 1)
-            self.boundary = self.ends_at(1, halves[1].layers[0], 0)
-            self.spelled_boundary = spell(self.boundary)
         self.display_word = word_of(*(layer.atom for _, layer, _, _ in blocks))
         self.word, layout = normal_layout(self.display_word.atoms)
         runs = []
@@ -261,13 +266,14 @@ class NamedCpo:
         self._places = [(r.block, r.base) for r in self._runs]  # with one at offset 0 of every block
         self._run_of = {(r.half, r.layer): r for r in self._runs}
         # for the labels of a literal order: the text around each pair half's free end's literal, its pinned
-        # end spelled once, and the run, count and label of the boundary, which is named, not spelled
+        # end spelled once
         self._wraps = tuple(("(", f", {h.right})") if h.right is not None else None if h.left is None
                             else (f"({h.left}, ", ")") for h in halves)
-        self._boundary_label = None
-        if glued:
-            run, c = self.locate(self.boundary)
-            self._boundary_label = run, c, _render_counts(run.style, (c,))[0]
+        if glued:  # the upper half's bottom; its neighbors are labelled before the record that names it is set
+            ends = self.ends_at(1, halves[1].layers[0], 0)
+            run, c = self.locate(ends)
+            labels = tuple(None if y is None else self.to_label(y) for y in neighbors(self.word, self._elem(run, c)))
+            self.boundary = Boundary(ends, spell(ends), run, c, _render_counts(run.style, (c,))[0], labels)
 
     @cached_property
     def pins(self) -> tuple[tuple[int, tuple[Layer, int] | None], ...]:
@@ -294,6 +300,12 @@ class NamedCpo:
         held by one run for all c, at position (block, ±(first + step·(c − start))).
         """
         return 1 + max([r.start for r in self._runs] + [at[1] for _, at in self.pins if at is not None])
+
+    @cached_property
+    def self_iso(self) -> "SelfIsoReport":
+        """`funcspace.self_iso` of the order's word: is the order isomorphic to its own map space [w -> 2]?"""
+        from . import funcspace  # built on first use: most verbs never read the map space
+        return funcspace.self_iso(self.word)
 
     @cached_property
     def duals(self) -> tuple[tuple[tuple[Dual, ...], ...], ...]:
@@ -374,9 +386,9 @@ class NamedCpo:
         if self._wraps[run.half] is not None:
             head, tail = self._wraps[run.half]
             labels = [head + text + tail for text in labels]
-        named = self._boundary_label
-        if named is not None and named[0] is run and named[1] in counts:
-            labels[counts.index(named[1])] = named[2]
+        b = self.boundary
+        if b is not None and b.run is run and b.count in counts:
+            labels[counts.index(b.count)] = b.label
         return labels
 
     def to_label(self, x: Elem) -> str:

@@ -337,7 +337,8 @@ def _funcspace(args) -> tuple[dict, tuple[list[str], list[str], list[int]] | Non
         raise BadLiteral("give --cpo or --word, not both" if args.cpo else "need --cpo or --word")
     c = catalog.named_cpo(args.cpo) if args.cpo else None
     word = words.parse_word(args.word) if c is None else c.word
-    report = funcspace.self_iso(word)
+    # a catalogued order holds its verdict; a word given on the command line is decided afresh
+    report = funcspace.self_iso(word) if c is None else c.self_iso
     head = {
         "base": str(word) if c is None else c.name.value,
         "order_type": str(report.space.word),

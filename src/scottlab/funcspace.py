@@ -344,7 +344,7 @@ def diagonal_map(space: FuncSpace, mu: Mu) -> OpenSegment:
 
 def fpt(cpo: "NamedCpo", mu: Mu) -> FixedPointReport:
     """Fixed point of mu via the diagonal of the positional isomorphism."""
-    report = self_iso(cpo.word)
+    report = cpo.self_iso
     if not report.is_iso:
         raise NotIsomorphic(f"{cpo.name.value}: {report.reason}")
     g = diagonal_map(report.space, mu)

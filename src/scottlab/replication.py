@@ -38,9 +38,8 @@ from typing import NamedTuple
 
 from . import strings as st
 from .adjunction import BOUNDARY_M, check_adjunction
-from .catalog import CpoName, Layer, NamedCpo, ends_of, named_cpo
+from .catalog import CpoName, Layer, NamedCpo, ends_of, named_cpo, spell
 from .errors import BadElement, NotBoundary, UnknownCpo
-from .funcspace import self_iso
 from .words import AtomKind, check_window, iso, neighbors
 
 
@@ -72,7 +71,7 @@ def decompositions(which: str | CpoName) -> tuple[Decomposition, ...]:
     cpo = named_cpo(which)
     if cpo.boundary is None:
         raise UnknownCpo(f"{cpo.name.value} has no catalogued decomposition")
-    b = cpo.spelled_boundary
+    b = cpo.boundary.pair
     in_lower, in_upper = (b[1 - side] for side, _ in cpo.pins)  # the string each half frees: the end it does not pin
     low, up = ([layer.family for layer in h.layers] for h in cpo.halves)
     if cpo.halves[0].layers[-1].atom.kind is not AtomKind.FIN:
@@ -107,9 +106,9 @@ def lcr_forward(x: st.MonotypicString) -> LcrImage:
     ends = ends_of(x)
     layer, c = ends[1]
     i = _fold_half(v, layer)
-    image, half = v.ends_at(i, layer, c), v.halves[i]
-    return LcrImage(x, lam_prime.to_label(lam_prime.element(ends)), half.spelled(layer, c), half.name,
-                    v.to_label(v.element(image)), image == v.boundary)
+    image = v.ends_at(i, layer, c)
+    return LcrImage(x, lam_prime.to_label(lam_prime.element(ends)), spell(image), v.halves[i].name,
+                    v.to_label(v.element(image)), image == v.boundary.ends)
 
 
 def lcr_backward(p: st.PairString, endpoint: st.Orientation | None = None) -> st.MonotypicString:
@@ -122,7 +121,7 @@ def lcr_backward(p: st.PairString, endpoint: st.Orientation | None = None) -> st
     and endpoint is ignored.
     """
     v = named_cpo(CpoName.V)
-    if p == v.spelled_boundary:
+    if p == v.boundary.pair:
         if endpoint is None:
             raise BadElement("the boundary has two preimages; pick endpoint L or R")
         return next(s for s in p if s.orientation is endpoint)
@@ -145,9 +144,8 @@ def replicate(p: st.PairString) -> ReplicationResult:
     if p != BOUNDARY_M:
         raise NotBoundary(f"replication applies only to {BOUNDARY_M}, got {p}")
     lam_prime = named_cpo(CpoName.LAMBDA_PRIME)
-    ie, ee = (lam_prime.element((None, end)) for end in named_cpo(CpoName.LAMBDA_HAT_PRIME).boundary)
-    mutual = (neighbors(lam_prime.word, ee)[1] == ie
-              and neighbors(lam_prime.word, ie)[0] == ee)
+    ie, ee = (lam_prime.element((None, end)) for end in named_cpo(CpoName.LAMBDA_HAT_PRIME).boundary.ends)
+    mutual = neighbors(lam_prime.word, ee)[1] == ie and neighbors(lam_prime.word, ie)[0] == ee
     return ReplicationResult(p, p.left, lam_prime.to_label(ie), p.right, lam_prime.to_label(ee), mutual)
 
 
@@ -168,8 +166,8 @@ def table8(window: int = 20) -> tuple[Table8Row, ...]:
     for name in (CpoName.LAMBDA, CpoName.LAMBDA_PRIME, CpoName.LAMBDA_HAT_PRIME, CpoName.V):
         cpo = named_cpo(name)
         adj = "yes" if check_adjunction(name, window).passed else "no"
-        fp = "applicable" if self_iso(cpo.word).is_iso else "not applicable"
-        boundary = "n/a" if cpo.boundary is None else cpo.to_label(cpo.element(cpo.boundary))
+        fp = "applicable" if cpo.self_iso.is_iso else "not applicable"
+        boundary = "n/a" if cpo.boundary is None else cpo.boundary.label
         rows.append(Table8Row(name.value, adj, fp, boundary, str(cpo.display_word)))
     return tuple(rows)
 
@@ -232,15 +230,14 @@ def pipeline(window: int = 20) -> PipelineReport:
         i = _fold_half(v, layer)
         for c in range(layer.atom.size if layer.atom.kind is AtomKind.FIN else settle + 1):
             image = v.ends_at(i, layer, c)
-            if image == m:
+            if image == m.ends:
                 x = layer.string(c)
                 collisions.append(x)
-                ok = ok and lcr_backward(v.spelled_boundary, x.orientation) == x
+                ok = ok and lcr_backward(m.pair, x.orientation) == x
             else:
                 run, held = v.locate(image)
                 ok = ok and (run.layer, held) == (layer, c)
-    lcr_edge = LcrEdge(lam_prime.name.value, v.name.value, ok and len(collisions) == 2,
-                       v.to_label(v.element(m)), tuple(str(c) for c in collisions),
-                       iso(lam_prime.word, v.word))
+    lcr_edge = LcrEdge(lam_prime.name.value, v.name.value, ok and len(collisions) == 2, m.label,
+                       tuple(str(c) for c in collisions), iso(lam_prime.word, v.word))
 
     return PipelineReport(dual, rep_edge, lcr_edge, table8(window))

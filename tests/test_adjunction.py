@@ -151,6 +151,16 @@ def test_decided_boundary_equals_the_scan(name):
         assert boundary_report(name, w) == scan_boundary(name, w), w
 
 
+def test_a_literal_glued_order_reports_its_boundary_as_the_scan_does():
+    """v's halves in an order that prints literals: its boundary m' has both neighbors, whose labels are pair
+    literals made while the order is built, before its record of the boundary is set."""
+    cpo = NamedCpo(CpoName.V, (XI_HALF, XI_OPP_HALF), glued=True, literal=True)
+    assert (cpo.boundary.label, *cpo.boundary.neighbors) == \
+        ("m'", "(...000, 011...)", "(...001, 111...)")
+    for w in range(31):
+        assert boundary_report(cpo, w) == scan_boundary(cpo, w), w
+
+
 def _rebuilt(name, lower=None, upper=None):
     """The order built as the catalogue builds it, from other halves."""
     cpo = named_cpo(name)
@@ -381,6 +391,8 @@ def test_the_work_does_not_grow_with_the_window(work_count):
             assert counts["classify"] == 0
             if call is check_adjunction:
                 assert counts["locate"] <= CORNER_LOCATES[name]
+            else:  # the boundary's facts are read off the order's record of it
+                assert counts["locate"] == 0
 
 
 def _golden(argv, fmt, window):

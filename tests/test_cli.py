@@ -612,6 +612,7 @@ def test_a_cold_start_imports_neither_dataclasses_nor_inspect():
 
 
 STAGE_LAYERS, MU_LAYERS = ["stages", "words"], ["funcspace", "words"]
+BOUNDARY_LAYERS = ["adjunction", "catalog", "strings", "words"]
 # a cold argv, the layers whose bodies it runs, and whether it loads json: the stage tower's verbs never run
 # the catalogue or the strings, in text or in JSON, and the map-space verbs that name no catalogued order
 # never run them either; `paths`, `diagram` and `stage` write their JSON themselves
@@ -629,6 +630,11 @@ COLD_LAYERS = {
     "mu --map 10 --format json": (MU_LAYERS, True),
     "funcspace --word w+1": (MU_LAYERS, False),
     "funcspace --word w*+w --format json": (MU_LAYERS, True),
+    # an order's boundary is read off the catalogue's record of it, and only Table 8 reads a map space
+    "boundary --cpo v": (BOUNDARY_LAYERS, False),
+    "decompose --cpo v": (sorted(BOUNDARY_LAYERS + ["replication"]), False),
+    "replicate": (sorted(BOUNDARY_LAYERS + ["replication"]), False),
+    "table8": (sorted(BOUNDARY_LAYERS + ["funcspace", "replication"]), False),
     # the full parser, build_parser(), lists the --scheme and --mu choices without running a layer
     "-h": ([], False),
 }

@@ -216,6 +216,10 @@ def test_the_space_is_built_once(monkeypatch, argv):
     monkeypatch.setattr(funcspace, "scott_opens", counting)
     # the CLI module would hold a reference of its own if it imported the function
     monkeypatch.setattr(cli, "scott_opens", counting, raising=False)
+    # v holds its verdict once it is read: forget it, so that this run builds it
+    monkeypatch.delitem(vars(named_cpo("v")), "self_iso", raising=False)
+    assert run(argv) == 0
+    assert len(calls) == 1
     assert run(argv) == 0
     assert len(calls) == 1
 

@@ -181,7 +181,9 @@ def test_the_work_does_not_grow_with_the_window(work_count):
     for call in (table8, pipeline):
         counts = work_count(lambda: call(20))
         assert counts == work_count(lambda: call(10**9))
-        assert counts["locate"] > 0 and counts["classify"] == 0
+        assert counts["classify"] == 0
+        # Table 8 reads each boundary's label off its record; the pipeline's fold locates its images
+        assert counts["locate"] == 0 if call is table8 else counts["locate"] > 0
     for name in ("lambda_hat_prime", "v"):
         assert work_count(lambda: decompositions(name))["classify"] == 0
 
@@ -201,16 +203,24 @@ def _valley(lower=V_LOW, upper=V_UP):
     return NamedCpo(CpoName.V, (lower, upper), glued=True)
 
 
-def _runs_traded(cpo, half, a, b):
-    """The order, with the runs `locate` finds for two layers of one half traded."""
-    cpo._run_of[half, a], cpo._run_of[half, b] = cpo._run_of[half, b], cpo._run_of[half, a]
-    return cpo
+class _RunsTraded(NamedCpo):
+    """v, with the runs `locate` finds for the upper half's two layers traded.
+
+    `locate` trades them, not a swap of `_run_of` after the order is built, so the boundary's record, made
+    while the order is built, sees the traded runs as every later lookup does.  Both runs start at count 0,
+    so trading the run found trades the runs.
+    """
+
+    def locate(self, ends):
+        run, c = super().locate(ends)
+        other = {R_STRINGS: ALL_ONES, ALL_ONES: R_STRINGS}.get(run.layer)
+        return (self._run_of[1, other], c) if run.half == 1 and other else (run, c)
 
 
 # valley orders that fold lambda_prime onto exactly two strings at their boundary but do not round-trip
 BROKEN_FOLDS = [
     ("v, the runs of the upper layers traded, so an image unfolds to another layer's string",
-     _runs_traded(_valley(), 1, R_STRINGS, ALL_ONES)),
+     _RunsTraded(CpoName.V, (V_LOW, V_UP), glued=True)),
     ("v, ...111 moved from the top of the upper half to its pin, so both ends of the boundary (...000, ...111) "
      "read from the right and unfold to ...000",
      _valley(V_LOW._replace(blocks=(*V_LOW.blocks, (ALL_ONES, "+inf"))),

@@ -8,9 +8,10 @@ counts within settle + 2 of a layer's window ends (`corners`).
 
 The helpers the scans and the tests share live here too, since the
 package no longer needs them: `half_window` (a half's elements up to a
-count), `corners`, `all_names`, `BOUNDARY_M_PRIME`, `project` (the
-string a splitting sends a pair to) and `canonical_iso` (the positional
-isomorphism, or NotIsomorphic).
+count), `spelled` (a half's element at a layer and count), `corners`,
+`all_names`, `BOUNDARY_M_PRIME`, `project` (the string a splitting sends
+a pair to) and `canonical_iso` (the positional isomorphism, or
+NotIsomorphic).
 """
 
 import json
@@ -50,16 +51,24 @@ OUTPUTS = {**json.loads((GOLDEN / "cli_outputs.json").read_text()),
            **json.loads((GOLDEN / "cli_verbs.json").read_text())}
 
 
-BOUNDARY_M_PRIME = build_pair_cpo(CpoName.V).spelled_boundary
+BOUNDARY_M_PRIME = spell(build_pair_cpo(CpoName.V).boundary.ends)
 
 
 def all_names() -> list[str]:
     return [cn.value for cn in CpoName]
 
 
+def spelled(half: Half, layer: Layer, c: int):
+    """The half's element at (layer, c), spelled; a pair takes its pinned end from the half's own left or right."""
+    s = layer.string(c)
+    if half.right is not None:
+        return st.PairString(s, half.right)
+    return s if half.left is None else st.PairString(half.left, s)
+
+
 def half_window(half: Half, n: int) -> list:
     """The half's elements up to count n, spelled, ascending, including the extreme strings."""
-    return [half.spelled(layer, c) for layer in half.layers for c in window_offsets(layer.atom, n)]
+    return [spelled(half, layer, c) for layer in half.layers for c in window_offsets(layer.atom, n)]
 
 
 def corners(layer: Layer, n: int, reach: int) -> range | list[int]:
@@ -147,7 +156,7 @@ def corner_first_outside(cpo: NamedCpo, i: int, window: int) -> str | None:
     for layer in cpo.halves[i].layers:
         c = corners(layer, window, 0)[0]
         if cpo.free(1 - i, opp_ends(cpo.ends_at(i, layer, c))) is None:
-            return str(cpo.halves[i].spelled(layer, c))
+            return str(spelled(cpo.halves[i], layer, c))
     return None
 
 
@@ -180,7 +189,7 @@ def corner_adjunction(cpo: NamedCpo, window: int) -> AdjunctionReport:
         raise UnknownCpo(f"no half pairing attached to {cpo.name.value}")
     _check_shapes(cpo)
     xs, ys = list(corner_keys(cpo, 0, window)), list(corner_keys(cpo, 1, window))
-    c3 = next((f"{cpo.halves[0].spelled(lx, cx)}, {cpo.halves[1].spelled(ly, cy)}"
+    c3 = next((f"{spelled(cpo.halves[0], lx, cx)}, {spelled(cpo.halves[1], ly, cy)}"
                for lx, cx, x_at, ox_at in xs for ly, cy, y_at, oy_at in ys
                if (x_at <= oy_at) != (y_at <= ox_at)), None)
     conds = tuple(ConditionReport(k, c is None, c) for k, c in enumerate(
@@ -193,8 +202,8 @@ def scan_boundary(which, window: int) -> BoundaryReport:
     """The boundary report, with the join and meet checked on every window element."""
     cpo = build_pair_cpo(which)
     lower, upper = cpo.halves
-    b = spell(cpo.boundary)
-    belem = cpo.element(cpo.boundary)
+    b = spell(cpo.boundary.ends)
+    belem = cpo.element(cpo.boundary.ends)
     pred, succ = neighbors(cpo.word, belem)
     lower_win = half_window(lower, window)
     upper_win = half_window(upper, window)
@@ -219,7 +228,7 @@ def scan_table8(window: int) -> tuple[Table8Row, ...]:
         fp = "applicable" if self_iso(cpo.word).is_iso else "not applicable"
         try:
             glued = build_pair_cpo(name)
-            boundary = glued.to_label(glued.element(glued.boundary))
+            boundary = glued.to_label(glued.element(glued.boundary.ends))
         except UnknownCpo:
             boundary = "n/a"
         rows.append(Table8Row(name.value, adj, fp, boundary, str(cpo.display_word)))
@@ -258,6 +267,6 @@ def scan_lcr(window: int) -> LcrEdge:
             collisions.append(x)
     return LcrEdge(
         lam_prime.name.value, v.name.value, ok and len(collisions) == 2,
-        v.to_label(v.element(v.boundary)), tuple(str(c) for c in collisions),
+        v.to_label(v.element(v.boundary.ends)), tuple(str(c) for c in collisions),
         iso(lam_prime.word, v.word),
     )
