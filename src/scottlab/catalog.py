@@ -47,8 +47,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import strings as st
 from .errors import BadElement, UnknownCpo
-from .words import (OMEGA, OMEGA_STAR, AtomKind, Elem, OrderAtom, check_range, fin, neighbors, normal_layout,
-                    rank_key, read_decimal, window_offsets, window_runs, word_of)
+from .words import (OMEGA, OMEGA_STAR, AtomKind, Elem, OrderAtom, OrderWord, check_range, fin, iso, neighbors,
+                    normal_layout, rank_key, read_decimal, window_offsets, window_runs, word_of)
 
 if TYPE_CHECKING:  # only annotations name the map space, so the catalogue never runs funcspace
     from .funcspace import SelfIsoReport
@@ -240,6 +240,7 @@ class NamedCpo:
         self.halves = halves
         self.literal = literal  # elements print as string or pair literals
         self.bare = bare        # elements are numerals only, not strings
+        self._isos: dict[OrderWord, bool] = {}  # isomorphic_to's verdicts, by the other order's word
         # each half's layers, as `free` reads them beside `pins`: tuples, whose `in` finds the same Layer object
         # without hashing it
         self.layers = tuple(h.layers for h in halves)
@@ -306,6 +307,12 @@ class NamedCpo:
         """`funcspace.self_iso` of the order's word: is the order isomorphic to its own map space [w -> 2]?"""
         from . import funcspace  # built on first use: most verbs never read the map space
         return funcspace.self_iso(self.word)
+
+    def isomorphic_to(self, other: "NamedCpo") -> bool:
+        """`words.iso` of the two orders' words, decided once per word of `other` and held, as `self_iso` is."""
+        if (verdict := self._isos.get(other.word)) is None:
+            verdict = self._isos[other.word] = iso(self.word, other.word)
+        return verdict
 
     @cached_property
     def duals(self) -> tuple[tuple[tuple[Dual, ...], ...], ...]:

@@ -19,11 +19,12 @@ only function that turns a report into JSON.  For --format json,
 own JSON writer: `paths`, `diagram` and `stage` write the same text and
 its line end from templates, with no object built and no escaping pass,
 and `funcspace` writes its head through `json.dumps` and joins its table
-around it.  `paths`' compute returns no object either, but the text of
-each row's entries and its label, `diagram`'s the dot text's pieces, and
-`funcspace`'s the object's head and its table's labels, row texts and
-cuts, which its render and its writer both wrap.  Text `ep` checks the
-e/p laws only with `--check`.
+around it.  `paths`' compute returns no object either, but its whole
+text, which `stages.paths_text` joins from the text's row tokens as it
+joins the JSON writer's from JSON's; `diagram`'s returns the dot text's
+pieces, and `funcspace`'s the object's head and its table's labels, row
+texts and cuts, which its render and its writer both wrap.  Text `ep`
+checks the e/p laws only with `--check`.
 
 A render or a JSON writer may return a list of texts in place of one
 text, as `diagram`'s do: its pieces hold a non-ASCII character (λ) only
@@ -281,19 +282,19 @@ def _ep_text(obj, args) -> str:
     return "".join(out)
 
 
-def _paths(args) -> list[tuple[str, str]]:
-    # not the schema's object: each path's entries as text, and its label, which the text and the JSON writer wrap
-    return stages.limit_path_texts(stages.Scheme(args.scheme), args.depth)
+def _paths(args) -> str:
+    # not the schema's object: the text of every path, which the JSON writer builds with its own tokens
+    return stages.paths_text(stages.Scheme(args.scheme), args.depth)
 
 
-def _paths_text(rows, args) -> str:
-    return "\n".join([f"{entries} <-> {label}" for entries, label in rows])
+def _paths_text(text, args) -> str:
+    return text
 
 
 def _paths_json(args) -> str:
     # the schema's object around the same rows: the labels k, inf and k' need no escape
-    rows = ",".join([f'{{"entries":[{entries}],"label":"{label}"}}' for entries, label in _paths(args)])
-    return f'{{"scheme":"{args.scheme}","depth":{args.depth},"paths":[{rows}]}}\n'
+    return stages.paths_text(stages.Scheme(args.scheme), args.depth, '{"entries":[', '],"label":"', '"}', ",",
+                             f'{{"scheme":"{args.scheme}","depth":{args.depth},"paths":[', "]}\n")
 
 
 def _limit(args) -> dict:

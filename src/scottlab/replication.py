@@ -40,7 +40,7 @@ from . import strings as st
 from .adjunction import BOUNDARY_M, check_adjunction
 from .catalog import CpoName, Layer, NamedCpo, ends_of, named_cpo, spell
 from .errors import BadElement, NotBoundary, UnknownCpo
-from .words import AtomKind, check_window, iso, neighbors
+from .words import AtomKind, check_window, neighbors
 
 
 class CollisionWitness(NamedTuple):
@@ -214,7 +214,7 @@ def pipeline(window: int = 20) -> PipelineReport:
     lam_prime = named_cpo(CpoName.LAMBDA_PRIME)
     v = named_cpo(CpoName.V)
 
-    dual = DualizationEdge(lam.name.value, hat.name.value, iso(lam.word, hat.word), str(hat.display_word))
+    dual = DualizationEdge(lam.name.value, hat.name.value, lam.isomorphic_to(hat), str(hat.display_word))
 
     rep = replicate(BOUNDARY_M)
     rep_edge = ReplicationEdge(hat.name.value, lam_prime.name.value, rep.intent_label, rep.extent_label,
@@ -238,6 +238,6 @@ def pipeline(window: int = 20) -> PipelineReport:
                 run, held = v.locate(image)
                 ok = ok and (run.layer, held) == (layer, c)
     lcr_edge = LcrEdge(lam_prime.name.value, v.name.value, ok and len(collisions) == 2, m.label,
-                       tuple(str(c) for c in collisions), iso(lam_prime.word, v.word))
+                       tuple(str(c) for c in collisions), lam_prime.isomorphic_to(v))
 
     return PipelineReport(dual, rep_edge, lcr_edge, table8(window))

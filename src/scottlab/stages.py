@@ -12,10 +12,10 @@ linking consecutive stages are provided:
                by truncating the top.
 
 A limit path is a label per stage consistent under projection.  Its
-label is decided where its row is cut, by where its final label sits
-against the scheme's diagonal at the final stage: strictly below, the
-labels went constant (a numeral k); on it, the path rides the diagonal
-(inf); strictly above, the path tracks "top minus n" (a primed k').
+label is decided by where its final label sits against the scheme's
+diagonal at the final stage: strictly below, the labels went constant
+(a numeral k); on it, the path rides the diagonal (inf); strictly
+above, the path tracks "top minus n" (a primed k').
 The limits are catalogue orders, tied to them by tests only: the
 STANDARD tower's paths are the elements of phi (omega + 1 + omega*,
 isomorphic to lambda_hat_prime, whose boundary m is the inf path), and
@@ -23,7 +23,6 @@ the ALTERNATIVE tower's those of theta (omega + 1, isomorphic to
 omega_prime).
 """
 
-import bisect
 import itertools
 import operator
 from enum import Enum
@@ -47,9 +46,10 @@ MAX_STAGE = 5000
 # checked pair prints about 2.6 MB of text in 0.16-0.18 s with a 40 MB peak
 MAX_EP_STAGE = 100_000
 # a path holds depth labels and there are depth paths: at depth 3000
-# limit_paths builds them in 0.20-0.30 s with an 85-91 MB peak, and `paths`,
-# which cuts each row's text from two strings instead, prints about 38 MB
-# in 0.16-0.19 s with a 123-129 MB peak, as text or JSON, from a fresh process
+# limit_paths builds them in 0.18-0.23 s with an 83-84 MB peak, and `paths`,
+# which joins each row's slices of two strings into one text instead, prints
+# about 38 MB in 0.12-0.17 s with a 112-128 MB peak, as text or JSON, from a
+# fresh process: its text and the copy that stdout encodes are most of it
 MAX_PATHS_DEPTH = 3000
 # limit_cpo compares one label with the diagonal, about 5 µs at any depth
 # (2-vCPU Xeon, Python 3.11); the bound stays part of the verb's documented
@@ -115,6 +115,13 @@ def _diagonal(scheme: Scheme, n: int) -> int:
     return (n - 1) // 2 if scheme is Scheme.STANDARD else n - 1
 
 
+def _diagonals(scheme: Scheme, depth: int) -> list[int]:
+    """_diagonal at stages 1, ..., depth, built with no call per stage."""
+    if scheme is Scheme.STANDARD:
+        return list(map(operator.rshift, range(depth), itertools.repeat(1)))  # (n - 1) // 2
+    return list(range(depth))
+
+
 def ep_pair(scheme: Scheme, n: int) -> EpPair:
     """e keeps labels up to the diagonal t and shifts the rest up; p undoes it, sending t+1 to t too."""
     check_range("stage", n, 1, MAX_EP_STAGE)
@@ -173,24 +180,33 @@ class LimitPath(NamedTuple):
     label: str  # its element of the limit: a numeral k, inf, or a primed k'
 
 
-def _path_cuts(scheme: Scheme, depth: int) -> tuple[tuple[int, ...], list[tuple[int, int, bool, str]]]:
-    """The diagonal t_1, ..., t_depth and, per final label L ascending, (cut, L, rises, label).
+def _path_cuts(scheme: Scheme, depth: int) -> tuple[list[int], list[int]]:
+    """The diagonal t_1, ..., t_depth and each final label L's cut, L ascending.
 
     A path's row is the diagonal's first `cut` labels, then a tail of
     depth - cut labels ending at L: all L when L <= t_depth, rising by
-    one when L lies above.  For L up to the diagonal the cut is where the
-    diagonal reaches L; above it, where n - 1 - t_n first exceeds the
-    slack depth - 1 - L.  Either tail holds at least one label.
+    one when L lies above.  For L up to the diagonal the cut is the
+    stage where the diagonal reaches L; above it, where the rise
+    n - 1 - t_n first exceeds the slack depth - 1 - L.  Both start at 0
+    at stage 1 and step by 0 or 1, and their sum n - 1 steps by one, so
+    from stage 2 on exactly one of them steps at each stage: the cuts
+    are 0 for L = 0, the diagonal's steps in order for L = 1..t_depth,
+    and the rise's steps from the last, where it reaches the largest
+    slack + 1, to the first, where it reaches 1, for the rest.  A cut
+    counts the diagonal's labels kept, so the step onto stage n + 1 is
+    cut n.  Either tail holds at least one label.
     """
     check_range("depth", depth, 2, MAX_PATHS_DEPTH)
-    diagonal = tuple(_diagonal(scheme, n) for n in range(1, depth + 1))
-    top = diagonal[-1]
-    rise = [n - t for n, t in enumerate(diagonal)]  # n - 1 - t_n at stage n, non-decreasing
-    rows = [(bisect.bisect_left(diagonal, last), last, False, str(last)) for last in range(top)]
-    rows.append((bisect.bisect_left(diagonal, top), top, False, "inf"))
-    rows += [(bisect.bisect_right(rise, depth - 1 - last), last, True, f"{depth - 1 - last}'")
-             for last in range(top + 1, depth)]
-    return diagonal, rows
+    diagonal = _diagonals(scheme, depth)
+    steps = list(map(operator.ne, diagonal[1:], diagonal))  # onto stages 2..depth: does the diagonal step
+    rises = list(itertools.compress(range(1, depth), map(operator.not_, steps)))
+    return diagonal, [0, *itertools.compress(range(1, depth), steps), *reversed(rises)]
+
+
+def _path_labels(texts: list[str], top: int) -> list[str]:
+    """Each path's label, final label L ascending, from the texts of 0..depth-1 and t_depth, the top:
+    L below it, inf at it, and (depth - 1 - L)' above."""
+    return [*texts[:top], "inf", *map(operator.add, reversed(texts[:len(texts) - 1 - top]), itertools.repeat("'"))]
 
 
 def limit_paths(scheme: Scheme, depth: int) -> tuple[LimitPath, ...]:
@@ -203,40 +219,53 @@ def limit_paths(scheme: Scheme, depth: int) -> tuple[LimitPath, ...]:
     max(min(L, t_n), L - (depth - n)) in closed form.  A row is thus a
     prefix of the diagonal sequence followed by a tail: the constant L
     for a finite path or inf (L <= t_depth), labels rising by one to L
-    for a primed path.  `_path_cuts` bisects for each row's cut and
-    names the path in the same branch: L below t_depth, inf at it, and
-    (depth - 1 - L)' above; each row here is then two tuple slices, and
-    `limit_path_texts` cuts the same rows from two strings.  The p maps
-    are monotone, so rows from increasing final labels are pointwise
-    increasing and come out already sorted.
+    for a primed path.  `_path_cuts` reads each row's cut off the steps
+    of the diagonal and of the rise, and `_path_labels` names the path:
+    L below t_depth, inf at it, and (depth - 1 - L)' above.  Each row
+    here is then two tuple slices, and `paths_text` cuts the same rows
+    from two strings.  The p maps are monotone, so rows from increasing
+    final labels are pointwise increasing and come out already sorted.
     The labels number depth^2, so depth is bounded by MAX_PATHS_DEPTH.
     """
-    diagonal, rows = _path_cuts(scheme, depth)
-    identity = tuple(range(depth))
-    return tuple([LimitPath(diagonal[:cut] + (identity[cut + last + 1 - depth:last + 1] if rises
+    diagonal, cuts = _path_cuts(scheme, depth)
+    top, diagonal, identity = diagonal[-1], tuple(diagonal), tuple(range(depth))
+    labels = _path_labels(list(map(str, identity)), top)
+    return tuple([LimitPath(diagonal[:cut] + (identity[cut + last + 1 - depth:last + 1] if last > top
                                               else (last,) * (depth - cut)), label)
-                  for cut, last, rises, label in rows])
+                  for last, cut, label in zip(identity, cuts, labels)])
 
 
-def limit_path_texts(scheme: Scheme, depth: int) -> list[tuple[str, str]]:
-    """Each path of limit_paths as the text of its entries, joined by commas, and its label.
+def paths_text(scheme: Scheme, depth: int, opening: str = "", mid: str = " <-> ", closing: str = "",
+               separator: str = "\n", head: str = "", tail: str = "") -> str:
+    """The paths of limit_paths as one text: each row `opening`, its entries joined by commas, `mid`, its
+    label and `closing`, rows joined by `separator`, between `head` and `tail`.
 
-    Two strings are built once: the diagonal's labels and 0, ..., depth-1,
-    each joined by commas and ended by one, with where each label starts
-    in each.  A row's text is then a slice of the first, the diagonal up
-    to its cut, and its tail: a slice of the second for a rising one, L's
-    text and a comma repeated, then L's text, for a constant one.  So no
-    row reads its labels one by one, and no tuple of a path is built.
+    Two strings are built once, the diagonal's labels and 0, ..., depth-1, each label followed by a comma,
+    with where each label starts in each.  A row with final label L is then four texts between the row
+    tokens: the first string up to the row's cut; its body, L's text and comma repeated for a constant
+    tail, or for a rising one the second string from the tail's first label, one above the diagonal at the
+    tail's first stage, up to L; L's text; and the path's label, which below the top is L's text again.
+    So no row reads its labels one by one, no tuple of a path is built, and the answer is one join of
+    those texts and the tokens: with JSON's row tokens, and the object's keys before the rows and its
+    brackets after them, the JSON object.
     """
-    diagonal, rows = _path_cuts(scheme, depth)
-    texts = list(map(str, range(depth)))
-    diagonal_texts = list(map(texts.__getitem__, diagonal))
-    along, upto = ",".join(diagonal_texts) + ",", ",".join(texts) + ","
-    along_at = list(itertools.accumulate([len(s) + 1 for s in diagonal_texts], initial=0))
-    upto_at = list(itertools.accumulate([len(s) + 1 for s in texts], initial=0))
-    return [(along[:along_at[cut]] + (upto[upto_at[cut + last + 1 - depth]:upto_at[last + 1] - 1] if rises
-                                      else f"{texts[last]}," * (depth - cut - 1) + texts[last]), label)
-            for cut, last, rises, label in rows]
+    diagonal, cuts = _path_cuts(scheme, depth)
+    top = diagonal[-1]
+    upto = "%d," * depth % tuple(range(depth))  # one format of every label, not a str() call each
+    texts = upto[:-1].split(",")
+    commaed = list(map(operator.add, texts, itertools.repeat(",")))
+    widths = list(map(len, commaed))
+    along = "".join(map(commaed.__getitem__, diagonal))
+    along_at = list(itertools.accumulate(map(widths.__getitem__, diagonal), initial=0))
+    upto_at = list(itertools.accumulate(widths, initial=0))
+    rows = [head + opening] + [None, None, None, mid, None, closing + separator + opening] * depth
+    rows[1::6] = [along[:along_at[cut]] for cut in cuts]
+    rows[2::6] = [*[commaed[last] * (depth - 1 - cut) for last, cut in zip(range(top + 1), cuts)],
+                  *[upto[upto_at[diagonal[cut] + 1]:end] for end, cut in zip(upto_at[top + 1:depth], cuts[top + 1:])]]
+    rows[3::6] = texts
+    rows[5::6] = _path_labels(texts, top)
+    rows[-1] = closing + tail
+    return "".join(rows)
 
 
 def limit_cpo(scheme: Scheme, depth: int = 12) -> OrderWord:

@@ -194,71 +194,79 @@ PRIME_LOW, PRIME_UP = named_cpo("lambda_prime").halves
 HAT_LOW, HAT_UP = named_cpo("lambda_hat_prime").halves
 V_LOW, V_UP = named_cpo("v").halves
 
-# (mutation, order, conditions that fail)
+# each order below is built inside its test by a builder of no arguments, so that a fault in building an
+# order fails the tests that build it, not the collection of this module
+# (mutation, builder, conditions that fail)
 MUTATED = [
-    ("lambda_hat_prime, upper layers swapped", _rebuilt("lambda_hat_prime", upper=_swapped(HAT_UP)), {3}),
-    ("v, upper layers swapped", _rebuilt("v", upper=_swapped(V_UP)), {3}),
+    ("lambda_hat_prime, upper layers swapped", lambda: _rebuilt("lambda_hat_prime", upper=_swapped(HAT_UP)), {3}),
+    ("v, upper layers swapped", lambda: _rebuilt("v", upper=_swapped(V_UP)), {3}),
     ("lambda_prime, lower omega layer swapped for omega*",
-     _rebuilt("lambda_prime", lower=PRIME_LOW._replace(blocks=((L_STRINGS, "n"), (ALL_ONES, "inf")))), {1, 2}),
+     lambda: _rebuilt("lambda_prime", lower=PRIME_LOW._replace(blocks=((L_STRINGS, "n"), (ALL_ONES, "inf")))),
+     {1, 2}),
     ("lambda_prime, top ...111 of the lower half dropped",
-     _rebuilt("lambda_prime", lower=PRIME_LOW._replace(blocks=PRIME_LOW.blocks[:1])), {2}),
+     lambda: _rebuilt("lambda_prime", lower=PRIME_LOW._replace(blocks=PRIME_LOW.blocks[:1])), {2}),
     ("lambda_prime, bottom 000... of the upper half dropped",
-     _rebuilt("lambda_prime", upper=PRIME_UP._replace(blocks=PRIME_UP.blocks[1:])), {1}),
-    ("v, glued start moved down, so the lower half holds m'", _with_start(_rebuilt("v"), L_STRINGS, 0), set()),
+     lambda: _rebuilt("lambda_prime", upper=PRIME_UP._replace(blocks=PRIME_UP.blocks[1:])), {1}),
+    ("v, glued start moved down, so the lower half holds m'", lambda: _with_start(_rebuilt("v"), L_STRINGS, 0),
+     set()),
 ]
 # mutations that leave an element or a dual outside the order: both raise
 BROKEN = [
-    ("v, lower layers swapped", _rebuilt("v", lower=_swapped(V_LOW))),
+    ("v, lower layers swapped", lambda: _rebuilt("v", lower=_swapped(V_LOW))),
     ("lambda_hat_prime, pinned end of the upper half dropped",
-     _rebuilt("lambda_hat_prime", upper=HAT_UP._replace(right=None))),
-    ("v, glued start moved up", _with_start(_rebuilt("v"), L_STRINGS, 3)),
+     lambda: _rebuilt("lambda_hat_prime", upper=HAT_UP._replace(right=None))),
+    ("v, glued start moved up", lambda: _with_start(_rebuilt("v"), L_STRINGS, 3)),
 ]
 
 # orders whose first failure of (3), from window 2 on, is decided by one class of pairs (see the adjunction
-# module docstring): (class, order, witness at window 3); "finite" pairs a count below settle with a class
+# module docstring): (class, builder, witness at window 3); "finite" pairs a count below settle with a class
 CLASS_DECIDED = [
-    ("finite", _rebuilt("lambda_hat_prime", lower=HAT_LOW._replace(blocks=((L_STRINGS, "n'"), (ALL_ONES, "m"))),
-                        upper=HAT_UP._replace(blocks=((R_STRINGS, "n"), (ALL_ZEROS, "m")))),
+    ("finite", lambda: _rebuilt("lambda_hat_prime",
+                                lower=HAT_LOW._replace(blocks=((L_STRINGS, "n'"), (ALL_ONES, "m"))),
+                                upper=HAT_UP._replace(blocks=((R_STRINGS, "n"), (ALL_ZEROS, "m")))),
      "(000..., 00011...), (000..., ...111)"),
-    ("c = d", _rebuilt("lambda_hat_prime",
-                       lower=HAT_LOW._replace(blocks=((L_STRINGS, "n'"), (R_STRINGS, "n"), (ALL_ONES, "m"))),
-                       upper=HAT_UP._replace(blocks=((R_STRINGS, "n"), (L_STRINGS, "n'"), (ALL_ZEROS, "m")))),
+    ("c = d", lambda: _rebuilt("lambda_hat_prime",
+                               lower=HAT_LOW._replace(blocks=((L_STRINGS, "n'"), (R_STRINGS, "n"), (ALL_ONES, "m"))),
+                               upper=HAT_UP._replace(blocks=((R_STRINGS, "n"), (L_STRINGS, "n'"), (ALL_ZEROS, "m")))),
      "(000..., 00011...), (00011..., ...111)"),
-    ("c < d", _turned(NamedCpo(CpoName.V, (Half("r", ((R_STRINGS, "n"),), left=st.ALL_ONES_L),
-                                           Half("l", ((L_STRINGS, "n'"),), right=st.ALL_ZEROS_R))), 0),
+    ("c < d", lambda: _turned(NamedCpo(CpoName.V, (Half("r", ((R_STRINGS, "n"),), left=st.ALL_ONES_L),
+                                                   Half("l", ((L_STRINGS, "n'"),), right=st.ALL_ZEROS_R))), 0),
      "(111..., ...001), (00011..., ...000)"),
-    ("c > d", _turned(NamedCpo(CpoName.V, (V_LOW._replace(blocks=V_LOW.blocks[1:]),
-                                           V_UP._replace(blocks=V_UP.blocks[:1]))), 1),
+    ("c > d", lambda: _turned(NamedCpo(CpoName.V, (V_LOW._replace(blocks=V_LOW.blocks[1:]),
+                                                   V_UP._replace(blocks=V_UP.blocks[:1]))), 1),
      "(...000, 00011...), (...001, 111...)"),
 ]
 
 
 # glued orders whose boundary is not the lower half's join, not the upper half's meet, or not in the lower half:
-# (mutation, order, (in_lower, join_of_lower, meet_of_upper))
+# (mutation, builder, (in_lower, join_of_lower, meet_of_upper))
 BOUNDARY_MUTATED = [
     ("lambda_hat_prime, an omega* layer under the lower half",
-     _rebuilt("lambda_hat_prime", lower=HAT_LOW._replace(blocks=((L_STRINGS, "n'"), *HAT_LOW.blocks))),
+     lambda: _rebuilt("lambda_hat_prime", lower=HAT_LOW._replace(blocks=((L_STRINGS, "n'"), *HAT_LOW.blocks))),
      (True, False, True)),
     ("lambda_hat_prime, an omega layer over the upper half",
-     _rebuilt("lambda_hat_prime", upper=HAT_UP._replace(blocks=(*HAT_UP.blocks, (R_STRINGS, "n")))),
+     lambda: _rebuilt("lambda_hat_prime", upper=HAT_UP._replace(blocks=(*HAT_UP.blocks, (R_STRINGS, "n")))),
      (True, True, False)),
     ("lambda_hat_prime, top ...111 of the lower half dropped",
-     _rebuilt("lambda_hat_prime", lower=HAT_LOW._replace(blocks=HAT_LOW.blocks[:1])), (False, False, True)),
+     lambda: _rebuilt("lambda_hat_prime", lower=HAT_LOW._replace(blocks=HAT_LOW.blocks[:1])),
+     (False, False, True)),
     ("lambda_hat_prime, pinned end of the lower half dropped",
-     _rebuilt("lambda_hat_prime", lower=HAT_LOW._replace(left=None)), (False, False, True)),
+     lambda: _rebuilt("lambda_hat_prime", lower=HAT_LOW._replace(left=None)), (False, False, True)),
 ]
 
 
-@pytest.mark.parametrize(("mutation", "cpo", "verdicts"), BOUNDARY_MUTATED, ids=[m[0] for m in BOUNDARY_MUTATED])
-def test_mutated_glued_orders_report_the_boundary_as_the_scan_does(mutation, cpo, verdicts):
+@pytest.mark.parametrize(("mutation", "build", "verdicts"), BOUNDARY_MUTATED, ids=[m[0] for m in BOUNDARY_MUTATED])
+def test_mutated_glued_orders_report_the_boundary_as_the_scan_does(mutation, build, verdicts):
+    cpo = build()
     for w in range(31):
         report = boundary_report(cpo, w)
         assert report == scan_boundary(cpo, w), w
         assert (report.in_lower, report.join_of_lower, report.meet_of_upper) == verdicts
 
 
-@pytest.mark.parametrize(("mutation", "cpo", "failing"), MUTATED, ids=[m[0] for m in MUTATED])
-def test_mutated_halves_fail_as_the_scan_does(mutation, cpo, failing):
+@pytest.mark.parametrize(("mutation", "build", "failing"), MUTATED, ids=[m[0] for m in MUTATED])
+def test_mutated_halves_fail_as_the_scan_does(mutation, build, failing):
+    cpo = build()
     for w in range(31):
         report = check_adjunction(cpo, w)
         assert report == scan_adjunction(cpo, w) == corner_adjunction(cpo, w), w
@@ -289,9 +297,10 @@ def test_each_relation_is_stood_for_by_its_first_pair_in_scan_order(s):
             assert got == firsts, (w, dx, dy)
 
 
-@pytest.mark.parametrize(("decider", "cpo", "witness"), CLASS_DECIDED, ids=[m[0] for m in CLASS_DECIDED])
-def test_each_class_decides_a_first_failure_as_the_scans_do(decider, cpo, witness):
+@pytest.mark.parametrize(("decider", "build", "witness"), CLASS_DECIDED, ids=[m[0] for m in CLASS_DECIDED])
+def test_each_class_decides_a_first_failure_as_the_scans_do(decider, build, witness):
     """Each class of pairs, the finite part and the relations c = d, c < d and c > d, gives some order's witness."""
+    cpo = build()
     for w in range(31):
         report = check_adjunction(cpo, w)
         assert report == scan_adjunction(cpo, w) == corner_adjunction(cpo, w), w
@@ -300,7 +309,8 @@ def test_each_class_decides_a_first_failure_as_the_scans_do(decider, cpo, witnes
 
 
 def test_an_omega_star_witness_spells_out_the_window():
-    _, cpo, _ = MUTATED[2]
+    _, build, _ = MUTATED[2]
+    cpo = build()
     for w in (1, 7, 60, 1000):
         report = check_adjunction(cpo, w)
         assert [c.witness for c in report.conditions[:2]] == ["0" * w + "11..."] * 2
@@ -353,8 +363,9 @@ def test_any_mutated_pairing_is_decided_as_the_scan_decides(cpo, w):
     assert _outcome(check_adjunction, cpo, w) == _outcome(scan_adjunction, cpo, w) == _outcome(corner_adjunction, cpo, w)
 
 
-@pytest.mark.parametrize(("mutation", "cpo"), BROKEN, ids=[m[0] for m in BROKEN])
-def test_broken_mutations_raise_as_the_scan_does(mutation, cpo):
+@pytest.mark.parametrize(("mutation", "build"), BROKEN, ids=[m[0] for m in BROKEN])
+def test_broken_mutations_raise_as_the_scan_does(mutation, build):
+    cpo = build()
     for w in (1, 5, 30):  # from window 1 on, the scan meets the missing element
         with pytest.raises(BadElement) as scanned:
             scan_adjunction(cpo, w)

@@ -361,7 +361,7 @@ def test_a_json_writer_prints_the_dump_of_its_object(capsys, verb, scheme):
     """`paths`, `diagram`, `stage` and `funcspace` write their JSON text themselves; it is json.dumps of the
     verb's object.
 
-    `stage`'s compute returns its object; `paths`' returns row texts, so its object is built from limit_paths,
+    `stage`'s compute returns its object; `paths`' returns its text, so its object is built from limit_paths,
     `diagram`'s returns the dot text's pieces, so its object is built from diagram_dot, and `funcspace`'s
     returns its head and its table's texts and cuts, so its object is built from the layers, a label per column
     and a segment per row.
@@ -372,6 +372,16 @@ def test_a_json_writer_prints_the_dump_of_its_object(capsys, verb, scheme):
             obj = args.compute(args)
         expected = json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
         assert _run(capsys, argv + ["--format", "json"]) == (0, expected, ""), argv
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_the_paths_render_and_json_writer_each_return_one_text(scheme):
+    """`paths` joins its whole answer inside its render and its JSON writer, so a timer around `run()` covers
+    the join: each returns one str, not a list of pieces that stdout is given one by one."""
+    for depth in (2, 150, MAX_PATHS_DEPTH):
+        args = build_parser().parse_args(["paths", "--scheme", scheme, "--depth", str(depth)])
+        assert type(args.render(args.compute(args), args)) is str, depth
+        assert type(args.dump(args)) is str, depth
 
 
 @pytest.mark.parametrize("name", all_names())

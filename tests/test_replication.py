@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from scottlab import replication, strings as st
+from scottlab import catalog, replication, strings as st
 from scottlab.adjunction import BOUNDARY_M
 from scottlab.catalog import ALL_ONES, R_STRINGS, CpoName, NamedCpo, named_cpo
 from scottlab.cli import run
@@ -186,6 +186,21 @@ def test_the_work_does_not_grow_with_the_window(work_count):
         assert counts["locate"] == 0 if call is table8 else counts["locate"] > 0
     for name in ("lambda_hat_prime", "v"):
         assert work_count(lambda: decompositions(name))["classify"] == 0
+
+
+def test_a_warm_pipeline_runs_no_words_iso(monkeypatch):
+    """Its two isomorphisms are facts of catalogue orders: decided on the first pipeline and held by the orders,
+    so a second pipeline, at any window, runs no words.iso."""
+    calls = []
+    monkeypatch.setattr(catalog, "iso", lambda a, b, _fn=catalog.iso: calls.append((a, b)) or _fn(a, b))
+    for name in (CpoName.LAMBDA, CpoName.LAMBDA_PRIME):  # forget what earlier tests decided
+        monkeypatch.setattr(named_cpo(name), "_isos", {})
+    first = pipeline(56)
+    assert len(calls) == 2
+    assert (first.dualization.isomorphic, first.lcr.isomorphic) == (True, False)
+    assert [pipeline(w) for w in (56, 0, 150)] == [first, scan_pipeline(0), scan_pipeline(150)]
+    assert len(calls) == 2
+    assert not hasattr(replication, "iso")  # the pipeline reads no isomorphism of its own
 
 
 @pytest.mark.parametrize("x", ["...000", "...0011", "...111", "000...", "0011...", "111..."])

@@ -1,3 +1,4 @@
+import bisect
 import json
 
 import pytest
@@ -16,6 +17,10 @@ from scottlab.stages import (
     EpPair,
     LabelMap,
     Scheme,
+    _diagonal,
+    _diagonals,
+    _path_cuts,
+    _path_labels,
     check_ep_laws,
     diagram_dot,
     diagram_pieces,
@@ -334,6 +339,37 @@ def test_limit_paths_come_out_sorted(scheme):
     for depth in ORACLE_DEPTHS:
         paths = limit_paths(scheme, depth)
         assert paths == tuple(sorted(paths, key=lambda p: p.entries)), depth
+
+
+def bisected_path_cuts(scheme, depth):
+    """The diagonal t_1, ..., t_depth and, per final label L ascending, (cut, L, rises, label), each cut found
+    by bisection: for L up to the diagonal, where the diagonal reaches L; above it, where the rise n - 1 - t_n
+    first exceeds the slack depth - 1 - L."""
+    diagonal = tuple(_diagonal(scheme, n) for n in range(1, depth + 1))
+    top = diagonal[-1]
+    rise = [n - t for n, t in enumerate(diagonal)]  # n - 1 - t_n at stage n, non-decreasing
+    rows = [(bisect.bisect_left(diagonal, last), last, False, str(last)) for last in range(top)]
+    rows.append((bisect.bisect_left(diagonal, top), top, False, "inf"))
+    rows += [(bisect.bisect_right(rise, depth - 1 - last), last, True, f"{depth - 1 - last}'")
+             for last in range(top + 1, depth)]
+    return diagonal, rows
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_the_cuts_read_off_the_steps_are_the_bisected_cuts(scheme):
+    """Oracle for `_path_cuts`' step reading and `_path_labels`: the cut and the label of every row, and the
+    diagonal, as bisection finds them."""
+    for depth in [*range(2, 301), MAX_PATHS_DEPTH]:
+        diagonal, cuts = _path_cuts(scheme, depth)
+        bisected, rows = bisected_path_cuts(scheme, depth)
+        assert tuple(diagonal) == bisected, depth
+        assert cuts == [cut for cut, _, _, _ in rows], depth
+        assert _path_labels(list(map(str, range(depth))), diagonal[-1]) == [label for *_, label in rows], depth
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_the_diagonals_are_the_diagonal_at_each_stage(scheme):
+    assert _diagonals(scheme, MAX_EP_STAGE) == [_diagonal(scheme, n) for n in range(1, MAX_EP_STAGE + 1)]
 
 
 # -- the bridge: the limits are the catalogue's phi and theta -----------------
