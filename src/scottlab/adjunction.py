@@ -67,6 +67,20 @@ or its dual, the decision raises BadElement, as locating the first such
 element in window order does.  Elements are their ends here, and a
 string is built only to spell a witness (`catalog.spell` of its ends).
 
+The verdict at any window w >= s + 1 is the verdict at s + 1, so
+`adjunction_holds` decides it at min(w, s + 1), once per order and
+capped window.  (1) and (2): `_first_outside` reads a layer's entry
+min(c, s), with c = 0 or c = w, so from w = s on it reads the same
+entries.  (3): from w = s + 1 on, `_classes` yields the same classes,
+each count below s alone and one class of counts s..w per omega or
+omega* layer, with the keys at s and s + 1, and `_relations` yields
+all three relations, each decided at a pair of counts s + i, s + j, so
+every comparison reads the same pair of keys.  Only a class's first
+count moves with w, and it names a witness, not a verdict.  Where the
+order does not hold an element or its dual, the one located lies below
+s, the same at every w, or at a count from s on, at or above every
+run's start, so it raises at s + 1 as it does at w.
+
 The two pair-built orders carry a boundary element where the halves
 meet: m = (000..., ...111) is its own dual and has no immediate
 neighbors, while m' = (...000, 111...) is its own dual with immediate
@@ -80,6 +94,7 @@ The halves, the string ranks, the boundaries and the ambient positions
 are all read off the catalogue's table; nothing here restates an order.
 """
 
+from functools import cache
 from typing import NamedTuple
 
 from . import strings as st
@@ -214,6 +229,19 @@ def check_adjunction(which: str | CpoName | NamedCpo, window: int = 20) -> Adjun
                   for k, c in enumerate((_first_outside(cpo, 0, window), _first_outside(cpo, 1, window), c3), 1))
     return AdjunctionReport(cpo.name, cpo.halves[0].name, cpo.halves[1].name, window, conds,
                             all(c.passed for c in conds))
+
+
+def adjunction_holds(which: str | CpoName | NamedCpo, window: int) -> bool:
+    """check_adjunction's verdict, decided at min(window, settle + 1) once per order and held (see the module
+    docstring): at most settle + 2 verdicts per order."""
+    check_window(window)
+    cpo = named_cpo(which)
+    return _holds(cpo, min(window, cpo.settle + 1))
+
+
+@cache
+def _holds(cpo: NamedCpo, window: int) -> bool:
+    return check_adjunction(cpo, window).passed
 
 
 class BoundaryReport(NamedTuple):

@@ -26,7 +26,9 @@ the window changes nothing but the `window` that table8 echoes: the
 adjunctions are decided as adjunction.py describes, and the fold's
 round trip and collisions per lambda_prime layer, at its counts up to
 the two orders' `settle` count (every count of a finite layer), in the
-catalogue's layer coordinates, off the v runs holding the images.
+catalogue's layer coordinates, off the v runs holding the images.  Each
+verdict is decided once per process and held: the adjunctions per order
+and capped window (`adjunction_holds`), the fold per pair of orders.
 
 Elements are their ends here, as in the catalogue: a string is read in
 only where it comes from outside the package (the string lcr_forward
@@ -34,10 +36,11 @@ folds or the pair lcr_backward unfolds), and built only to spell a label
 or a report field.
 """
 
+from functools import cache
 from typing import NamedTuple
 
 from . import strings as st
-from .adjunction import BOUNDARY_M, check_adjunction
+from .adjunction import BOUNDARY_M, adjunction_holds
 from .catalog import CpoName, Layer, NamedCpo, ends_of, named_cpo, spell
 from .errors import BadElement, NotBoundary, UnknownCpo
 from .words import AtomKind, check_window, neighbors
@@ -160,12 +163,13 @@ class Table8Row(NamedTuple):
 
 
 def table8(window: int = 20) -> tuple[Table8Row, ...]:
-    """Summary matrix, every cell computed from the operations."""
+    """Summary matrix: each cell is a fact of its order, decided once per process and held, so the window
+    changes no cell."""
     check_window(window)
     rows = []
     for name in (CpoName.LAMBDA, CpoName.LAMBDA_PRIME, CpoName.LAMBDA_HAT_PRIME, CpoName.V):
         cpo = named_cpo(name)
-        adj = "yes" if check_adjunction(name, window).passed else "no"
+        adj = "yes" if adjunction_holds(name, window) else "no"
         fp = "applicable" if cpo.self_iso.is_iso else "not applicable"
         boundary = "n/a" if cpo.boundary is None else cpo.boundary.label
         rows.append(Table8Row(name.value, adj, fp, boundary, str(cpo.display_word)))
@@ -207,23 +211,15 @@ class PipelineReport(NamedTuple):
     table8: tuple[Table8Row, ...]
 
 
-def pipeline(window: int = 20) -> PipelineReport:
-    check_window(window)
-    lam = named_cpo(CpoName.LAMBDA)
-    hat = named_cpo(CpoName.LAMBDA_HAT_PRIME)
-    lam_prime = named_cpo(CpoName.LAMBDA_PRIME)
-    v = named_cpo(CpoName.V)
+@cache
+def _fold(lam_prime: NamedCpo, v: NamedCpo) -> tuple[bool, tuple[str, ...]]:
+    """Whether lambda_prime folds into v and back with exactly two strings on v's boundary, and those strings,
+    spelled: decided once per pair of orders and held.
 
-    dual = DualizationEdge(lam.name.value, hat.name.value, lam.isomorphic_to(hat), str(hat.display_word))
-
-    rep = replicate(BOUNDARY_M)
-    rep_edge = ReplicationEdge(hat.name.value, lam_prime.name.value, rep.intent_label, rep.extent_label,
-                               str(hat.display_word), str(lam_prime.display_word), rep.mutual_neighbors)
-
-    # the fold carries each lambda_prime layer into the v half whose layers
-    # hold it, and unfolds an image off the v run that holds it; from count
-    # `settle` on both orders treat a layer's strings alike, so the counts up
-    # to it decide the round trip and the strings folded onto m'
+    The fold carries each lambda_prime layer into the v half whose layers hold it, and unfolds an image off
+    the v run that holds it; from count `settle` on both orders treat a layer's strings alike, so the counts
+    up to it decide the round trip and the strings folded onto m'.
+    """
     settle, m = max(lam_prime.settle, v.settle), v.boundary
     ok, collisions = True, []
     for layer in (layer for half in lam_prime.halves for layer in half.layers):
@@ -237,7 +233,24 @@ def pipeline(window: int = 20) -> PipelineReport:
             else:
                 run, held = v.locate(image)
                 ok = ok and (run.layer, held) == (layer, c)
-    lcr_edge = LcrEdge(lam_prime.name.value, v.name.value, ok and len(collisions) == 2, m.label,
-                       tuple(str(c) for c in collisions), lam_prime.isomorphic_to(v))
+    return ok and len(collisions) == 2, tuple(str(x) for x in collisions)
+
+
+def pipeline(window: int = 20) -> PipelineReport:
+    check_window(window)
+    lam = named_cpo(CpoName.LAMBDA)
+    hat = named_cpo(CpoName.LAMBDA_HAT_PRIME)
+    lam_prime = named_cpo(CpoName.LAMBDA_PRIME)
+    v = named_cpo(CpoName.V)
+
+    dual = DualizationEdge(lam.name.value, hat.name.value, lam.isomorphic_to(hat), str(hat.display_word))
+
+    rep = replicate(BOUNDARY_M)
+    rep_edge = ReplicationEdge(hat.name.value, lam_prime.name.value, rep.intent_label, rep.extent_label,
+                               str(hat.display_word), str(lam_prime.display_word), rep.mutual_neighbors)
+
+    round_trip_ok, collisions = _fold(lam_prime, v)
+    lcr_edge = LcrEdge(lam_prime.name.value, v.name.value, round_trip_ok, v.boundary.label, collisions,
+                       lam_prime.isomorphic_to(v))
 
     return PipelineReport(dual, rep_edge, lcr_edge, table8(window))

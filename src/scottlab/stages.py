@@ -305,9 +305,10 @@ def diagram_pieces(scheme: Scheme, depth: int, quote: str = '"', newline: str = 
     "s(n+1)_0, w again and its ending, and an e/p pair is one word four
     times.  A run is a list of its edges' constant pieces repeated once
     per edge, whose word slots slice assignment fills from stage n's
-    list of words, the windows of one string (as `stage` builds them),
-    which also make the stage's rank line in one join: no Python code
-    runs per edge, and each stage's edges are one join.
+    list of words, built from stage n-1's, 0w per word w, then 1^(n-1)
+    (the words `stage` builds as windows of one string), which also
+    make the stage's rank line in one join: no Python code runs per
+    edge, and each stage's edges are one join.
     Stage 1's one word is empty and drawn as λ, so its rank line and
     its two edges are written out, and they are the only non-ASCII
     characters of the text.  The pieces are the header with stage 1's
@@ -329,9 +330,10 @@ def diagram_pieces(scheme: Scheme, depth: int, quote: str = '"', newline: str = 
     check_range("depth", depth, 2, MAX_DIAGRAM_DEPTH)
     q, nl = quote, newline
     p_end = f"{q} [label={q}p{q}];{nl}"  # a p arrow's line after its lower word
-    ranks, edges = [], []
+    ranks, edges, words = [], [], [""]  # words: stage 1's one word, then each stage's in turn
     for n in range(2, depth + 1):
-        words, a, b = _words(n), f"{q}s{n}_", f"{q}s{n + 1}_"  # a and b: a node name of stage n, n+1 before its word
+        words = [*map(operator.add, itertools.repeat("0"), words), "1" * (n - 1)]  # 0w per word w of stage n-1
+        a, b = f"{q}s{n}_", f"{q}s{n + 1}_"  # a node name of stage n, n+1 before its word
         ranks.append(f"  {{ rank=same; {a}" + f"{q} {a}".join(words) + f"{q} }}{nl}")
         if n == depth:
             break

@@ -8,6 +8,7 @@ from scottlab import strings as st
 from scottlab.adjunction import (
     BOUNDARY_M,
     _relations,
+    adjunction_holds,
     boundary_report,
     build_pair_cpo,
     check_adjunction,
@@ -374,6 +375,28 @@ def test_broken_mutations_raise_as_the_scan_does(mutation, build):
         with pytest.raises(BadElement) as decided:
             check_adjunction(cpo, w)
         assert str(decided.value) == str(scanned.value) == str(cornered.value)
+
+
+def _verdict(decide):
+    """decide()'s value, or the type of the error it raises: a witness, and so a message, spells the window."""
+    try:
+        return decide()
+    except (BadElement, UnknownCpo) as e:
+        return type(e)
+
+
+# every order the checks above build: the composites by name, then each mutation's builder
+ORACLE_ORDERS = [(name.value, lambda name=name: name.value) for name in COMPOSITE] + [
+    (m[0], m[1]) for m in (*MUTATED, *BROKEN, *CLASS_DECIDED, *BOUNDARY_MUTATED)]
+
+
+@pytest.mark.parametrize(("order", "build"), ORACLE_ORDERS, ids=[o[0] for o in ORACLE_ORDERS])
+def test_the_held_verdict_is_the_check_at_every_window(order, build):
+    """adjunction_holds decides at min(w, settle + 1) and holds that verdict: at every window it is the
+    uncapped check's, or both raise the same error."""
+    cpo = build()
+    for w in [*range(61), 10**9]:
+        assert _verdict(lambda: adjunction_holds(cpo, w)) == _verdict(lambda: check_adjunction(cpo, w).passed), w
 
 
 @pytest.mark.parametrize("name", ["lambda_hat_prime", "v"])

@@ -2,8 +2,8 @@ import re
 
 import pytest
 
-from scottlab import catalog, replication, strings as st
-from scottlab.adjunction import BOUNDARY_M
+from scottlab import adjunction, catalog, replication, strings as st
+from scottlab.adjunction import BOUNDARY_M, check_adjunction
 from scottlab.catalog import ALL_ONES, R_STRINGS, CpoName, NamedCpo, named_cpo
 from scottlab.cli import run
 from scottlab.errors import BadElement, NotBoundary, UnknownCpo
@@ -171,19 +171,32 @@ def test_pipeline_edges():
 
 
 def test_decided_table8_and_pipeline_equal_the_scan():
+    """Table 8's adjunction column, held per order, is also the uncapped check's at each window."""
     for w in range(61):
         assert table8(w) == scan_table8(w), w
         assert pipeline(w) == scan_pipeline(w), w
+        assert [row.adjunction for row in table8(w)] == [
+            "yes" if check_adjunction(name, w).passed else "no" for name in window_scan.COMPOSITE], w
 
 
-def test_the_work_does_not_grow_with_the_window(work_count):
-    """The same work at any window, and no string read back: the boundary and the fold stay in their ends."""
+def test_the_work_does_not_grow_with_the_window(work_count, monkeypatch):
+    """The same work at any window, and no string read back: the boundary and the fold stay in their ends.
+
+    Once warm, neither decides an adjunction or runs the fold: both are held.
+    """
+    decided = []
+    for module, name in ((adjunction, "check_adjunction"), (replication, "_fold_half")):
+        monkeypatch.setattr(module, name, lambda *args, _fn=getattr(module, name), _name=name:
+                            decided.append(_name) or _fn(*args))
     for call in (table8, pipeline):
         counts = work_count(lambda: call(20))
         assert counts == work_count(lambda: call(10**9))
         assert counts["classify"] == 0
-        # Table 8 reads each boundary's label off its record; the pipeline's fold locates its images
+        # Table 8 reads each boundary's label off its record; the pipeline's replication locates the middle pair
         assert counts["locate"] == 0 if call is table8 else counts["locate"] > 0
+        decided.clear()
+        call(20), call(10**9)
+        assert decided == []
     for name in ("lambda_hat_prime", "v"):
         assert work_count(lambda: decompositions(name))["classify"] == 0
 
@@ -254,6 +267,20 @@ def test_a_broken_fold_fails_the_round_trip_as_the_scan_does(monkeypatch, mutati
         edge = pipeline(w).lcr
         assert edge == scan_lcr(w), w
         assert not edge.round_trip_ok and len(edge.collision_preimages) == 2
+
+
+@pytest.mark.parametrize(("mutation", "v"), BROKEN_FOLDS, ids=[m[0] for m in BROKEN_FOLDS])
+def test_a_broken_fold_after_a_warm_pipeline_is_decided_on_its_own(monkeypatch, mutation, v):
+    """The fold is held per pair of order objects, not per word: each mutant is decided on its own, the one
+    that shares v's word too, and v's own verdict is untouched."""
+    warm = pipeline(20)
+    assert warm.lcr.round_trip_ok
+    for module in (replication, window_scan):
+        monkeypatch.setattr(module, "named_cpo", lambda name: v if name is CpoName.V else named_cpo(name))
+    edge = pipeline(20).lcr
+    assert edge == scan_lcr(20) and not edge.round_trip_ok
+    monkeypatch.undo()
+    assert pipeline(20) == warm
 
 
 class _MiscountedValley(NamedCpo):

@@ -1,5 +1,6 @@
 import bisect
 import json
+import re
 
 import pytest
 
@@ -21,6 +22,7 @@ from scottlab.stages import (
     _diagonals,
     _path_cuts,
     _path_labels,
+    _words,
     check_ep_laws,
     diagram_dot,
     diagram_pieces,
@@ -488,6 +490,15 @@ def test_only_stage_one_makes_a_diagram_piece_non_ascii(scheme):
             assert len(wide) == 2 and wide[0] == 0, depth
             assert (pieces[0].count("s1_λ"), pieces[wide[1]].count("s1_λ")) == (1, 2), depth
             assert "".join(pieces) == expected, depth
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_the_diagram_builds_each_stage_s_words_as_stage_does(scheme):
+    """diagram_pieces builds stage n's words from stage n-1's, 0w per word w then 1^(n-1): at every stage they
+    are `_words(n)`, the windows `stage` reads off one string, in order, as the stage's rank line lists them."""
+    pieces = diagram_pieces(scheme, MAX_DIAGRAM_DEPTH)
+    for n, rank_line in enumerate(pieces[1:MAX_DIAGRAM_DEPTH], 2):  # stage n's rank line is piece n - 1
+        assert re.findall(rf'"s{n}_([01]*)"', rank_line) == _words(n), n
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
